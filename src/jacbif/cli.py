@@ -18,6 +18,7 @@ from fractions import Fraction
 from .continuation import (
     ContinuationSettings,
     ProblemSpec,
+    bifurcation_lambda,
     branch_switch,
     continue_branch,
     detect_fold,
@@ -91,8 +92,7 @@ def cmd_sphere(args) -> int:
     for i in range(1, args.kmax + 1):
         row = f"{i}\t{sphere_eigenvalue(i, ctx)}"
         if args.q is not None:
-            lam = Fraction(i) * (i + al + be + 1) / (args.q - 1)
-            row += f"\t{lam}"
+            row += f"\t{bifurcation_lambda(i, al + be + 1, args.q)}"
         lines.append(row)
     if args.m_focal is not None:
         qf = supercritical_threshold(args.n, args.m_focal)

@@ -13,9 +13,12 @@ conditions are natural for this weak form and are only checked a posteriori
 (boundary_residual).
 
 Branch tracing uses a Keller bordered predictor-corrector in the metric
-<(dc, dlam), (dc', dlam')> = sum h_i dc_i dc_i' + dlam dlam', and folds are
-polished with a Moore-Spence system {F = 0, J v = 0, ||v||_w = 1} whose
-regular roots carry a certified kernel direction.
+<(dc, dlam), (dc', dlam')> = sum h_i dc_i dc_i' + dlam dlam'.  The phase
+solve, the corrector and fold localization share one bordered Newton kernel.
+A fold is located as a root of the lambda component of the unit tangent; the
+tangent there is (v, 0) with J v = 0, so the kernel direction comes with the
+fold, and the Moore-Spence residual of {F = 0, J v = 0, ||v||_w = 1}
+certifies it a posteriori.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .jacobi import (
     norm_sq_relative,
     weighted_norm_sq,
 )
-from .linearization import cube_integral, cube_integral_relative
+from .linearization import cube_integral, cube_integral_relative, require_theorem_scope
 
 __all__ = [
     "ProblemSpec",
@@ -59,6 +62,7 @@ __all__ = [
     "residual",
     "boundary_residual",
     "jacobian",
+    "bifurcation_lambda",
     "bifurcation_points",
     "lambda_prime_zero",
     "solve_at_phase",
@@ -167,7 +171,13 @@ class Branch:
 
 @dataclass
 class FoldRecord:
-    """A localized degenerate solution (turning point) with its kernel."""
+    """A localized degenerate solution (turning point) with its kernel.
+
+    ``null_direction`` is the state part v of the unit tangent at the fold,
+    rescaled to ||v||_w = 1.  ``moore_spence_residual`` is the norm of
+    (F(c, lambda), J v, ||v||_w^2 - 1) there.  No iteration minimizes it, so
+    it certifies the fold point and its kernel direction independently.
+    """
 
     point: BranchPoint
     lambda_star: float
@@ -303,24 +313,17 @@ def boundary_residual(u: SpectralFunction, lam: float, spec: ProblemSpec) -> tup
     return float(b_minus), float(b_plus)
 
 
-def _require_theorem_scope(spec: ProblemSpec) -> None:
-    p = spec.params
-    if p.exact is not None:
-        ok = p.exact[0] >= p.exact[1] and p.exact[0] + p.exact[1] + 1 > 0
-    else:
-        ok = p.alpha >= p.beta and p.a > 0.0
-    if not ok:
-        raise ParameterError(
-            "bifurcation-theory operations need alpha >= beta and "
-            f"alpha+beta+1 > 0; got ({p.alpha}, {p.beta})"
-        )
+def bifurcation_lambda(k, a, q):
+    """lambda_k = k(k + a) / (q - 1) with a = alpha + beta + 1; exact for
+    Fraction arguments."""
+    return k * (k + a) / (q - 1)
 
 
 def bifurcation_points(spec: ProblemSpec, kmax: int) -> list[tuple[int, float]]:
     """(k, lambda_k) with lambda_k = k(k + alpha + beta + 1) / (q - 1)."""
     if kmax < 1:
         raise ParameterError("kmax must be >= 1")
-    return [(k, k * (k + spec.params.a) / (spec.q - 1.0)) for k in range(1, kmax + 1)]
+    return [(k, bifurcation_lambda(k, spec.params.a, spec.q)) for k in range(1, kmax + 1)]
 
 
 def lambda_prime_zero(k: int, spec: ProblemSpec) -> float:
@@ -334,8 +337,8 @@ def lambda_prime_zero(k: int, spec: ProblemSpec) -> float:
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    _require_theorem_scope(spec)
-    lam_k = k * (k + spec.params.a) / (spec.q - 1.0)
+    require_theorem_scope(spec.params)
+    lam_k = bifurcation_lambda(k, spec.params.a, spec.q)
     if spec.params.is_exact:
         ratio = cube_integral_relative(k, spec.params) / norm_sq_relative(k, spec.params)
         return -spec.q * lam_k * float(ratio) / 2.0
@@ -373,23 +376,47 @@ def _bisect(f, lo: float, hi: float, flo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _grid_roots(grid: np.ndarray, fvals: np.ndarray, f) -> list[float]:
+def _nonconstant_or_raise(u: SpectralFunction) -> None:
+    tail = float(np.max(np.abs(u.coeffs[1:]))) if u.coeffs.size > 1 else 0.0
+    if tail <= 1e-13 * (1.0 + abs(float(u.coeffs[0]))):
+        raise ParameterError("count is undefined for (numerically) constant states")
+
+
+def _series_roots(
+    params: JacobiParams,
+    coeffs: np.ndarray,
+    shift: float,
+    grid: np.ndarray,
+    transversality_rel: float,
+    what: str,
+) -> list[float]:
+    """Roots in (-1, 1) of f = sum_i coeffs_i P_i - shift: sign scan on the
+    grid, bisection polish, and a transversality check |f'(root)| >
+    transversality_rel * max |f'| over the grid, which raises TangencyError
+    naming the root as ``what``."""
+    n = coeffs.size - 1
+
+    def f(t: float) -> float:
+        return float((jacobi_table(params, n, t) @ coeffs)[0]) - shift
+
+    fvals = jacobi_table(params, n, grid) @ coeffs - shift
     roots = []
     for j in range(grid.size - 1):
         a, b = fvals[j], fvals[j + 1]
         if a == 0.0:
             if grid[j] > -1.0:
                 roots.append(float(grid[j]))
-            continue
-        if a * b < 0.0:
+        elif a * b < 0.0:
             roots.append(_bisect(f, float(grid[j]), float(grid[j + 1]), a))
+    sp, dc = derivative_series(params, coeffs)
+    d_scale = float(np.max(np.abs(jacobi_table(sp, dc.size - 1, grid) @ dc)))
+    for r in roots:
+        slope = float((jacobi_table(sp, dc.size - 1, r) @ dc)[0])
+        if abs(slope) <= transversality_rel * d_scale:
+            raise TangencyError(
+                f"{what} at t={r:.6f} is nearly degenerate (|slope|={abs(slope):.2e})"
+            )
     return roots
-
-
-def _nonconstant_or_raise(u: SpectralFunction) -> None:
-    tail = float(np.max(np.abs(u.coeffs[1:]))) if u.coeffs.size > 1 else 0.0
-    if tail <= 1e-13 * (1.0 + abs(float(u.coeffs[0]))):
-        raise ParameterError("count is undefined for (numerically) constant states")
 
 
 def crossing_points(u: SpectralFunction, transversality_rel: float = 1e-8) -> list[float]:
@@ -398,18 +425,7 @@ def crossing_points(u: SpectralFunction, transversality_rel: float = 1e-8) -> li
     transversality_rel * ||u'||_inf."""
     _nonconstant_or_raise(u)
     grid = _scan_grid(u.coeffs.size)
-    fvals = u(grid) - 1.0
-    roots = _grid_roots(grid, fvals, lambda t: u(t) - 1.0)
-    sp, dc = derivative_series(u.params, u.coeffs)
-    dtable = jacobi_table(sp, dc.size - 1, grid) @ dc
-    du_scale = float(np.max(np.abs(dtable)))
-    for r in roots:
-        slope = float((jacobi_table(sp, dc.size - 1, r) @ dc)[0])
-        if abs(slope) <= transversality_rel * du_scale:
-            raise TangencyError(
-                f"crossing at t={r:.6f} is nearly tangent (|u'|={abs(slope):.2e})"
-            )
-    return roots
+    return _series_roots(u.params, u.coeffs, 1.0, grid, transversality_rel, "crossing")
 
 
 def count_crossings(u: SpectralFunction, transversality_rel: float = 1e-8) -> int:
@@ -423,22 +439,9 @@ def critical_point_list(
     (the only possibilities along solution branches)."""
     _nonconstant_or_raise(u)
     sp, dc = derivative_series(u.params, u.coeffs)
-    du = SpectralFunction(dc, sp)
     grid = _scan_grid(u.coeffs.size)
-    fvals = du(grid)
-    roots = _grid_roots(grid, fvals, du)
-    sp2, dc2 = derivative_series(sp, dc)
-    d2table = jacobi_table(sp2, dc2.size - 1, grid) @ dc2
-    d2_scale = float(np.max(np.abs(d2table)))
-    out = []
-    for r in roots:
-        curv = float((jacobi_table(sp2, dc2.size - 1, r) @ dc2)[0])
-        if abs(curv) <= transversality_rel * d2_scale:
-            raise TangencyError(
-                f"critical point at t={r:.6f} is nearly degenerate (|u''|={abs(curv):.2e})"
-            )
-        out.append((r, "min" if u(r) < 1.0 else "max"))
-    return out
+    roots = _series_roots(sp, dc, 0.0, grid, transversality_rel, "critical point")
+    return [(r, "min" if u(r) < 1.0 else "max") for r in roots]
 
 
 def count_critical_points(u: SpectralFunction, transversality_rel: float = 1e-8) -> int:
@@ -455,10 +458,6 @@ def endpoint_label(u: SpectralFunction, side: int) -> str:
 # branch construction
 
 
-def _sigma_min(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
-
-
 def _make_point(
     c: np.ndarray,
     lam: float,
@@ -469,7 +468,7 @@ def _make_point(
     disc = discretization(spec)
     u = SpectralFunction(c, spec.params)
     rnorm = disc.w_norm(disc.residual_coeffs(c, lam))
-    smin = _sigma_min(disc.jacobian(c, lam))
+    smin = float(np.linalg.svd(disc.jacobian(c, lam), compute_uv=False)[-1])
     return BranchPoint(
         u=u,
         lam=float(lam),
@@ -479,6 +478,47 @@ def _make_point(
         crossings=count_crossings(u, settings.transversality_rel),
         critical_points=count_critical_points(u, settings.transversality_rel),
     )
+
+
+def _bordered_newton(
+    disc: Discretization,
+    c: np.ndarray,
+    lam: float,
+    border: np.ndarray,
+    border_lam: float,
+    target: float,
+    newton_tol: float,
+    max_iter: int,
+    origin: tuple[np.ndarray, float] = (0.0, 0.0),
+) -> tuple[np.ndarray, float, int]:
+    """Newton iteration for {F(c, lambda) = 0, <border, c - c0> +
+    border_lam (lambda - lam0) = target} from the guess (c, lambda), where
+    (c0, lam0) is ``origin``.
+
+    Converged when ||F||_w < newton_tol (1 + ||c||_w) and the border equation
+    holds to newton_tol (1 + |target|).  Returns (c, lambda, iterations), the
+    iterations counting the residual checks including the converged one.
+    """
+    n = c.size
+    c0, lam0 = origin
+    a_mat = np.empty((n + 1, n + 1))
+    a_mat[n, :n] = border
+    a_mat[n, n] = border_lam
+    rhs = np.empty(n + 1)
+    for it in range(1, max_iter + 1):
+        r = disc.residual_coeffs(c, lam)
+        g = float(border @ (c - c0)) + border_lam * (lam - lam0) - target
+        converged = disc.w_norm(r) < newton_tol * (1.0 + disc.w_norm(c))
+        if converged and abs(g) < newton_tol * (1.0 + abs(target)):
+            return c, lam, it
+        a_mat[:n, :n] = disc.jacobian(c, lam)
+        a_mat[:n, n] = disc.dresidual_dlambda(c)
+        rhs[:n] = -r
+        rhs[n] = -g
+        delta = np.linalg.solve(a_mat, rhs)
+        c = c + delta[:n]
+        lam = lam + delta[n]
+    raise NewtonDivergenceError(f"bordered Newton did not converge in {max_iter} iterations")
 
 
 def solve_at_phase(
@@ -491,9 +531,9 @@ def solve_at_phase(
 ) -> tuple[np.ndarray, float]:
     """Newton solve of {residual = 0, <u - 1, P_k>_w = sigma * sqrt(h_k)}.
 
-    The phase condition pins c_k = sigma / sqrt(h_k); the remaining
-    coefficients and lambda are the unknowns.  Seeded from the tangent
-    predictor u = 1 + sigma * P_k / ||P_k||_w unless a guess is supplied.
+    The phase condition pins c_k = sigma / sqrt(h_k) through the border e_k
+    of the Newton kernel.  Seeded from the tangent predictor
+    u = 1 + sigma * P_k / ||P_k||_w unless a guess is supplied.
     """
     disc = discretization(spec)
     sqh = math.sqrt(disc.h[k])
@@ -504,25 +544,12 @@ def solve_at_phase(
     else:
         c = np.zeros(spec.N)
         c[0] = 1.0
-        lam = k * (k + spec.params.a) / (spec.q - 1.0) + sigma * lambda_prime_zero(
+        lam = bifurcation_lambda(k, spec.params.a, spec.q) + sigma * lambda_prime_zero(
             k, spec
         ) / sqh
     c[k] = ck
-    free = np.arange(spec.N) != k
-    for _ in range(max_iter):
-        r = disc.residual_coeffs(c, lam)
-        if disc.w_norm(r) < newton_tol * (1.0 + disc.w_norm(c)):
-            return c, lam
-        jac = disc.jacobian(c, lam)
-        a_mat = np.empty((spec.N, spec.N))
-        a_mat[:, :-1] = jac[:, free]
-        a_mat[:, -1] = disc.dresidual_dlambda(c)
-        delta = np.linalg.solve(a_mat, -r)
-        c[free] += delta[:-1]
-        lam += delta[-1]
-    raise NewtonDivergenceError(
-        f"phase-condition Newton did not converge (k={k}, sigma={sigma:.3e})"
-    )
+    e_k = np.eye(spec.N)[k]
+    return _bordered_newton(disc, c, lam, e_k, 0.0, ck, newton_tol, max_iter)[:2]
 
 
 def branch_switch(
@@ -534,7 +561,7 @@ def branch_switch(
 ) -> BranchPoint:
     """First nontrivial point on the branch through (1, lambda_k), at signed
     tangent amplitude sigma = direction * s0."""
-    _require_theorem_scope(spec)
+    require_theorem_scope(spec.params)
     if direction not in (-1, 1):
         raise ParameterError("direction must be +1 or -1")
     if not 0.0 < s0 <= 0.05:
@@ -582,11 +609,12 @@ def _tangent(
     return tc, tl
 
 
-def _fold_bracketed(lams: list[float]) -> bool:
+def _fold_index(lams: list[float]) -> int | None:
+    """Index of the first point where the lambda sequence turns back, or None."""
     for j in range(1, len(lams) - 1):
         if (lams[j + 1] - lams[j]) * (lams[j] - lams[j - 1]) < 0.0:
-            return True
-    return False
+            return j
+    return None
 
 
 def continue_branch(
@@ -620,15 +648,11 @@ def continue_branch(
     s_abs = abs(start.s)
     ds = min(max(settings.ds0, settings.ds_min), settings.ds_max)
     steps_after_bracket = 0
-    bracketed = False
 
     while len(branch.points) < settings.max_steps:
-        accepted = None
         while True:
             try:
-                accepted = _correct(
-                    disc, c, lam, tau_c, tau_lam, ds, settings
-                )
+                accepted = _correct(disc, c, lam, tau_c, tau_lam, ds, settings)
                 break
             except (NewtonDivergenceError, NonpositiveStateError, np.linalg.LinAlgError):
                 ds *= 0.5
@@ -655,14 +679,13 @@ def continue_branch(
         if point.u.w_norm() > settings.amplitude_cap:
             branch.termination = "amplitude-cap"
             return branch
-        if settings.stop_on_fold:
-            if not bracketed and _fold_bracketed([p.lam for p in branch.points]):
-                bracketed = True
-            if bracketed:
-                steps_after_bracket += 1
-                if steps_after_bracket > settings.fold_trail:
-                    branch.termination = "fold-bracketed"
-                    return branch
+        if settings.stop_on_fold and (
+            steps_after_bracket or _fold_index([p.lam for p in branch.points]) is not None
+        ):
+            steps_after_bracket += 1
+            if steps_after_bracket > settings.fold_trail:
+                branch.termination = "fold-bracketed"
+                return branch
         if iters <= 4:
             ds = min(ds * 1.4, settings.ds_max)
         elif iters >= 10:
@@ -680,31 +703,19 @@ def _correct(
     ds: float,
     settings: ContinuationSettings,
 ) -> tuple[np.ndarray, float, int]:
-    """One predictor step + bordered Newton corrector."""
-    n = c_prev.size
-    c = c_prev + ds * tau_c
-    lam = lam_prev + ds * tau_lam
-    border = disc.h * tau_c
-    a_mat = np.empty((n + 1, n + 1))
-    rhs = np.empty(n + 1)
-    for it in range(1, settings.max_iter + 1):
-        r = disc.residual_coeffs(c, lam)
-        arc = float(disc.h @ ((c - c_prev) * tau_c)) + (lam - lam_prev) * tau_lam - ds
-        if (
-            disc.w_norm(r) < settings.newton_tol * (1.0 + disc.w_norm(c))
-            and abs(arc) < settings.newton_tol * (1.0 + ds)
-        ):
-            return c, lam, it
-        a_mat[:n, :n] = disc.jacobian(c, lam)
-        a_mat[:n, n] = disc.dresidual_dlambda(c)
-        a_mat[n, :n] = border
-        a_mat[n, n] = tau_lam
-        rhs[:n] = -r
-        rhs[n] = -arc
-        delta = np.linalg.solve(a_mat, rhs)
-        c = c + delta[:n]
-        lam = lam + delta[n]
-    raise NewtonDivergenceError("bordered corrector exhausted its iterations")
+    """One predictor step of arclength ds along (tau_c, tau_lam), then the
+    bordered Newton corrector on {F = 0, <x - x_prev, tau>_metric = ds}."""
+    return _bordered_newton(
+        disc,
+        c_prev + ds * tau_c,
+        lam_prev + ds * tau_lam,
+        disc.h * tau_c,
+        tau_lam,
+        ds,
+        settings.newton_tol,
+        settings.max_iter,
+        origin=(c_prev, lam_prev),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -716,76 +727,61 @@ def detect_fold(
     spec: ProblemSpec,
     settings: ContinuationSettings | None = None,
 ) -> FoldRecord:
-    """Localize a turning point bracketed by the branch.
+    """Localize the first turning point bracketed by the branch.
 
-    Solves the Moore-Spence system {F(c, lambda) = 0, J(c, lambda) v = 0,
-    ||v||_w^2 = 1} by Newton, seeded from the lambda-extremal accepted point
-    and the smallest-singular-value direction of its Jacobian.
+    The fold test function is tau_lam, the lambda component of the unit
+    tangent, which changes sign at a regular fold.  It is evaluated at the
+    accepted points around the first discrete lambda extremum; its root in
+    arclength is found by the Illinois method, each evaluation being one
+    corrector step from the lower bracket point.  At the root the tangent is
+    (v, 0) with J v = 0, and v is the kernel direction, scaled to ||v||_w = 1
+    with its largest weighted component positive.  The fold is certified a
+    posteriori: the Moore-Spence residual ||(F, J v, ||v||_w^2 - 1)|| must be
+    below 1e-10 and sigma_min/sigma_max of J below degenerate_tol.
     """
     settings = settings or ContinuationSettings()
     disc = discretization(spec)
-    n = spec.N
-    lams = [p.lam for p in branch.points]
-    seed_idx = None
-    for j in range(1, len(lams) - 1):
-        if (lams[j + 1] - lams[j]) * (lams[j] - lams[j - 1]) < 0.0:
-            seed_idx = j
-            break
-    if seed_idx is None:
+    pts = branch.points
+    j = _fold_index([p.lam for p in pts])
+    if j is None:
         raise NoFoldBracketError("no sign change in the discrete dlambda/ds sequence")
-    seed = branch.points[seed_idx]
-    c = np.array(seed.u.coeffs, dtype=float)
-    lam = seed.lam
-    jac = disc.jacobian(c, lam)
-    v = np.linalg.svd(jac)[2][-1]
-    v = v / math.sqrt(float(disc.h @ (v * v)))
-
-    q = spec.q
-    big = np.zeros((2 * n + 1, 2 * n + 1))
-    rhs = np.empty(2 * n + 1)
-    ms_res = math.inf
-    for _ in range(40):
-        vals = disc.positive_values(c)
-        v_vals = disc.basis @ v
-        jac = disc.jacobian(c, lam)
-        r = disc.residual_coeffs(c, lam)
-        jv = jac @ v
-        norm_def = float(disc.h @ (v * v)) - 1.0
-        ms_res = math.sqrt(
-            disc.w_norm(r) ** 2 + disc.w_norm(jv) ** 2 + norm_def**2
-        )
-        if ms_res < 1e-12 * (1.0 + disc.w_norm(c)):
+    # the secant across the extremum orients every tangent forward
+    sec_c = pts[j + 1].u.coeffs - pts[j - 1].u.coeffs
+    sec_lam = pts[j + 1].lam - pts[j - 1].lam
+    taus = [_tangent(disc, p.u.coeffs, p.lam, sec_c, sec_lam) for p in pts[j - 1 : j + 2]]
+    lo = 0 if taus[0][1] * taus[1][1] <= 0.0 else 1
+    if taus[lo][1] * taus[lo + 1][1] > 0.0:
+        raise NoFoldBracketError("the tangent's lambda component keeps its sign")
+    start = pts[j - 1 + lo]
+    tau_c, tau_lam = taus[lo]
+    # regula falsi on tau_lam(ds) with the Illinois rule: the root stays
+    # between a and the latest iterate b, and the value kept at a is halved
+    # whenever a survives a step
+    a, fa, b, fb = 0.0, tau_lam, abs(pts[j + lo].s - start.s), taus[lo + 1][1]
+    xtol = settings.newton_tol * b
+    for _ in range(settings.max_iter):
+        ds = b - fb * (b - a) / (fb - fa)
+        c, lam, _ = _correct(disc, start.u.coeffs, start.lam, tau_c, tau_lam, ds, settings)
+        v, f = _tangent(disc, c, lam, tau_c, tau_lam)
+        if f * fb < 0.0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = ds, f
+        if f == 0.0 or abs(b - a) <= xtol:
             break
-        flam = disc.dresidual_dlambda(c)
-        phi = 1.0 - q * vals ** (q - 1.0)
-        hess = (
-            lam
-            * q
-            * (q - 1.0)
-            * (disc.proj @ (disc.basis * (vals ** (q - 2.0) * v_vals)[:, None]))
-        )
-        jlam_v = -(disc.proj @ (phi * v_vals))
-        big[:n, :n] = jac
-        big[:n, n] = flam
-        big[:n, n + 1 :] = 0.0
-        big[n : 2 * n, :n] = hess
-        big[n : 2 * n, n] = jlam_v
-        big[n : 2 * n, n + 1 :] = jac
-        big[2 * n, :n] = 0.0
-        big[2 * n, n] = 0.0
-        big[2 * n, n + 1 :] = 2.0 * disc.h * v
-        rhs[:n] = -r
-        rhs[n : 2 * n] = -jv
-        rhs[2 * n] = -norm_def
-        delta = np.linalg.solve(big, rhs)
-        c = c + delta[:n]
-        lam = lam + delta[n]
-        v = v + delta[n + 1 :]
+    else:
+        raise NewtonDivergenceError(f"fold not located to {xtol:.1e} in arclength")
+    v = v / disc.w_norm(v)
+    jac = disc.jacobian(c, lam)
+    ms_res = math.sqrt(
+        disc.w_norm(disc.residual_coeffs(c, lam)) ** 2
+        + disc.w_norm(jac @ v) ** 2
+        + (float(disc.h @ (v * v)) - 1.0) ** 2
+    )
     if not ms_res < 1e-10:
-        raise NewtonDivergenceError(
-            f"Moore-Spence iteration stalled at residual {ms_res:.2e}"
-        )
-    svals = np.linalg.svd(disc.jacobian(c, lam), compute_uv=False)
+        raise NewtonDivergenceError(f"fold certificate failed: residual {ms_res:.2e}")
+    svals = np.linalg.svd(jac, compute_uv=False)
     if not svals[-1] < settings.degenerate_tol * svals[0]:
         raise NumericalError(
             f"fold candidate is not degenerate: sigma_min/sigma_max = "
@@ -795,7 +791,7 @@ def detect_fold(
     idx = int(np.argmax(np.abs(v) * np.sqrt(disc.h)))
     if v[idx] < 0.0:
         v = -v
-    point = _make_point(c, lam, seed.s, spec, settings)
+    point = _make_point(c, lam, start.s + branch.direction * ds, spec, settings)
     return FoldRecord(
         point=point,
         lambda_star=float(lam),
@@ -827,7 +823,7 @@ def find_degenerate(
     sphere context with a focal dimension is supplied, q must stay below the
     supercriticality threshold.
     """
-    _require_theorem_scope(spec)
+    require_theorem_scope(spec.params)
     if k < 1:
         raise ParameterError("k must be >= 1")
     if spec.params.is_symmetric and k % 2 == 1:
@@ -854,7 +850,7 @@ def find_degenerate(
     record.branch = branch
     branch.folds.append(record)
 
-    lam_k = k * (k + spec.params.a) / (spec.q - 1.0)
+    lam_k = bifurcation_lambda(k, spec.params.a, spec.q)
     point = record.point
     if point.crossings != k or point.critical_points != k - 1:
         raise NumericalError(

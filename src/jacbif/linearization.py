@@ -32,6 +32,7 @@ __all__ = [
     "cube_integral",
     "cube_integral_relative",
     "SignReport",
+    "require_theorem_scope",
     "sign_classification",
     "GasperQuartic",
     "gasper_quartic",
@@ -139,6 +140,17 @@ def _classify_float(coeffs: np.ndarray) -> tuple[str, ...]:
     return tuple(out)
 
 
+def require_theorem_scope(params: JacobiParams) -> None:
+    """Raise ParameterError unless alpha >= beta and alpha + beta + 1 > 0, the
+    hypotheses of the sign and bifurcation theorems; exact when rational."""
+    al, be = params.exact if params.exact is not None else (params.alpha, params.beta)
+    if al < be or al + be + 1 <= 0:
+        raise ParameterError(
+            f"hypothesis violation: need alpha >= beta and alpha+beta+1 > 0, "
+            f"got ({al}, {be})"
+        )
+
+
 def sign_classification(k: int, params: JacobiParams) -> SignReport:
     """Classify each C_k^i and compare with the expected pattern.
 
@@ -149,18 +161,7 @@ def sign_classification(k: int, params: JacobiParams) -> SignReport:
     """
     if k < 1:
         raise ParameterError("degree must be >= 1")
-    if params.exact is not None:
-        al, be = params.exact
-        if al < be or al + be + 1 <= 0:
-            raise ParameterError(
-                f"hypothesis violation: need alpha >= beta and alpha+beta+1 > 0, "
-                f"got ({al}, {be})"
-            )
-    elif params.alpha < params.beta or params.a <= 0.0:
-        raise ParameterError(
-            f"hypothesis violation: need alpha >= beta and alpha+beta+1 > 0, "
-            f"got ({params.alpha}, {params.beta})"
-        )
+    require_theorem_scope(params)
     table = linearization_coeffs(k, params)
     if table.exact is not None:
         signs = tuple(

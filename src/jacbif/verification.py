@@ -19,6 +19,7 @@ from .continuation import (
     ContinuationSettings,
     ProblemSpec,
     SpectralFunction,
+    bifurcation_lambda,
     branch_switch,
     continue_branch,
     discretization,
@@ -263,21 +264,24 @@ def run_gasper(seed: int = 0) -> list[CheckResult]:
 # criterion 5: branch slope at the bifurcation points
 
 
+def _branch_samples(k: int, spec: ProblemSpec, s0: float, ds: float, steps: int):
+    """Points of the branch from (1, lambda_k) at fixed step ds: tangent
+    amplitudes sigma = c_k sqrt(h_k), lambda - lambda_k, and sqrt(h_k)."""
+    settings = ContinuationSettings(ds0=ds, ds_max=ds, max_steps=steps)
+    branch = continue_branch(branch_switch(k, spec, s0, +1, settings), spec, settings)
+    sqh = math.sqrt(discretization(spec).h[k])
+    sig = np.array([p.u.coeffs[k] * sqh for p in branch.points])
+    lam = np.array([p.lam for p in branch.points])
+    return sig, lam - bifurcation_lambda(k, spec.params.a, spec.q), sqh
+
+
 def estimate_slope(k: int, spec: ProblemSpec, n_points: int = 5, s0: float = 1e-3) -> float:
     """Finite-difference estimate of the branch slope from the first accepted
     points: fit lambda(sigma) = lambda_k + p sigma + r sigma^2, return
     p * sqrt(h_k) (the tangent amplitude is measured against P_k normalized
     in the weighted norm)."""
-    settings = ContinuationSettings(ds0=s0, ds_max=s0, max_steps=n_points)
-    start = branch_switch(k, spec, s0, +1, settings)
-    branch = continue_branch(start, spec, settings)
-    disc = discretization(spec)
-    sqh = math.sqrt(disc.h[k])
-    sig = np.array([p.u.coeffs[k] * sqh for p in branch.points])
-    lam = np.array([p.lam for p in branch.points])
-    lam_k = k * (k + spec.params.a) / (spec.q - 1.0)
-    a_mat = np.column_stack([sig, sig * sig])
-    coef, *_ = np.linalg.lstsq(a_mat, lam - lam_k, rcond=None)
+    sig, d, sqh = _branch_samples(k, spec, s0, s0, n_points)
+    coef, *_ = np.linalg.lstsq(np.column_stack([sig, sig * sig]), d, rcond=None)
     return float(coef[0]) * sqh
 
 
@@ -286,17 +290,9 @@ def quadratic_window_fit(
 ) -> tuple[float, float]:
     """For the zero-slope case: fit lambda - lambda_k = C sigma^2 over the
     window and return (C, relative fit residual)."""
-    settings = ContinuationSettings(ds0=1e-3, ds_max=1e-3, max_steps=14)
-    start = branch_switch(k, spec, s_min, +1, settings)
-    branch = continue_branch(start, spec, settings)
-    disc = discretization(spec)
-    sqh = math.sqrt(disc.h[k])
-    sig = np.array([p.u.coeffs[k] * sqh for p in branch.points])
-    lam = np.array([p.lam for p in branch.points])
+    sig, d, _ = _branch_samples(k, spec, s_min, 1e-3, 14)
     keep = sig <= s_max * 1.05
-    sig, lam = sig[keep], lam[keep]
-    lam_k = k * (k + spec.params.a) / (spec.q - 1.0)
-    d = lam - lam_k
+    sig, d = sig[keep], d[keep]
     c_fit = float(np.sum(sig**2 * d) / np.sum(sig**4))
     resid = float(np.linalg.norm(d - c_fit * sig**2) / np.linalg.norm(d))
     return c_fit, resid
@@ -355,7 +351,7 @@ def run_kernel(seed: int = 0) -> list[CheckResult]:
             ok = True
             detail = ""
             for k in range(1, spec.N // 4 + 1):
-                lam_k = k * (k + params.a) / (q - 1.0)
+                lam_k = bifurcation_lambda(k, params.a, q)
                 mat = jacobian(one, lam_k, spec)
                 _, svals, vt = np.linalg.svd(mat)
                 small = int(np.sum(svals < 1e-10))
@@ -378,7 +374,7 @@ def run_folds(seed: int = 0) -> list[CheckResult]:
     results = []
     for k, params, q in FOLD_CASES:
         spec = ProblemSpec(params, q)
-        lam_k = k * (k + params.a) / (q - 1.0)
+        lam_k = bifurcation_lambda(k, params.a, q)
         t0 = time.monotonic()
         try:
             rec = find_degenerate(k, spec)

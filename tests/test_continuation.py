@@ -299,6 +299,8 @@ class TestFolds:
 
     def test_monotone_fold_case(self):
         rec = find_degenerate(1, P10)
+        # reference value; N=64 and N=256 agree on it to about 1e-14
+        assert rec.lambda_star == pytest.approx(2.731928293015951, rel=1e-9)
         assert rec.moore_spence_residual < 1e-10
         assert rec.point.crossings == 1
         assert rec.point.critical_points == 0

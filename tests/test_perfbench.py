@@ -1,0 +1,43 @@
+"""The benchmark in perfbench/ traces program functions and methods by name.
+Installing its tracer fails if one of those names is gone, so this keeps the
+program and the benchmark in step."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from jacbif import continuation, jacobi, jacobi_params
+from jacbif.continuation import ProblemSpec, SpectralFunction
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    return spans
+
+
+def test_tracer_installs_records_and_restores(spans):
+    functions = {name: getattr(home, attr) for home, attr, name in spans.FUNCTIONS}
+    methods = {attr: vars(cls)[attr] for cls, attr in spans.METHODS}
+    table = jacobi.jacobi_table
+    spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=16)
+    c = np.zeros(spec.N)
+    c[0], c[2] = 1.0, 0.01
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert continuation.count_crossings(SpectralFunction(c, spec.params)) == 2
+    finally:
+        tracer.uninstall()
+    names = {rec[0] for rec in tracer.spans}
+    assert {"continuation.count_crossings", "jacobi.jacobi_table.scalar"} <= names
+    for home, attr, name in spans.FUNCTIONS:
+        assert getattr(home, attr) is functions[name], name
+    for cls, attr in spans.METHODS:
+        assert vars(cls)[attr] is methods[attr], attr
+    assert jacobi.jacobi_table is table and continuation.jacobi_table is table
