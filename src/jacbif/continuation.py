@@ -46,10 +46,8 @@ from .jacobi import (
     gauss_jacobi_rule,
     jacobi_table,
     norm_sq_closed_form,
-    norm_sq_relative,
-    weighted_norm_sq,
 )
-from .linearization import cube_integral, cube_integral_relative, require_theorem_scope
+from .linearization import linearization_coeffs, require_theorem_scope
 
 __all__ = [
     "ProblemSpec",
@@ -176,13 +174,15 @@ class FoldRecord:
     ``null_direction`` is the state part v of the unit tangent at the fold,
     rescaled to ||v||_w = 1.  ``moore_spence_residual`` is the norm of
     (F(c, lambda), J v, ||v||_w^2 - 1) there.  No iteration minimizes it, so
-    it certifies the fold point and its kernel direction independently.
+    it certifies the fold point and its kernel direction independently, as
+    does ``sigma_ratio`` = sigma_min/sigma_max of J at the fold.
     """
 
     point: BranchPoint
     lambda_star: float
     null_direction: SpectralFunction
     moore_spence_residual: float
+    sigma_ratio: float
     branch: Branch | None = None
 
 
@@ -329,25 +329,19 @@ def bifurcation_points(spec: ProblemSpec, kmax: int) -> list[tuple[int, float]]:
 def lambda_prime_zero(k: int, spec: ProblemSpec) -> float:
     """Branch slope at the bifurcation point:
 
-        dlambda/ds(0) = -q lambda_k (int P_k^3 w) / (2 int P_k^2 w).
+        dlambda/ds(0) = -q lambda_k (int P_k^3 w) / (2 int P_k^2 w) = -q lambda_k C_k^k / 2,
 
-    Zero exactly when alpha == beta and k is odd; negative in the other
-    in-scope cases.  Uses the exact integral ratio when parameters are
-    rational.
+    with C_k^k the middle coefficient of P_k^2 = sum_i C_k^i P_i, exact when
+    the parameters are rational.  Zero exactly when alpha == beta and k is
+    odd; negative in the other in-scope cases.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
     require_theorem_scope(spec.params)
     lam_k = bifurcation_lambda(k, spec.params.a, spec.q)
-    if spec.params.is_exact:
-        ratio = cube_integral_relative(k, spec.params) / norm_sq_relative(k, spec.params)
-        return -spec.q * lam_k * float(ratio) / 2.0
-    return (
-        -spec.q
-        * lam_k
-        * cube_integral(k, spec.params)
-        / (2.0 * weighted_norm_sq(k, spec.params))
-    )
+    table = linearization_coeffs(k, spec.params)
+    c_kk = table.exact[k] if table.exact is not None else table.coeffs[k]
+    return -spec.q * lam_k * float(c_kk) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +458,14 @@ def _make_point(
     s: float,
     spec: ProblemSpec,
     settings: ContinuationSettings,
+    smin: float | None = None,
 ) -> BranchPoint:
+    """The point (c, lam) with its diagnostics; ``smin`` of J if already known."""
     disc = discretization(spec)
     u = SpectralFunction(c, spec.params)
     rnorm = disc.w_norm(disc.residual_coeffs(c, lam))
-    smin = float(np.linalg.svd(disc.jacobian(c, lam), compute_uv=False)[-1])
+    if smin is None:
+        smin = float(np.linalg.svd(disc.jacobian(c, lam), compute_uv=False)[-1])
     return BranchPoint(
         u=u,
         lam=float(lam),
@@ -791,12 +788,13 @@ def detect_fold(
     idx = int(np.argmax(np.abs(v) * np.sqrt(disc.h)))
     if v[idx] < 0.0:
         v = -v
-    point = _make_point(c, lam, start.s + branch.direction * ds, spec, settings)
+    point = _make_point(c, lam, start.s + branch.direction * ds, spec, settings, float(svals[-1]))
     return FoldRecord(
         point=point,
         lambda_star=float(lam),
         null_direction=SpectralFunction(v, spec.params),
         moore_spence_residual=float(ms_res),
+        sigma_ratio=float(svals[-1] / svals[0]),
     )
 
 

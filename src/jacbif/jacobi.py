@@ -1,8 +1,9 @@
 """Jacobi polynomials for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
 
-Floating-point evaluation goes through the stable three-term recurrence;
-exact monomial coefficients are built independently from the differential
-operator L(y) = (1-t^2) y'' + (beta - alpha - (alpha+beta+2) t) y', whose
+Floating-point evaluation goes through the stable three-term recurrence
+(recurrence_coeffs, in any scalar type); exact monomial coefficients are
+built independently from the differential operator
+L(y) = (1-t^2) y'' + (beta - alpha - (alpha+beta+2) t) y', whose
 degree-k eigenpolynomial (eigenvalue -k(k+alpha+beta+1)) is pinned to the
 normalization P_k(1) = (alpha+1)_k / k!.  The two routes cross-check each
 other throughout the test suite.
@@ -27,6 +28,7 @@ __all__ = [
     "ExactPolynomial",
     "exact_poly",
     "QuadratureRule",
+    "recurrence_coeffs",
     "jacobi_table",
     "eval_jacobi",
     "eval_jacobi_deriv",
@@ -63,15 +65,15 @@ class JacobiParams:
     exact: ExactPair | None = None
 
     @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
+    def scalars(self) -> tuple:
+        """(alpha, beta) as Fractions when rational, else as floats."""
+        return self.exact if self.exact is not None else (self.alpha, self.beta)
 
     @property
     def is_symmetric(self) -> bool:
         """True when alpha == beta (Gegenbauer case)."""
-        if self.exact is not None:
-            return self.exact[0] == self.exact[1]
-        return self.alpha == self.beta
+        al, be = self.scalars
+        return al == be
 
     def __repr__(self) -> str:  # keep reprs short in test output
         if self.exact is not None:
@@ -98,13 +100,23 @@ def jacobi_params(alpha, beta) -> JacobiParams:
 
 def shifted_params(params: JacobiParams, da: int = 1, db: int = 1) -> JacobiParams:
     """Parameters (alpha+da, beta+db), preserving exactness."""
-    if params.exact is not None:
-        return jacobi_params(params.exact[0] + da, params.exact[1] + db)
-    return jacobi_params(params.alpha + da, params.beta + db)
+    al, be = params.scalars
+    return jacobi_params(al + da, be + db)
 
 
 # ---------------------------------------------------------------------------
 # floating-point evaluation
+
+
+def recurrence_coeffs(n: int, alpha, beta) -> tuple:
+    """(c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2} in the scalar
+    type of (alpha, beta); n >= 2, since c1 vanishes at n = 1 for alpha + beta in {0, -1}."""
+    apb = alpha + beta
+    c1 = 2 * n * (n + apb) * (2 * n + apb - 2)
+    c2 = (2 * n + apb - 1) * (alpha * alpha - beta * beta)
+    c3 = (2 * n + apb - 2) * (2 * n + apb - 1) * (2 * n + apb)
+    c4 = 2 * (n + alpha - 1) * (n + beta - 1) * (2 * n + apb)
+    return c1, c2, c3, c4
 
 
 def jacobi_table(params: JacobiParams, kmax: int, t) -> np.ndarray:
@@ -122,10 +134,7 @@ def jacobi_table(params: JacobiParams, kmax: int, t) -> np.ndarray:
     if kmax >= 1:
         out[:, 1] = 0.5 * (al - be) + 0.5 * (apb + 2.0) * t
     for n in range(2, kmax + 1):
-        c1 = 2.0 * n * (n + apb) * (2.0 * n + apb - 2.0)
-        c2 = (2.0 * n + apb - 1.0) * (al * al - be * be)
-        c3 = (2.0 * n + apb - 2.0) * (2.0 * n + apb - 1.0) * (2.0 * n + apb)
-        c4 = 2.0 * (n + al - 1.0) * (n + be - 1.0) * (2.0 * n + apb)
+        c1, c2, c3, c4 = recurrence_coeffs(n, al, be)
         out[:, n] = ((c2 + c3 * t) * out[:, n - 1] - c4 * out[:, n - 2]) / c1
     return out
 
@@ -161,18 +170,11 @@ def endpoint_value(k: int, params: JacobiParams, side: int):
         raise ParameterError("negative degree")
     if side not in (-1, 1):
         raise ParameterError("side must be -1 or +1")
-    if params.exact is not None:
-        base = params.exact[0] if side == 1 else params.exact[1]
-        val = Fraction(1)
-        for j in range(1, k + 1):
-            val *= base + j
-        val /= math.factorial(k)
-        return val if side == 1 else (-1) ** k * val
-    base = params.alpha if side == 1 else params.beta
-    val = 1.0
+    base = params.scalars[0 if side == 1 else 1]
+    val = type(base)(1)
     for j in range(1, k + 1):
         val *= (base + j) / j
-    return val if side == 1 else (-1.0) ** k * val
+    return val if side == 1 else (-1) ** k * val
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +296,12 @@ def exact_coeffs(k: int, params: JacobiParams) -> ExactPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _rel_weight_moments_cached(params: JacobiParams, jmax: int) -> tuple[Fraction, ...]:
+def rel_weight_moments(params: JacobiParams, jmax: int) -> tuple[Fraction, ...]:
+    """Moments m_j / m_0 of the weight, m_j = int t^j (1-t)^a (1+t)^b dt.
+
+    The ratios are rational for rational (alpha, beta) and follow from
+    integrating d/dt [ t^j (1-t)^(alpha+1) (1+t)^(beta+1) ] over [-1, 1].
+    """
     al, be = _require_exact(params)
     r = [Fraction(1)]
     if jmax >= 1:
@@ -302,15 +309,6 @@ def _rel_weight_moments_cached(params: JacobiParams, jmax: int) -> tuple[Fractio
     for j in range(1, jmax):
         r.append(((be - al) * r[j] + j * r[j - 1]) / (j + al + be + 2))
     return tuple(r[: jmax + 1])
-
-
-def rel_weight_moments(params: JacobiParams, jmax: int) -> tuple[Fraction, ...]:
-    """Moments m_j / m_0 of the weight, m_j = int t^j (1-t)^a (1+t)^b dt.
-
-    The ratios are rational for rational (alpha, beta) and follow from
-    integrating d/dt [ t^j (1-t)^(alpha+1) (1+t)^(beta+1) ] over [-1, 1].
-    """
-    return _rel_weight_moments_cached(params, jmax)
 
 
 def weight_mass(params: JacobiParams) -> float:
@@ -421,6 +419,8 @@ def weighted_norm_sq(k: int, params: JacobiParams) -> float:
 def norm_sq_closed_form(k: int, params: JacobiParams) -> float:
     """The standard closed form for h_k, via log-gamma."""
     al, be = params.alpha, params.beta
+    if k == 0 and al + be + 1.0 <= 0.0:  # log-gamma form singular or wrong-signed
+        return weight_mass(params)
     return math.exp(
         (al + be + 1.0) * math.log(2.0)
         + math.lgamma(k + al + 1.0)

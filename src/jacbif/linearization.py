@@ -1,10 +1,11 @@
 """Expansion of P_k^2 back into the Jacobi family, cube integrals, and the
 sign machinery for the expansion coefficients.
 
-The float path projects P_k^2 onto each P_i with Gauss quadrature; the exact
-path multiplies monomial expansions and integrates against exact relative
-weight moments, so every coefficient is a ratio of rationals with the total
-weight mass cancelling.
+Multiplication by t is tridiagonal in the Jacobi basis, so P_k^2 = P_k(T) e_k
+follows from the three-term recurrence on coefficient vectors (Olver and
+Townsend 2013).  The one algorithm runs on floats and, for rational (alpha,
+beta), on Fractions; monomial products (``jacobi.ExactPolynomial``) and Gauss
+cube integrals remain as independent oracles.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .jacobi import (
     integrate_relative,
     jacobi_table,
     norm_sq_closed_form,
-    norm_sq_relative,
-    weighted_norm_sq,
+    recurrence_coeffs,
 )
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "cube_integral",
     "cube_integral_relative",
     "SignReport",
+    "classify",
     "require_theorem_scope",
     "sign_classification",
     "GasperQuartic",
@@ -43,25 +44,14 @@ __all__ = [
 ZERO_BAND = 1e-12  # floating coefficients within this relative band count as 0
 
 
-def _cube_rule_order(k: int) -> int:
-    # the cube integrand has degree 3k; order >= ceil((3k+1)/2) + 2 guard points
-    return (3 * k + 1 + 1) // 2 + 2
-
-
-def _projection_rule_order(k: int) -> int:
-    # P_k^2 P_i reaches degree 4k at i = 2k; anything shorter would even hit
-    # the Gauss nodes of P_i and silently sample the top projection to zero
-    return 2 * k + 3
-
-
 @dataclass(frozen=True)
 class LinearizationTable:
     """Coefficients C_k^i of P_k^2 = sum_i C_k^i P_i, i = 0 .. 2k.
 
-    ``exact`` carries the same coefficients as Fractions when (alpha, beta)
-    are rational.  ``h_k`` is the squared weighted norm of P_k and ``i3`` the
-    cube integral int P_k^3 w dt; orthogonality collapses the latter to
-    C_k^k * h_k, which the tests verify.
+    ``coeffs`` are floats; ``exact`` holds the same coefficients as Fractions
+    when (alpha, beta) are rational.  ``h_k`` is the closed-form squared
+    weighted norm of P_k, and ``i3`` = C_k^k * h_k is the cube integral
+    int P_k^3 w dt, to which orthogonality collapses it.
     """
 
     k: int
@@ -72,30 +62,53 @@ class LinearizationTable:
     i3: float
 
 
+def _square_coeffs(k: int, alpha, beta) -> np.ndarray:
+    """C_k^0 .. C_k^2k as P_k(T) e_k, in the scalar type of (alpha, beta).
+
+    T is multiplication by t in the P basis: t P_j = up_j P_{j+1} + mid_j P_j
+    + down_j P_{j-1}, from the recurrence at degree j + 1.  P_n(T) e_k follows
+    from the recurrence in n and lives on k - n .. k + n, so 2k + 1 entries
+    hold every step exactly.
+    """
+    apb = alpha + beta
+    size = 2 * k + 1
+    # column 0 on its own: t P_0 = (2 P_1 - (alpha - beta)) / (alpha + beta + 2)
+    rec = [recurrence_coeffs(j + 1, alpha, beta) for j in range(1, size)]
+    up = np.array([2 / (apb + 2)] + [c1 / c3 for c1, _, c3, _ in rec])
+    mid = np.array([(beta - alpha) / (apb + 2)] + [-c2 / c3 for _, c2, c3, _ in rec])
+    down = np.array([0 * apb] + [c4 / c3 for _, _, c3, c4 in rec])
+
+    def times_t(x: np.ndarray) -> np.ndarray:
+        y = mid * x
+        y[1:] += up[:-1] * x[:-1]
+        y[:-1] += down[1:] * x[1:]
+        return y
+
+    prev = np.array([0 * apb + (i == k) for i in range(size)])  # e_k in the scalar type
+    if k == 0:
+        return prev
+    # the n = 1 step on its own: c1 vanishes there when alpha + beta is 0 or -1
+    cur = (alpha - beta) / 2 * prev + (apb + 2) / 2 * times_t(prev)
+    for n in range(2, k + 1):
+        c1, c2, c3, c4 = recurrence_coeffs(n, alpha, beta)
+        prev, cur = cur, (c2 * cur + c3 * times_t(cur) - c4 * prev) / c1
+    return cur
+
+
 def linearization_coeffs(k: int, params: JacobiParams) -> LinearizationTable:
-    """Project P_k^2 on P_0 .. P_2k: C_k^i = (int P_k^2 P_i w) / h_i."""
+    """The C_k^i of P_k^2 in floats and, for rational parameters, exactly."""
     if k < 0:
         raise ParameterError("negative degree")
-    rule = gauss_jacobi_rule(params, _projection_rule_order(k))
-    table = jacobi_table(params, 2 * k, rule.nodes)
-    pk2w = table[:, k] ** 2 * rule.weights
-    h = np.array([norm_sq_closed_form(i, params) for i in range(2 * k + 1)])
-    coeffs = (pk2w @ table) / h
-    exact = None
-    if params.is_exact:
-        sq = exact_coeffs(k, params) * exact_coeffs(k, params)
-        exact = tuple(
-            integrate_relative(sq * exact_coeffs(i, params), params)
-            / norm_sq_relative(i, params)
-            for i in range(2 * k + 1)
-        )
+    coeffs = _square_coeffs(k, params.alpha, params.beta)
+    exact = tuple(_square_coeffs(k, *params.exact)) if params.exact is not None else None
+    h_k = norm_sq_closed_form(k, params)
     return LinearizationTable(
         k=k,
         params=params,
         coeffs=coeffs,
         exact=exact,
-        h_k=weighted_norm_sq(k, params),
-        i3=cube_integral(k, params),
+        h_k=h_k,
+        i3=float(coeffs[k] * h_k),
     )
 
 
@@ -103,7 +116,8 @@ def cube_integral(k: int, params: JacobiParams) -> float:
     """int P_k^3 w dt by Gauss quadrature of sufficient order."""
     if k < 0:
         raise ParameterError("negative degree")
-    rule = gauss_jacobi_rule(params, _cube_rule_order(k))
+    # the integrand has degree 3k: ceil((3k+1)/2) points plus 2 guard points
+    rule = gauss_jacobi_rule(params, (3 * k + 1 + 1) // 2 + 2)
     vals = jacobi_table(params, k, rule.nodes)[:, k]
     return rule.integrate(vals**3)
 
@@ -129,21 +143,19 @@ class SignReport:
         return not self.discrepancies
 
 
-def _classify_float(coeffs: np.ndarray) -> tuple[str, ...]:
-    band = ZERO_BAND * float(np.max(np.abs(coeffs)))
-    out = []
-    for c in coeffs:
-        if abs(c) <= band:
-            out.append("zero")
-        else:
-            out.append("positive" if c > 0 else "negative")
-    return tuple(out)
+def classify(values, band=0) -> tuple[str, ...]:
+    """The sign label ("zero", "positive" or "negative") of each value; values
+    within band * max|values| of 0 count as zero.  Exact values use band = 0."""
+    tol = band * max(abs(v) for v in values)
+    return tuple(
+        "zero" if abs(v) <= tol else ("positive" if v > 0 else "negative") for v in values
+    )
 
 
 def require_theorem_scope(params: JacobiParams) -> None:
     """Raise ParameterError unless alpha >= beta and alpha + beta + 1 > 0, the
     hypotheses of the sign and bifurcation theorems; exact when rational."""
-    al, be = params.exact if params.exact is not None else (params.alpha, params.beta)
+    al, be = params.scalars
     if al < be or al + be + 1 <= 0:
         raise ParameterError(
             f"hypothesis violation: need alpha >= beta and alpha+beta+1 > 0, "
@@ -164,12 +176,9 @@ def sign_classification(k: int, params: JacobiParams) -> SignReport:
     require_theorem_scope(params)
     table = linearization_coeffs(k, params)
     if table.exact is not None:
-        signs = tuple(
-            "zero" if c == 0 else ("positive" if c > 0 else "negative")
-            for c in table.exact
-        )
+        signs = classify(table.exact)
     else:
-        signs = _classify_float(table.coeffs)
+        signs = classify(table.coeffs, ZERO_BAND)
     if params.is_symmetric:
         expected = tuple(
             "zero" if i % 2 == 1 else "positive" for i in range(2 * k + 1)

@@ -40,6 +40,8 @@ from .jacobi import (
     weight_mass,
 )
 from .linearization import (
+    ZERO_BAND,
+    classify,
     cube_integral_relative,
     gasper_quartic,
     linearization_coeffs,
@@ -99,9 +101,8 @@ FOLD_CASES = [
 
 
 def _fmt(params: JacobiParams) -> str:
-    if params.exact is not None:
-        return f"({params.exact[0]},{params.exact[1]})"
-    return f"({params.alpha},{params.beta})"
+    al, be = params.scalars
+    return f"({al},{be})"
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +196,11 @@ def run_theorem21(seed: int = 0) -> list[CheckResult]:
                 break
             table = linearization_coeffs(k, params)
             # floating signs must agree with the exact ones
-            band = 1e-12 * float(np.max(np.abs(table.coeffs)))
-            for i, ce in enumerate(table.exact):
-                cf = table.coeffs[i]
-                float_sign = "zero" if abs(cf) <= band else ("positive" if cf > 0 else "negative")
-                exact_sign = "zero" if ce == 0 else ("positive" if ce > 0 else "negative")
-                if float_sign != exact_sign:
-                    ok = False
-                    detail = f"k={k}, i={i}: float says {float_sign}, exact says {exact_sign}"
-                    break
-            if not ok:
+            float_signs = classify(table.coeffs, ZERO_BAND)
+            exact_signs = classify(table.exact)
+            if float_signs != exact_signs:
+                ok = False
+                detail = f"k={k}: float signs {float_signs} != exact signs {exact_signs}"
                 break
             h32 = norm_sq_closed_form(k, params) ** 1.5
             i3_exact = cube_integral_relative(k, params)
@@ -386,14 +382,9 @@ def run_folds(seed: int = 0) -> list[CheckResult]:
             )
             continue
         elapsed = time.monotonic() - t0
-        disc = discretization(spec)
-        svals = np.linalg.svd(
-            disc.jacobian(rec.point.u.coeffs, rec.lambda_star), compute_uv=False
-        )
-        ratio = float(svals[-1] / svals[0])
         checks = [
             rec.moore_spence_residual < 1e-10,
-            ratio < 1e-8,
+            rec.sigma_ratio < 1e-8,
             rec.point.crossings == k,
             rec.point.critical_points == k - 1,
             0.0 < rec.lambda_star < lam_k,
@@ -404,7 +395,7 @@ def run_folds(seed: int = 0) -> list[CheckResult]:
                 f"fold: k={k} {_fmt(params)} q={q:g}",
                 all(checks),
                 f"lambda*={rec.lambda_star:.6f} in (0,{lam_k:g}), ms_res="
-                f"{rec.moore_spence_residual:.1e}, smin/smax={ratio:.1e}, "
+                f"{rec.moore_spence_residual:.1e}, smin/smax={rec.sigma_ratio:.1e}, "
                 f"crossings={rec.point.crossings}, critical={rec.point.critical_points}, "
                 f"{elapsed:.1f}s",
             )

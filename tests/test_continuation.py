@@ -24,6 +24,7 @@ from jacbif import (
     find_degenerate,
     jacobian,
     lambda_prime_zero,
+    linearization_coeffs,
     params_from_sphere,
     residual,
 )
@@ -150,6 +151,15 @@ class TestBifurcationData:
         assert lambda_prime_zero(1, P10) == pytest.approx(-1.2, rel=1e-14)
         assert lambda_prime_zero(2, PLEG) < 0.0
         assert lambda_prime_zero(2, PHALF) < 0.0
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("a", [0.5, 1.5, -0.4])
+    def test_zero_slope_is_exact_for_float_symmetric(self, a, k):
+        # with beta == alpha the diagonal of multiplication by t vanishes, so
+        # the odd coefficients of P_k^2, C_k^k among them, are exact zeros
+        params = jacobi_params(a, a)
+        assert lambda_prime_zero(k, ProblemSpec(params, 2.0)) == 0.0
+        assert np.all(linearization_coeffs(k, params).coeffs[1::2] == 0.0)
 
     def test_theorem_scope_guard(self):
         swapped = ProblemSpec(jacobi_params(0, 1), 2.0)

@@ -102,6 +102,10 @@ class TestEndpoints:
                 ref = float(endpoint_value(k, params, side))
                 assert eval_jacobi(k, params, float(side)) == pytest.approx(ref, rel=1e-12)
 
+    def test_degree_zero_type(self):
+        assert type(endpoint_value(0, jacobi_params(1, 0), -1)) is F
+        assert type(endpoint_value(0, jacobi_params(1.0, 0.0), +1)) is float
+
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_sign_pattern(self, params):
         for k in range(31):
@@ -214,6 +218,14 @@ class TestNorms:
             assert weighted_norm_sq(k, params) == pytest.approx(
                 norm_sq_closed_form(k, params), rel=1e-12
             )
+
+    @pytest.mark.parametrize("ab", [(F(-1, 2), F(-1, 2)), (F(-3, 5), F(-4, 5))], ids=str)
+    def test_closed_form_degree_zero_for_alpha_plus_beta_at_most_minus_one(self, ab):
+        # there the log-gamma form of h_0 sits on a pole or takes the wrong sign
+        params = jacobi_params(*ab)
+        assert norm_sq_closed_form(0, params) == pytest.approx(
+            weighted_norm_sq(0, params), rel=1e-13
+        )
 
     def test_exact_relative_norm(self):
         # integer parameters: absolute exact value = relative * rational mass

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacbif import (
     ParameterError,
@@ -15,7 +17,7 @@ from jacbif import (
     quartic_sign_structure,
     sign_classification,
 )
-from jacbif.jacobi import weight_mass_exact
+from jacbif.jacobi import exact_coeffs, integrate_relative, norm_sq_relative, weight_mass_exact
 from jacbif.linearization import cube_integral_relative
 
 SIGN_GRID = [
@@ -69,12 +71,32 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("params", SIGN_GRID, ids=str)
     def test_cube_collapse(self, params):
-        # orthogonality collapses int P_k^3 w to C_k^k h_k
+        # orthogonality collapses int P_k^3 w to C_k^k h_k; the Gauss cube
+        # integral checks it independently
         for k in range(1, 9):
             table = linearization_coeffs(k, params)
-            ref = table.coeffs[k] * table.h_k
+            ref = cube_integral(k, params)
             scale = max(abs(table.i3), abs(ref), table.h_k ** 1.5)
             assert abs(table.i3 - ref) < 1e-12 * scale
+
+
+# rational exponents in (-1, 3], with a share within 1/1000 of -1
+EXPONENTS = st.one_of(
+    st.fractions(min_value=F(-999, 1000), max_value=3, max_denominator=1000),
+    st.integers(1000, 10**6).map(lambda n: F(1, n) - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=EXPONENTS, beta=EXPONENTS, k=st.integers(0, 7))
+def test_exact_coeffs_match_monomial_oracle(alpha, beta, k):
+    params = jacobi_params(alpha, beta)
+    sq = exact_coeffs(k, params) * exact_coeffs(k, params)
+    oracle = tuple(
+        integrate_relative(sq * exact_coeffs(i, params), params) / norm_sq_relative(i, params)
+        for i in range(2 * k + 1)
+    )
+    assert linearization_coeffs(k, params).exact == oracle
 
 
 class TestCubeIntegral:
