@@ -106,12 +106,11 @@ def cmd_linearize(args) -> int:
         params = jacobi_params(float(args.alpha), float(args.beta))
     else:
         params = jacobi_params(args.alpha, args.beta)
-    table = linearization_coeffs(args.k, params)
-    report = None
     try:
         report = sign_classification(args.k, params)
     except ParameterError:
-        pass  # outside the sign-theorem hypotheses: emit coefficients only
+        report = None  # outside the sign-theorem hypotheses: emit coefficients only
+    table = report.table if report is not None else linearization_coeffs(args.k, params)
     _emit(linearization_to_json(table, report), _resolve_output(args.output))
     return 0
 
@@ -129,11 +128,11 @@ def cmd_trace(args) -> int:
         amplitude_cap=args.amplitude_cap,
         stop_on_fold=args.stop_on_fold,
     )
-    start = branch_switch(args.k, spec, args.s0, args.direction, settings)
+    start = branch_switch(args.k, spec, args.s0, args.direction)
     branch = continue_branch(start, spec, settings)
     if not args.no_fold_detect:
         try:
-            branch.folds.append(detect_fold(branch, spec, settings))
+            branch.folds.append(detect_fold(branch, spec))
         except NoFoldBracketError:
             pass  # no turning point in the traced window
     text = branch_to_json(branch) if args.format == "json" else branch_to_csv(branch)

@@ -144,7 +144,8 @@ class SpectralFunction:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One accepted continuation state with its diagnostics."""
+    """One accepted continuation state with its diagnostics; ``critical`` is
+    critical_point_list(u), not serialized beyond its length."""
 
     u: SpectralFunction
     lam: float
@@ -152,7 +153,11 @@ class BranchPoint:
     residual_norm: float
     sigma_min: float
     crossings: int
-    critical_points: int
+    critical: list[tuple[float, str]]
+
+    @property
+    def critical_points(self) -> int:
+        return len(self.critical)
 
 
 @dataclass
@@ -186,22 +191,25 @@ class FoldRecord:
     branch: Branch | None = None
 
 
+NEWTON_TOL = 1e-11  # bordered Newton: ||F||_w and the border equation, relative
+MAX_ITER = 25  # Newton iterations per solve, and Illinois steps per fold
+DEGENERATE_TOL = 1e-8  # a fold needs sigma_min/sigma_max of J below this
+CERTIFICATE_TOL = 1e-10  # a fold needs its Moore-Spence residual below this
+QUAD_CHECK_TOL = 1e-10  # largest relative change of the projection when M doubles
+TRANSVERSALITY_REL = 1e-8  # a root needs |f'| above this times max |f'| on the scan grid
+FOLD_TRAIL = 3  # points traced past a bracketed fold with stop_on_fold
+
+
 @dataclass(frozen=True)
 class ContinuationSettings:
     ds0: float = 0.01
     ds_min: float = 1e-6
     ds_max: float = 0.05
-    newton_tol: float = 1e-11
-    max_iter: int = 25
     max_steps: int = 400
     lambda_floor: float = 1e-4
     lambda_ceiling: float = math.inf
     amplitude_cap: float = 1e3
-    degenerate_tol: float = 1e-8
-    transversality_rel: float = 1e-8
-    quad_check_tol: float = 1e-10
     stop_on_fold: bool = False
-    fold_trail: int = 3
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +363,6 @@ def _scan_grid(n_modes: int) -> np.ndarray:
     return np.concatenate(([-1.0], interior, [1.0]))
 
 
-def _bisect(f, lo: float, hi: float, flo: float) -> float:
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _nonconstant_or_raise(u: SpectralFunction) -> None:
     tail = float(np.max(np.abs(u.coeffs[1:]))) if u.coeffs.size > 1 else 0.0
     if tail <= 1e-13 * (1.0 + abs(float(u.coeffs[0]))):
@@ -377,69 +370,84 @@ def _nonconstant_or_raise(u: SpectralFunction) -> None:
 
 
 def _series_roots(
-    params: JacobiParams,
-    coeffs: np.ndarray,
-    shift: float,
-    grid: np.ndarray,
-    transversality_rel: float,
-    what: str,
+    params: JacobiParams, coeffs: np.ndarray, grid: np.ndarray, what: str
 ) -> list[float]:
-    """Roots in (-1, 1) of f = sum_i coeffs_i P_i - shift: sign scan on the
-    grid, bisection polish, and a transversality check |f'(root)| >
-    transversality_rel * max |f'| over the grid, which raises TangencyError
-    naming the root as ``what``."""
+    """Roots in (-1, 1) of f = sum_i coeffs_i P_i, in increasing order.
+
+    A grid node where f is exactly 0 is a root; every grid cell where f
+    changes sign brackets one.  All brackets are bisected together, one
+    series evaluation at the vector of midpoints per halving; a bracket stops
+    at an exact zero of its midpoint, at width 1e-14 or after 64 halvings.
+    Each root must be transversal, |f'(root)| > TRANSVERSALITY_REL * max |f'|
+    over the grid, or TangencyError names the first offending one as ``what``.
+    """
     n = coeffs.size - 1
-
-    def f(t: float) -> float:
-        return float((jacobi_table(params, n, t) @ coeffs)[0]) - shift
-
-    fvals = jacobi_table(params, n, grid) @ coeffs - shift
-    roots = []
-    for j in range(grid.size - 1):
-        a, b = fvals[j], fvals[j + 1]
-        if a == 0.0:
-            if grid[j] > -1.0:
-                roots.append(float(grid[j]))
-        elif a * b < 0.0:
-            roots.append(_bisect(f, float(grid[j]), float(grid[j + 1]), a))
+    fvals = jacobi_table(params, n, grid) @ coeffs
+    a, b = fvals[:-1], fvals[1:]
+    cell = a * b < 0.0
+    j = np.flatnonzero(cell | ((a == 0.0) & (grid[:-1] > -1.0)))
+    if j.size == 0:
+        return []
+    roots = grid[j]
+    inside = cell[j]
+    j = j[inside]
+    lo, hi, flo = grid[j], grid[j + 1], fvals[j]
+    live = np.arange(j.size)
+    for _ in range(64):
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = jacobi_table(params, n, mid) @ coeffs
+        up = (fm > 0.0) == (flo[live] > 0.0)
+        zero = fm == 0.0
+        # an exact zero collapses its bracket onto the midpoint
+        lo[live] = np.where(up | zero, mid, lo[live])
+        hi[live] = np.where(up & ~zero, hi[live], mid)
+        live = live[~zero & (hi[live] - lo[live] >= 1e-14)]
+    roots[inside] = 0.5 * (lo + hi)
     sp, dc = derivative_series(params, coeffs)
-    d_scale = float(np.max(np.abs(jacobi_table(sp, dc.size - 1, grid) @ dc)))
-    for r in roots:
-        slope = float((jacobi_table(sp, dc.size - 1, r) @ dc)[0])
-        if abs(slope) <= transversality_rel * d_scale:
-            raise TangencyError(
-                f"{what} at t={r:.6f} is nearly degenerate (|slope|={abs(slope):.2e})"
-            )
-    return roots
+    d_scale = np.max(np.abs(jacobi_table(sp, dc.size - 1, grid) @ dc))
+    slopes = np.abs(jacobi_table(sp, dc.size - 1, roots) @ dc)
+    bad = np.flatnonzero(slopes <= TRANSVERSALITY_REL * d_scale)
+    if bad.size:
+        i = bad[0]
+        raise TangencyError(
+            f"{what} at t={roots[i]:.6f} is nearly degenerate (|slope|={slopes[i]:.2e})"
+        )
+    return roots.tolist()
 
 
-def crossing_points(u: SpectralFunction, transversality_rel: float = 1e-8) -> list[float]:
-    """Roots of u(t) = 1 in (-1, 1): sign scan on a Chebyshev-distributed grid
-    of 8N points, bisection polish, and a transversality check |u'(root)| >
-    transversality_rel * ||u'||_inf."""
+def crossing_points(u: SpectralFunction) -> list[float]:
+    """Roots of u(t) = 1 in (-1, 1), in increasing order: sign scan on a
+    Chebyshev-distributed grid of 8N points, joint bisection of the brackets,
+    and the transversality check |u'(root)| > TRANSVERSALITY_REL * ||u'||_inf
+    (see _series_roots)."""
     _nonconstant_or_raise(u)
     grid = _scan_grid(u.coeffs.size)
-    return _series_roots(u.params, u.coeffs, 1.0, grid, transversality_rel, "crossing")
+    # P_0 = 1: subtract 1 from c_0, not from the sum, so a small u - 1 keeps
+    # its relative accuracy
+    f = u.coeffs.copy()
+    f[0] -= 1.0
+    return _series_roots(u.params, f, grid, "crossing")
 
 
-def count_crossings(u: SpectralFunction, transversality_rel: float = 1e-8) -> int:
-    return len(crossing_points(u, transversality_rel))
+def count_crossings(u: SpectralFunction) -> int:
+    return len(crossing_points(u))
 
 
-def critical_point_list(
-    u: SpectralFunction, transversality_rel: float = 1e-8
-) -> list[tuple[float, str]]:
+def critical_point_list(u: SpectralFunction) -> list[tuple[float, str]]:
     """Interior roots of u' with labels: 'min' where u < 1, 'max' where u > 1
     (the only possibilities along solution branches)."""
     _nonconstant_or_raise(u)
     sp, dc = derivative_series(u.params, u.coeffs)
     grid = _scan_grid(u.coeffs.size)
-    roots = _series_roots(sp, dc, 0.0, grid, transversality_rel, "critical point")
-    return [(r, "min" if u(r) < 1.0 else "max") for r in roots]
+    roots = _series_roots(sp, dc, grid, "critical point")
+    below = u(np.array(roots)) < 1.0
+    return [(r, "min" if b else "max") for r, b in zip(roots, below)]
 
 
-def count_critical_points(u: SpectralFunction, transversality_rel: float = 1e-8) -> int:
-    return len(critical_point_list(u, transversality_rel))
+def count_critical_points(u: SpectralFunction) -> int:
+    return len(critical_point_list(u))
 
 
 def endpoint_label(u: SpectralFunction, side: int) -> str:
@@ -457,7 +465,6 @@ def _make_point(
     lam: float,
     s: float,
     spec: ProblemSpec,
-    settings: ContinuationSettings,
     smin: float | None = None,
 ) -> BranchPoint:
     """The point (c, lam) with its diagnostics; ``smin`` of J if already known."""
@@ -472,8 +479,8 @@ def _make_point(
         s=float(s),
         residual_norm=rnorm,
         sigma_min=smin,
-        crossings=count_crossings(u, settings.transversality_rel),
-        critical_points=count_critical_points(u, settings.transversality_rel),
+        crossings=count_crossings(u),
+        critical=critical_point_list(u),
     )
 
 
@@ -484,16 +491,14 @@ def _bordered_newton(
     border: np.ndarray,
     border_lam: float,
     target: float,
-    newton_tol: float,
-    max_iter: int,
     origin: tuple[np.ndarray, float] = (0.0, 0.0),
 ) -> tuple[np.ndarray, float, int]:
     """Newton iteration for {F(c, lambda) = 0, <border, c - c0> +
     border_lam (lambda - lam0) = target} from the guess (c, lambda), where
     (c0, lam0) is ``origin``.
 
-    Converged when ||F||_w < newton_tol (1 + ||c||_w) and the border equation
-    holds to newton_tol (1 + |target|).  Returns (c, lambda, iterations), the
+    Converged when ||F||_w < NEWTON_TOL (1 + ||c||_w) and the border equation
+    holds to NEWTON_TOL (1 + |target|).  Returns (c, lambda, iterations), the
     iterations counting the residual checks including the converged one.
     """
     n = c.size
@@ -502,11 +507,11 @@ def _bordered_newton(
     a_mat[n, :n] = border
     a_mat[n, n] = border_lam
     rhs = np.empty(n + 1)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         r = disc.residual_coeffs(c, lam)
         g = float(border @ (c - c0)) + border_lam * (lam - lam0) - target
-        converged = disc.w_norm(r) < newton_tol * (1.0 + disc.w_norm(c))
-        if converged and abs(g) < newton_tol * (1.0 + abs(target)):
+        converged = disc.w_norm(r) < NEWTON_TOL * (1.0 + disc.w_norm(c))
+        if converged and abs(g) < NEWTON_TOL * (1.0 + abs(target)):
             return c, lam, it
         a_mat[:n, :n] = disc.jacobian(c, lam)
         a_mat[:n, n] = disc.dresidual_dlambda(c)
@@ -515,7 +520,7 @@ def _bordered_newton(
         delta = np.linalg.solve(a_mat, rhs)
         c = c + delta[:n]
         lam = lam + delta[n]
-    raise NewtonDivergenceError(f"bordered Newton did not converge in {max_iter} iterations")
+    raise NewtonDivergenceError(f"bordered Newton did not converge in {MAX_ITER} iterations")
 
 
 def solve_at_phase(
@@ -523,8 +528,6 @@ def solve_at_phase(
     spec: ProblemSpec,
     sigma: float,
     guess: tuple[np.ndarray, float] | None = None,
-    newton_tol: float = 1e-11,
-    max_iter: int = 25,
 ) -> tuple[np.ndarray, float]:
     """Newton solve of {residual = 0, <u - 1, P_k>_w = sigma * sqrt(h_k)}.
 
@@ -546,7 +549,7 @@ def solve_at_phase(
         ) / sqh
     c[k] = ck
     e_k = np.eye(spec.N)[k]
-    return _bordered_newton(disc, c, lam, e_k, 0.0, ck, newton_tol, max_iter)[:2]
+    return _bordered_newton(disc, c, lam, e_k, 0.0, ck)[:2]
 
 
 def branch_switch(
@@ -554,7 +557,6 @@ def branch_switch(
     spec: ProblemSpec,
     s0: float,
     direction: int,
-    settings: ContinuationSettings | None = None,
 ) -> BranchPoint:
     """First nontrivial point on the branch through (1, lambda_k), at signed
     tangent amplitude sigma = direction * s0."""
@@ -565,12 +567,9 @@ def branch_switch(
         raise ParameterError("s0 must lie in (0, 0.05]")
     if not 1 <= k <= spec.N // 2:
         raise ParameterError(f"k={k} must lie in [1, N/2] = [1, {spec.N // 2}]")
-    settings = settings or ContinuationSettings()
     sigma = direction * s0
-    c, lam = solve_at_phase(
-        k, spec, sigma, newton_tol=settings.newton_tol, max_iter=settings.max_iter
-    )
-    bp = _make_point(c, lam, sigma, spec, settings)
+    c, lam = solve_at_phase(k, spec, sigma)
+    bp = _make_point(c, lam, sigma, spec)
     if bp.crossings != k:
         raise StructureViolationError(
             f"first branch point has {bp.crossings} crossings, expected {k}; "
@@ -649,7 +648,7 @@ def continue_branch(
     while len(branch.points) < settings.max_steps:
         while True:
             try:
-                accepted = _correct(disc, c, lam, tau_c, tau_lam, ds, settings)
+                accepted = _correct(disc, c, lam, tau_c, tau_lam, ds)
                 break
             except (NewtonDivergenceError, NonpositiveStateError, np.linalg.LinAlgError):
                 ds *= 0.5
@@ -660,12 +659,12 @@ def continue_branch(
                     ) from None
         c_new, lam_new, iters = accepted
         gap = disc.quad_gap(c_new)
-        if gap > settings.quad_check_tol:
+        if gap > QUAD_CHECK_TOL:
             raise NumericalBreakdownError(
                 f"quadrature convergence check failed (gap={gap:.2e}); increase M"
             )
         s_abs += ds
-        point = _make_point(c_new, lam_new, direction * s_abs, spec, settings)
+        point = _make_point(c_new, lam_new, direction * s_abs, spec)
         branch.points.append(point)
         c, lam = c_new, lam_new
         tau_c, tau_lam = _tangent(disc, c, lam, tau_c, tau_lam)
@@ -680,7 +679,7 @@ def continue_branch(
             steps_after_bracket or _fold_index([p.lam for p in branch.points]) is not None
         ):
             steps_after_bracket += 1
-            if steps_after_bracket > settings.fold_trail:
+            if steps_after_bracket > FOLD_TRAIL:
                 branch.termination = "fold-bracketed"
                 return branch
         if iters <= 4:
@@ -698,7 +697,6 @@ def _correct(
     tau_c: np.ndarray,
     tau_lam: float,
     ds: float,
-    settings: ContinuationSettings,
 ) -> tuple[np.ndarray, float, int]:
     """One predictor step of arclength ds along (tau_c, tau_lam), then the
     bordered Newton corrector on {F = 0, <x - x_prev, tau>_metric = ds}."""
@@ -709,8 +707,6 @@ def _correct(
         disc.h * tau_c,
         tau_lam,
         ds,
-        settings.newton_tol,
-        settings.max_iter,
         origin=(c_prev, lam_prev),
     )
 
@@ -719,11 +715,7 @@ def _correct(
 # fold localization
 
 
-def detect_fold(
-    branch: Branch,
-    spec: ProblemSpec,
-    settings: ContinuationSettings | None = None,
-) -> FoldRecord:
+def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
     """Localize the first turning point bracketed by the branch.
 
     The fold test function is tau_lam, the lambda component of the unit
@@ -734,9 +726,8 @@ def detect_fold(
     (v, 0) with J v = 0, and v is the kernel direction, scaled to ||v||_w = 1
     with its largest weighted component positive.  The fold is certified a
     posteriori: the Moore-Spence residual ||(F, J v, ||v||_w^2 - 1)|| must be
-    below 1e-10 and sigma_min/sigma_max of J below degenerate_tol.
+    below CERTIFICATE_TOL and sigma_min/sigma_max of J below DEGENERATE_TOL.
     """
-    settings = settings or ContinuationSettings()
     disc = discretization(spec)
     pts = branch.points
     j = _fold_index([p.lam for p in pts])
@@ -755,10 +746,10 @@ def detect_fold(
     # between a and the latest iterate b, and the value kept at a is halved
     # whenever a survives a step
     a, fa, b, fb = 0.0, tau_lam, abs(pts[j + lo].s - start.s), taus[lo + 1][1]
-    xtol = settings.newton_tol * b
-    for _ in range(settings.max_iter):
+    xtol = NEWTON_TOL * b
+    for _ in range(MAX_ITER):
         ds = b - fb * (b - a) / (fb - fa)
-        c, lam, _ = _correct(disc, start.u.coeffs, start.lam, tau_c, tau_lam, ds, settings)
+        c, lam, _ = _correct(disc, start.u.coeffs, start.lam, tau_c, tau_lam, ds)
         v, f = _tangent(disc, c, lam, tau_c, tau_lam)
         if f * fb < 0.0:
             a, fa = b, fb
@@ -776,10 +767,10 @@ def detect_fold(
         + disc.w_norm(jac @ v) ** 2
         + (float(disc.h @ (v * v)) - 1.0) ** 2
     )
-    if not ms_res < 1e-10:
+    if not ms_res < CERTIFICATE_TOL:
         raise NewtonDivergenceError(f"fold certificate failed: residual {ms_res:.2e}")
     svals = np.linalg.svd(jac, compute_uv=False)
-    if not svals[-1] < settings.degenerate_tol * svals[0]:
+    if not svals[-1] < DEGENERATE_TOL * svals[0]:
         raise NumericalError(
             f"fold candidate is not degenerate: sigma_min/sigma_max = "
             f"{svals[-1] / svals[0]:.2e}"
@@ -788,7 +779,7 @@ def detect_fold(
     idx = int(np.argmax(np.abs(v) * np.sqrt(disc.h)))
     if v[idx] < 0.0:
         v = -v
-    point = _make_point(c, lam, start.s + branch.direction * ds, spec, settings, float(svals[-1]))
+    point = _make_point(c, lam, start.s + branch.direction * ds, spec, float(svals[-1]))
     return FoldRecord(
         point=point,
         lambda_star=float(lam),
@@ -842,9 +833,9 @@ def find_degenerate(
         settings = ContinuationSettings(stop_on_fold=True, max_steps=3000)
     elif not settings.stop_on_fold:
         settings = replace(settings, stop_on_fold=True)
-    start = branch_switch(k, spec, s0, +1, settings)
+    start = branch_switch(k, spec, s0, +1)
     branch = continue_branch(start, spec, settings)
-    record = detect_fold(branch, spec, settings)
+    record = detect_fold(branch, spec)
     record.branch = branch
     branch.folds.append(record)
 
@@ -859,10 +850,9 @@ def find_degenerate(
         raise NumericalError(
             f"fold lambda_star={record.lambda_star:.6f} outside (0, {lam_k:.6f})"
         )
-    interior = critical_point_list(point.u, settings.transversality_rel)
     labels = (
         [endpoint_label(point.u, -1)]
-        + [kind for _, kind in sorted(interior)]
+        + [kind for _, kind in point.critical]
         + [endpoint_label(point.u, +1)]
     )
     if not _alternating(labels):

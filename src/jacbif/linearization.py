@@ -130,17 +130,21 @@ def cube_integral_relative(k: int, params: JacobiParams) -> Fraction:
 
 @dataclass(frozen=True)
 class SignReport:
-    """Observed vs expected sign pattern of the expansion coefficients."""
+    """Observed vs expected sign pattern of the coefficients of ``table``."""
 
     k: int
     signs: tuple[str, ...]      # each "positive" | "zero" | "negative"
     expected: tuple[str, ...]
     discrepancies: tuple[int, ...]
-    exact_path: bool
+    table: LinearizationTable
 
     @property
     def ok(self) -> bool:
         return not self.discrepancies
+
+    @property
+    def exact_path(self) -> bool:
+        return self.table.exact is not None
 
 
 def classify(values, band=0) -> tuple[str, ...]:
@@ -191,7 +195,7 @@ def sign_classification(k: int, params: JacobiParams) -> SignReport:
         signs=signs,
         expected=expected,
         discrepancies=disc,
-        exact_path=table.exact is not None,
+        table=table,
     )
 
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .continuation import (
+    CERTIFICATE_TOL,
+    DEGENERATE_TOL,
     Branch,
     ContinuationSettings,
     ProblemSpec,
@@ -44,7 +46,6 @@ from .linearization import (
     classify,
     cube_integral_relative,
     gasper_quartic,
-    linearization_coeffs,
     quartic_sign_structure,
     sign_classification,
 )
@@ -194,7 +195,7 @@ def run_theorem21(seed: int = 0) -> list[CheckResult]:
                 ok = False
                 detail = f"k={k} discrepancies at i={report.discrepancies}"
                 break
-            table = linearization_coeffs(k, params)
+            table = report.table
             # floating signs must agree with the exact ones
             float_signs = classify(table.coeffs, ZERO_BAND)
             exact_signs = classify(table.exact)
@@ -264,7 +265,7 @@ def _branch_samples(k: int, spec: ProblemSpec, s0: float, ds: float, steps: int)
     """Points of the branch from (1, lambda_k) at fixed step ds: tangent
     amplitudes sigma = c_k sqrt(h_k), lambda - lambda_k, and sqrt(h_k)."""
     settings = ContinuationSettings(ds0=ds, ds_max=ds, max_steps=steps)
-    branch = continue_branch(branch_switch(k, spec, s0, +1, settings), spec, settings)
+    branch = continue_branch(branch_switch(k, spec, s0, +1), spec, settings)
     sqh = math.sqrt(discretization(spec).h[k])
     sig = np.array([p.u.coeffs[k] * sqh for p in branch.points])
     lam = np.array([p.lam for p in branch.points])
@@ -383,8 +384,8 @@ def run_folds(seed: int = 0) -> list[CheckResult]:
             continue
         elapsed = time.monotonic() - t0
         checks = [
-            rec.moore_spence_residual < 1e-10,
-            rec.sigma_ratio < 1e-8,
+            rec.moore_spence_residual < CERTIFICATE_TOL,
+            rec.sigma_ratio < DEGENERATE_TOL,
             rec.point.crossings == k,
             rec.point.critical_points == k - 1,
             0.0 < rec.lambda_star < lam_k,
@@ -477,7 +478,7 @@ def run_hygiene(seed: int = 0) -> list[CheckResult]:
     )
 
     settings = ContinuationSettings(ds0=0.02, ds_max=0.02, max_steps=15)
-    start = branch_switch(1, spec, 1e-3, +1, settings)
+    start = branch_switch(1, spec, 1e-3, +1)
     branch = continue_branch(start, spec, settings)
     fine = ProblemSpec(spec.params, spec.q, N=2 * spec.N)
     sqh = math.sqrt(disc.h[1])
@@ -513,7 +514,7 @@ def run_hygiene(seed: int = 0) -> list[CheckResult]:
 def _determinism_trace() -> str:
     spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=32)
     settings = ContinuationSettings(ds0=0.01, ds_max=0.01, max_steps=8)
-    start = branch_switch(1, spec, 1e-3, +1, settings)
+    start = branch_switch(1, spec, 1e-3, +1)
     branch = continue_branch(start, spec, settings)
     return branch_to_json(branch)
 

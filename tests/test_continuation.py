@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jacbif import (
     ContinuationSettings,
@@ -10,6 +12,7 @@ from jacbif import (
     ParameterError,
     ProblemSpec,
     SpectralFunction,
+    TangencyError,
     bifurcation_points,
     boundary_residual,
     branch_switch,
@@ -23,14 +26,15 @@ from jacbif import (
     eval_jacobi,
     find_degenerate,
     jacobian,
+    jacobi_zeros,
     lambda_prime_zero,
     linearization_coeffs,
     params_from_sphere,
     residual,
 )
 from jacbif import jacobi_params
-from jacbif.continuation import discretization, solve_at_phase
-from jacbif.jacobi import gauss_jacobi_rule, jacobi_table
+from jacbif.continuation import NEWTON_TOL, discretization, solve_at_phase
+from jacbif.jacobi import gauss_jacobi_rule, jacobi_table, shifted_params
 
 P10 = ProblemSpec(jacobi_params(1, 0), 2.0)
 PHALF = ProblemSpec(jacobi_params(F(1, 2), F(1, 2)), 3.0)
@@ -197,6 +201,46 @@ class TestCounting:
         assert endpoint_label(u, +1) == "max"
         assert endpoint_label(u, -1) == "max"  # P_2(-1) > 0
 
+    def test_tangent_crossing_raises(self):
+        # Legendre: u - 1 = 0.01 t^3 = 0.006 P_1 + 0.004 P_3 crosses 0 with zero slope
+        c = np.zeros(16)
+        c[0], c[1], c[3] = 1.0, 0.006, 0.004
+        with pytest.raises(
+            TangencyError, match=r"^crossing at t=-?0\.000000 is nearly degenerate"
+        ):
+            crossing_points(SpectralFunction(c, PLEG.params))
+
+    def test_degenerate_critical_point_raises(self):
+        # Legendre: u - 1 = 0.01 t^4, so u' = 0.04 t^3 has a triple root at t = 0
+        c = np.zeros(16)
+        c[0], c[2], c[4] = 1.002, 0.04 / 7, 0.08 / 35
+        with pytest.raises(
+            TangencyError, match=r"^critical point at t=-?0\.000000 is nearly degenerate"
+        ):
+            critical_point_list(SpectralFunction(c, PLEG.params))
+
+
+# rational exponents in (-1, 3], with a share within 1/1000 of -1
+EXPONENTS = st.one_of(
+    st.fractions(min_value=F(-999, 1000), max_value=3, max_denominator=1000),
+    st.integers(1000, 10**6).map(lambda n: F(1, n) - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=EXPONENTS, beta=EXPONENTS, k=st.integers(1, 8))
+@example(alpha=F(1, 1000) - 1, beta=F(1, 1721) - 1, k=1)  # |u'| ~ 8e-6
+def test_roots_match_zeros_oracle(alpha, beta, k):
+    # u = 1 + 0.01 P_k crosses 1 at the zeros of P_k, and its critical points
+    # are the zeros of P_k' ~ P_{k-1}^(alpha+1, beta+1)
+    params = jacobi_params(alpha, beta)
+    u = _mode_state(ProblemSpec(params, 2.0), k, 0.01)
+    assert np.allclose(crossing_points(u), jacobi_zeros(k, params), rtol=0, atol=1e-12)
+    critical = [t for t, _ in critical_point_list(u)]
+    expected = jacobi_zeros(k - 1, shifted_params(params)) if k > 1 else []
+    assert len(critical) == len(expected)
+    assert np.allclose(critical, expected, rtol=0, atol=1e-12)
+
 
 class TestBranchSwitch:
     def test_first_point_monotone_case(self):
@@ -257,7 +301,7 @@ class TestContinueBranch:
         start = branch_switch(2, PHALF, 1e-3, +1)
         branch = continue_branch(start, PHALF, settings)
         for p in branch.points:
-            assert p.residual_norm < settings.newton_tol * (1.0 + p.u.w_norm())
+            assert p.residual_norm < NEWTON_TOL * (1.0 + p.u.w_norm())
         s = [p.s for p in branch.points]
         assert all(b > a for a, b in zip(s, s[1:]))
 

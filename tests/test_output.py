@@ -30,7 +30,7 @@ from jacbif.output import (
 def small_branch():
     spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=32)
     settings = ContinuationSettings(max_steps=6, ds_max=0.01)
-    start = branch_switch(1, spec, 1e-3, +1, settings)
+    start = branch_switch(1, spec, 1e-3, +1)
     return continue_branch(start, spec, settings)
 
 

@@ -35,7 +35,7 @@ def test_tracer_installs_records_and_restores(spans):
     finally:
         tracer.uninstall()
     names = {rec[0] for rec in tracer.spans}
-    assert {"continuation.count_crossings", "jacobi.jacobi_table.scalar"} <= names
+    assert {"continuation.count_crossings", "jacobi.jacobi_table.vector"} <= names
     for home, attr, name in spans.FUNCTIONS:
         assert getattr(home, attr) is functions[name], name
     for cls, attr in spans.METHODS:
