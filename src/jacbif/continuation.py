@@ -24,7 +24,7 @@ certifies it a posteriori.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -484,6 +484,23 @@ def _make_point(
     )
 
 
+def _bordered_matrix(
+    disc: Discretization,
+    c: np.ndarray,
+    lam: float,
+    border: np.ndarray,
+    border_lam: float,
+) -> np.ndarray:
+    """[[J, F_lambda], [border, border_lam]] at (c, lambda)."""
+    n = c.size
+    a_mat = np.empty((n + 1, n + 1))
+    a_mat[:n, :n] = disc.jacobian(c, lam)
+    a_mat[:n, n] = disc.dresidual_dlambda(c)
+    a_mat[n, :n] = border
+    a_mat[n, n] = border_lam
+    return a_mat
+
+
 def _bordered_newton(
     disc: Discretization,
     c: np.ndarray,
@@ -503,21 +520,14 @@ def _bordered_newton(
     """
     n = c.size
     c0, lam0 = origin
-    a_mat = np.empty((n + 1, n + 1))
-    a_mat[n, :n] = border
-    a_mat[n, n] = border_lam
-    rhs = np.empty(n + 1)
     for it in range(1, MAX_ITER + 1):
         r = disc.residual_coeffs(c, lam)
         g = float(border @ (c - c0)) + border_lam * (lam - lam0) - target
         converged = disc.w_norm(r) < NEWTON_TOL * (1.0 + disc.w_norm(c))
         if converged and abs(g) < NEWTON_TOL * (1.0 + abs(target)):
             return c, lam, it
-        a_mat[:n, :n] = disc.jacobian(c, lam)
-        a_mat[:n, n] = disc.dresidual_dlambda(c)
-        rhs[:n] = -r
-        rhs[n] = -g
-        delta = np.linalg.solve(a_mat, rhs)
+        a_mat = _bordered_matrix(disc, c, lam, border, border_lam)
+        delta = np.linalg.solve(a_mat, np.append(-r, -g))
         c = c + delta[:n]
         lam = lam + delta[n]
     raise NewtonDivergenceError(f"bordered Newton did not converge in {MAX_ITER} iterations")
@@ -589,14 +599,9 @@ def _tangent(
     guess direction; computed from a bordered solve so it stays well-defined
     at folds."""
     n = c.size
-    a_mat = np.empty((n + 1, n + 1))
-    a_mat[:n, :n] = disc.jacobian(c, lam)
-    a_mat[:n, n] = disc.dresidual_dlambda(c)
-    a_mat[n, :n] = disc.h * guess_c
-    a_mat[n, n] = guess_lam
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    sol = np.linalg.solve(a_mat, rhs)
+    sol = np.linalg.solve(_bordered_matrix(disc, c, lam, disc.h * guess_c, guess_lam), rhs)
     tc, tl = sol[:n], sol[n]
     nrm = math.sqrt(float(disc.h @ (tc * tc)) + tl * tl)
     tc, tl = tc / nrm, tl / nrm
@@ -801,7 +806,6 @@ def find_degenerate(
     k: int,
     spec: ProblemSpec,
     sphere: SphereContext | None = None,
-    settings: ContinuationSettings | None = None,
     s0: float = 1e-3,
 ) -> FoldRecord:
     """Trace the branch rooted at (1, lambda_k) in the direction of
@@ -829,12 +833,8 @@ def find_degenerate(
         raise StructureViolationError(
             f"expected a negative branch slope, got {slope:.3e}"
         )
-    if settings is None:
-        settings = ContinuationSettings(stop_on_fold=True, max_steps=3000)
-    elif not settings.stop_on_fold:
-        settings = replace(settings, stop_on_fold=True)
     start = branch_switch(k, spec, s0, +1)
-    branch = continue_branch(start, spec, settings)
+    branch = continue_branch(start, spec, ContinuationSettings(stop_on_fold=True, max_steps=3000))
     record = detect_fold(branch, spec)
     record.branch = branch
     branch.folds.append(record)

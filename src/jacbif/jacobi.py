@@ -1,8 +1,9 @@
 """Jacobi polynomials for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
 
-Floating-point evaluation goes through the stable three-term recurrence
-(recurrence_coeffs, in any scalar type); exact monomial coefficients are
-built independently from the differential operator
+The three-term recurrence is written once, as the multiplication-by-t
+operator (jacobi_operator, in any scalar type); the basis tables, the Gauss
+rules and the P_k^2 expansion of ``linearization`` all run from it.  Exact
+monomial coefficients are built independently from the differential operator
 L(y) = (1-t^2) y'' + (beta - alpha - (alpha+beta+2) t) y', whose
 degree-k eigenpolynomial (eigenvalue -k(k+alpha+beta+1)) is pinned to the
 normalization P_k(1) = (alpha+1)_k / k!.  The two routes cross-check each
@@ -28,7 +29,7 @@ __all__ = [
     "ExactPolynomial",
     "exact_poly",
     "QuadratureRule",
-    "recurrence_coeffs",
+    "jacobi_operator",
     "jacobi_table",
     "eval_jacobi",
     "eval_jacobi_deriv",
@@ -51,8 +52,8 @@ ExactPair = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Weight exponents (alpha, beta), both > -1, with the derived sums
-    a = alpha + beta + 1 and b = alpha - beta.
+    """Weight exponents (alpha, beta), both > -1, with the derived sum
+    a = alpha + beta + 1.
 
     ``exact`` mirrors (alpha, beta) as rationals when the parameters were
     supplied as int/Fraction; it enables the exact-arithmetic code paths.
@@ -61,7 +62,6 @@ class JacobiParams:
     alpha: float
     beta: float
     a: float
-    b: float
     exact: ExactPair | None = None
 
     @property
@@ -95,47 +95,55 @@ def jacobi_params(alpha, beta) -> JacobiParams:
     af, bf = float(alpha), float(beta)
     if not (af > -1.0 and bf > -1.0):
         raise ParameterError(f"weight not integrable: alpha={alpha}, beta={beta}")
-    return JacobiParams(af, bf, af + bf + 1.0, af - bf, exact)
+    return JacobiParams(af, bf, af + bf + 1.0, exact)
 
 
-def shifted_params(params: JacobiParams, da: int = 1, db: int = 1) -> JacobiParams:
-    """Parameters (alpha+da, beta+db), preserving exactness."""
+def shifted_params(params: JacobiParams) -> JacobiParams:
+    """Parameters (alpha+1, beta+1), preserving exactness."""
     al, be = params.scalars
-    return jacobi_params(al + da, be + db)
+    return jacobi_params(al + 1, be + 1)
 
 
 # ---------------------------------------------------------------------------
 # floating-point evaluation
 
 
-def recurrence_coeffs(n: int, alpha, beta) -> tuple:
-    """(c1, c2, c3, c4) of c1 P_n = (c2 + c3 t) P_{n-1} - c4 P_{n-2} in the scalar
-    type of (alpha, beta); n >= 2, since c1 vanishes at n = 1 for alpha + beta in {0, -1}."""
+def jacobi_operator(m: int, alpha, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(up, mid, down) of t P_j = up_j P_{j+1} + mid_j P_j + down_j P_{j-1}, j < m,
+    in the scalar type of (alpha, beta): float arrays, or object arrays of
+    Fractions.  Column j >= 1 is the recurrence at degree j + 1 with its common
+    factors cancelled; column 0 has its own line, since the degree-1 recurrence
+    degenerates when alpha + beta is 0 or -1.  down_0 = 0.
+    """
     apb = alpha + beta
-    c1 = 2 * n * (n + apb) * (2 * n + apb - 2)
-    c2 = (2 * n + apb - 1) * (alpha * alpha - beta * beta)
-    c3 = (2 * n + apb - 2) * (2 * n + apb - 1) * (2 * n + apb)
-    c4 = 2 * (n + alpha - 1) * (n + beta - 1) * (2 * n + apb)
-    return c1, c2, c3, c4
+    j = np.arange(1, m, dtype=object if isinstance(apb, Fraction) else float)
+    s = 2 * j + apb
+    up = 2 * (j + 1) * (j + 1 + apb) / ((s + 1) * (s + 2))
+    mid = (beta * beta - alpha * alpha) / (s * (s + 2))
+    down = 2 * (j + alpha) * (j + beta) / (s * (s + 1))
+    # column 0: t P_0 = (2 P_1 - (alpha - beta)) / (alpha + beta + 2)
+    up = np.concatenate(([2 / (apb + 2)], up))
+    mid = np.concatenate(([(beta - alpha) / (apb + 2)], mid))
+    down = np.concatenate(([0 * apb], down))
+    return up[:m], mid[:m], down[:m]
 
 
 def jacobi_table(params: JacobiParams, kmax: int, t) -> np.ndarray:
     """Values of P_0 .. P_kmax at the points t, shape (len(t), kmax+1).
 
-    Three-term recurrence, vectorized over t; stable for all k used here.
+    P_{n+1} = ((t - mid_n) P_n - down_n P_{n-1}) / up_n from jacobi_operator,
+    with P_{-1} = 0, vectorized over t; stable for all k used here.
     """
     if kmax < 0:
         raise ParameterError("kmax must be >= 0")
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    al, be = params.alpha, params.beta
-    apb = al + be
+    up, mid, down = jacobi_operator(kmax, params.alpha, params.beta)
     out = np.empty((t.size, kmax + 1))
     out[:, 0] = 1.0
-    if kmax >= 1:
-        out[:, 1] = 0.5 * (al - be) + 0.5 * (apb + 2.0) * t
-    for n in range(2, kmax + 1):
-        c1, c2, c3, c4 = recurrence_coeffs(n, al, be)
-        out[:, n] = ((c2 + c3 * t) * out[:, n - 1] - c4 * out[:, n - 2]) / c1
+    prev = np.zeros(t.size)
+    for n in range(kmax):
+        out[:, n + 1] = ((t - mid[n]) * out[:, n] - down[n] * prev) / up[n]
+        prev = out[:, n]
     return out
 
 
@@ -363,35 +371,15 @@ class QuadratureRule:
 def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     """m-point Gauss-Jacobi rule by Golub-Welsch.
 
-    Builds the symmetric Jacobi matrix from the monic recurrence coefficients
-    and diagonalizes it; nodes are the eigenvalues, weights are m_0 times the
-    squared first eigenvector components.
+    The symmetric Jacobi matrix has the diagonal mid and the off-diagonal
+    sqrt(up_j down_{j+1}) of jacobi_operator; nodes are its eigenvalues,
+    weights are m_0 times the squared first eigenvector components.
     """
     if m < 1:
         raise ParameterError("rule order must be >= 1")
-    al, be = params.alpha, params.beta
-    apb = al + be
-    diag = np.empty(m)
-    diag[0] = (be - al) / (apb + 2.0)
-    n = np.arange(1, m, dtype=float)
-    if m > 1:
-        diag[1:] = (be * be - al * al) / ((2.0 * n + apb) * (2.0 * n + apb + 2.0))
-    off = np.empty(max(m - 1, 0))
-    if m > 1:
-        off[0] = math.sqrt(
-            4.0 * (al + 1.0) * (be + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
-        )
-        n2 = n[1:]
-        off[1:] = np.sqrt(
-            4.0
-            * n2
-            * (n2 + al)
-            * (n2 + be)
-            * (n2 + apb)
-            / ((2.0 * n2 + apb) ** 2 * ((2.0 * n2 + apb) ** 2 - 1.0))
-        )
+    up, mid, down = jacobi_operator(m, params.alpha, params.beta)
     try:
-        nodes, vecs = eigh_tridiagonal(diag, off)
+        nodes, vecs = eigh_tridiagonal(mid, np.sqrt(up[:-1] * down[1:]))
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericalBreakdownError(f"tridiagonal eigensolve failed: {exc}") from exc
     weights = weight_mass(params) * vecs[0, :] ** 2

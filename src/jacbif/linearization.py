@@ -3,9 +3,11 @@ sign machinery for the expansion coefficients.
 
 Multiplication by t is tridiagonal in the Jacobi basis, so P_k^2 = P_k(T) e_k
 follows from the three-term recurrence on coefficient vectors (Olver and
-Townsend 2013).  The one algorithm runs on floats and, for rational (alpha,
-beta), on Fractions; monomial products (``jacobi.ExactPolynomial``) and Gauss
-cube integrals remain as independent oracles.
+Townsend 2013), with T the operator ``jacobi.jacobi_operator`` that also
+builds the basis tables and the Gauss rules.  The one algorithm runs on floats
+and, for rational (alpha, beta), on Fractions; monomial products
+(``jacobi.ExactPolynomial``) and Gauss cube integrals remain as independent
+oracles.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .jacobi import (
     exact_coeffs,
     gauss_jacobi_rule,
     integrate_relative,
+    jacobi_operator,
     jacobi_table,
     norm_sq_closed_form,
-    recurrence_coeffs,
 )
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 ZERO_BAND = 1e-12  # floating coefficients within this relative band count as 0
+QUARTIC_SAMPLES = 50  # sign checks of the Gasper quartic on each side of its root
 
 
 @dataclass(frozen=True)
@@ -65,18 +68,13 @@ class LinearizationTable:
 def _square_coeffs(k: int, alpha, beta) -> np.ndarray:
     """C_k^0 .. C_k^2k as P_k(T) e_k, in the scalar type of (alpha, beta).
 
-    T is multiplication by t in the P basis: t P_j = up_j P_{j+1} + mid_j P_j
-    + down_j P_{j-1}, from the recurrence at degree j + 1.  P_n(T) e_k follows
-    from the recurrence in n and lives on k - n .. k + n, so 2k + 1 entries
-    hold every step exactly.
+    T is multiplication by t in the P basis, from ``jacobi.jacobi_operator``.
+    P_n(T) e_k follows from the recurrence P_{n+1} = ((T - mid_n) P_n - down_n
+    P_{n-1}) / up_n and lives on k - n .. k + n, so 2k + 1 entries hold every
+    step exactly.
     """
-    apb = alpha + beta
     size = 2 * k + 1
-    # column 0 on its own: t P_0 = (2 P_1 - (alpha - beta)) / (alpha + beta + 2)
-    rec = [recurrence_coeffs(j + 1, alpha, beta) for j in range(1, size)]
-    up = np.array([2 / (apb + 2)] + [c1 / c3 for c1, _, c3, _ in rec])
-    mid = np.array([(beta - alpha) / (apb + 2)] + [-c2 / c3 for _, c2, c3, _ in rec])
-    down = np.array([0 * apb] + [c4 / c3 for _, _, c3, c4 in rec])
+    up, mid, down = jacobi_operator(size, alpha, beta)
 
     def times_t(x: np.ndarray) -> np.ndarray:
         y = mid * x
@@ -84,14 +82,10 @@ def _square_coeffs(k: int, alpha, beta) -> np.ndarray:
         y[:-1] += down[1:] * x[1:]
         return y
 
-    prev = np.array([0 * apb + (i == k) for i in range(size)])  # e_k in the scalar type
-    if k == 0:
-        return prev
-    # the n = 1 step on its own: c1 vanishes there when alpha + beta is 0 or -1
-    cur = (alpha - beta) / 2 * prev + (apb + 2) / 2 * times_t(prev)
-    for n in range(2, k + 1):
-        c1, c2, c3, c4 = recurrence_coeffs(n, alpha, beta)
-        prev, cur = cur, (c2 * cur + c3 * times_t(cur) - c4 * prev) / c1
+    cur = np.array([0 * mid[0] + (i == k) for i in range(size)])  # e_k in the scalar type
+    prev = 0 * cur
+    for n in range(k):
+        prev, cur = cur, (times_t(cur) - mid[n] * cur - down[n] * prev) / up[n]
     return cur
 
 
@@ -141,10 +135,6 @@ class SignReport:
     @property
     def ok(self) -> bool:
         return not self.discrepancies
-
-    @property
-    def exact_path(self) -> bool:
-        return self.table.exact is not None
 
 
 def classify(values, band=0) -> tuple[str, ...]:
@@ -269,9 +259,10 @@ class QuarticStructure:
     coefficient_sign_changes: int
 
 
-def quartic_sign_structure(gq: GasperQuartic, grid: int = 50) -> tuple[float, QuarticStructure]:
+def quartic_sign_structure(gq: GasperQuartic) -> tuple[float, QuarticStructure]:
     """Locate the unique positive root x0 by bracketing + bisection and verify
-    the sign pattern; raises StructureViolationError on any failed check."""
+    the sign pattern at QUARTIC_SAMPLES points on each side of x0; raises
+    StructureViolationError on any failed check."""
     q0 = float(gq.expanded(0.0))
     if not q0 > 0.0:
         raise StructureViolationError(f"Q(0) = {q0} is not positive")
@@ -293,11 +284,11 @@ def quartic_sign_structure(gq: GasperQuartic, grid: int = 50) -> tuple[float, Qu
         else:
             hi = mid
     x0 = 0.5 * (lo + hi)
-    for i in range(1, grid):
-        if not gq.expanded(x0 * i / (grid + 1)) > 0.0:
+    for i in range(1, QUARTIC_SAMPLES):
+        if not gq.expanded(x0 * i / (QUARTIC_SAMPLES + 1)) > 0.0:
             raise StructureViolationError(f"Q not positive inside (0, x0) at sample {i}")
     span = 4.0 * gq.k
-    for i in range(1, grid + 1):
-        if not gq.expanded(x0 + span * i / grid) < 0.0:
+    for i in range(1, QUARTIC_SAMPLES + 1):
+        if not gq.expanded(x0 + span * i / QUARTIC_SAMPLES) < 0.0:
             raise StructureViolationError(f"Q not negative beyond x0 at sample {i}")
     return x0, QuarticStructure(x0=x0, q_at_zero=q0, coefficient_sign_changes=changes)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.special import roots_jacobi
 
 from jacbif import (
@@ -35,6 +36,18 @@ PARAM_GRID = [
     jacobi_params(F(3, 2), F(1, 2)),
     jacobi_params(F(-2, 5), F(-2, 5)),
     jacobi_params(F(3, 10), F(-7, 10)),
+    jacobi_params(F(-1, 2), F(-1, 2)),
+    jacobi_params(F(1, 2), F(-1, 2)),
+]
+
+# alpha + beta = -1 (twice), alpha + beta = 0 with alpha != beta, exponents
+# near -1, and a wide gap between alpha and beta
+ORACLE_PAIRS = [
+    (F(-1, 2), F(-1, 2)),
+    (F(-3, 10), F(-7, 10)),
+    (F(1, 2), F(-1, 2)),
+    (F(-999, 1000), F(-9, 10)),
+    (F(2), F(-1, 2)),
 ]
 
 
@@ -42,7 +55,7 @@ class TestParams:
     def test_exact_mirror_for_rational_inputs(self):
         p = jacobi_params(F(3, 2), F(1, 2))
         assert p.exact == (F(3, 2), F(1, 2))
-        assert p.a == 3.0 and p.b == 1.0
+        assert p.a == 3.0
 
     def test_float_inputs_have_no_mirror(self):
         assert jacobi_params(0.5, 0.5).exact is None
@@ -78,6 +91,21 @@ class TestEvaluation:
             exact = np.array([float(exact_coeffs(k, params)(t)) for t in pts])
             scale = np.max(np.abs(exact))
             assert np.max(np.abs(table[:, k] - exact)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("ab", ORACLE_PAIRS, ids=str)
+    def test_table_matches_mpmath(self, ab):
+        # mp.jacobi is the hypergeometric form, independent of the recurrence;
+        # every degree up to 8, then every 16th up to 255
+        degrees = [*range(9), *range(15, 256, 16)]
+        pts = [-1.0, -0.9999, -0.6, -0.25, 0.0, 0.3, 0.75, 0.9999, 1.0]
+        table = jacobi_table(jacobi_params(*ab), 255, pts)
+        with mp.workdps(30):
+            al, be = (mp.mpf(x.numerator) / x.denominator for x in ab)
+            for i, t in enumerate(pts):
+                for n in degrees:
+                    # zeroprec: P_n has exact zeros among the points (t = 0, odd n)
+                    ref = float(mp.jacobi(n, al, be, mp.mpf(t), zeroprec=60))
+                    assert abs(table[i, n] - ref) <= 1e-12 * max(1.0, abs(ref)), (n, t)
 
     def test_derivative_matches_exact_derivative(self):
         params = jacobi_params(F(3, 2), F(1, 2))
@@ -243,6 +271,21 @@ class TestNorms:
         h = np.diag(gram)
         off = np.abs(gram - np.diag(h)) / np.sqrt(np.outer(h, h))
         assert np.max(off) < 1e-12
+
+
+    @pytest.mark.parametrize("ab", ORACLE_PAIRS, ids=str)
+    def test_orthogonality_at_large_order(self, ab):
+        # the rule size of N = 256 continuation; the smallest weights sit at
+        # the outermost nodes, where Golub-Welsch loses relative accuracy
+        params = jacobi_params(*ab)
+        rule = gauss_jacobi_rule(params, 1536)
+        table = jacobi_table(params, 255, rule.nodes)
+        gram = table.T @ (table * rule.weights[:, None])
+        h = np.array([norm_sq_closed_form(i, params) for i in range(256)])
+        diag = np.diag(gram)
+        off = np.abs(gram - np.diag(diag)) / np.sqrt(np.outer(h, h))
+        assert np.max(off) <= 1e-9
+        assert np.max(np.abs(diag / h - 1.0)) <= 2e-12
 
 
 class TestZeros:
