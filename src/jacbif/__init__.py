@@ -60,6 +60,7 @@ from .jacobi import (
     exact_poly,
     gauss_jacobi_rule,
     jacobi_params,
+    jacobi_series,
     jacobi_table,
     jacobi_zeros,
     weighted_norm_sq,

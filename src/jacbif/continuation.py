@@ -44,6 +44,7 @@ from .jacobi import (
     JacobiParams,
     derivative_series,
     gauss_jacobi_rule,
+    jacobi_series,
     jacobi_table,
     norm_sq_closed_form,
 )
@@ -122,18 +123,15 @@ class SpectralFunction:
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, t):
-        scalar = np.isscalar(t)
-        vals = jacobi_table(self.params, self.coeffs.size - 1, t) @ self.coeffs
-        return float(vals[0]) if scalar else vals
+        return jacobi_series(self.params, self.coeffs, t)
 
     def w_norm(self) -> float:
         """Weighted L2 norm, exact in the coefficients by orthogonality."""
         h = _h_vector(self.params, self.coeffs.size)
         return math.sqrt(float(h @ (self.coeffs * self.coeffs)))
 
-    def derivative_values(self, t) -> np.ndarray:
-        sp, dc = derivative_series(self.params, self.coeffs)
-        return jacobi_table(sp, dc.size - 1, t) @ dc
+    def derivative_values(self, t):
+        return jacobi_series(*derivative_series(self.params, self.coeffs), t)
 
     @staticmethod
     def constant_one(spec: "ProblemSpec") -> "SpectralFunction":
@@ -363,26 +361,40 @@ def _scan_grid(n_modes: int) -> np.ndarray:
     return np.concatenate(([-1.0], interior, [1.0]))
 
 
+def _is_constant(c: np.ndarray) -> bool:
+    """True when the coefficients past c_0 vanish to roundoff."""
+    tail = float(np.max(np.abs(c[1:]))) if c.size > 1 else 0.0
+    return tail <= 1e-13 * (1.0 + abs(float(c[0])))
+
+
 def _nonconstant_or_raise(u: SpectralFunction) -> None:
-    tail = float(np.max(np.abs(u.coeffs[1:]))) if u.coeffs.size > 1 else 0.0
-    if tail <= 1e-13 * (1.0 + abs(float(u.coeffs[0]))):
+    if _is_constant(u.coeffs):
         raise ParameterError("count is undefined for (numerically) constant states")
 
 
+_SECTIONS = 32  # a polish round splits each bracket into this many cells: 5 bits
+
+
 def _series_roots(
-    params: JacobiParams, coeffs: np.ndarray, grid: np.ndarray, what: str
+    params: JacobiParams,
+    coeffs: np.ndarray,
+    grid: np.ndarray,
+    fvals: np.ndarray,
+    dvals: np.ndarray,
+    what: str,
 ) -> list[float]:
-    """Roots in (-1, 1) of f = sum_i coeffs_i P_i, in increasing order.
+    """Roots in (-1, 1) of f = sum_i coeffs_i P_i, in increasing order, from
+    the values ``fvals`` of f and ``dvals`` of f' on the scan grid.
 
     A grid node where f is exactly 0 is a root; every grid cell where f
-    changes sign brackets one.  All brackets are bisected together, one
-    series evaluation at the vector of midpoints per halving; a bracket stops
-    at an exact zero of its midpoint, at width 1e-14 or after 64 halvings.
-    Each root must be transversal, |f'(root)| > TRANSVERSALITY_REL * max |f'|
-    over the grid, or TangencyError names the first offending one as ``what``.
+    changes sign brackets one.  All brackets are polished together by
+    32-section: each round evaluates f once, at the 31 equispaced interior
+    points of every open bracket, and keeps the first cell with a sign change.
+    An exact zero collapses its bracket onto that point, and a bracket stops
+    at width 1e-14.  Each root must be transversal, |f'(root)| >
+    TRANSVERSALITY_REL * max |f'| over the grid, or TangencyError names the
+    first offending one as ``what``.
     """
-    n = coeffs.size - 1
-    fvals = jacobi_table(params, n, grid) @ coeffs
     a, b = fvals[:-1], fvals[1:]
     cell = a * b < 0.0
     j = np.flatnonzero(cell | ((a == 0.0) & (grid[:-1] > -1.0)))
@@ -392,22 +404,24 @@ def _series_roots(
     inside = cell[j]
     j = j[inside]
     lo, hi, flo = grid[j], grid[j + 1], fvals[j]
+    frac = np.arange(1, _SECTIONS) / _SECTIONS
     live = np.arange(j.size)
-    for _ in range(64):
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        fm = jacobi_table(params, n, mid) @ coeffs
-        up = (fm > 0.0) == (flo[live] > 0.0)
-        zero = fm == 0.0
-        # an exact zero collapses its bracket onto the midpoint
-        lo[live] = np.where(up | zero, mid, lo[live])
-        hi[live] = np.where(up & ~zero, hi[live], mid)
+    while live.size:
+        rows = np.arange(live.size)
+        inner = lo[live, None] + (hi[live] - lo[live])[:, None] * frac
+        edges = np.concatenate((lo[live, None], inner, hi[live, None]), axis=1)
+        # f at the right end of each cell; at hi it has the sign opposite flo
+        fr = np.concatenate((jacobi_series(params, coeffs, inner), -flo[live, None]), axis=1)
+        hit = ((fr > 0.0) != (flo[live, None] > 0.0)) | (fr == 0.0)
+        k = hit.argmax(axis=1)  # the first cell with a sign change
+        zero = fr[rows, k] == 0.0
+        # an exact zero collapses its bracket onto that point
+        lo[live] = np.where(zero, edges[rows, k + 1], edges[rows, k])
+        hi[live] = edges[rows, k + 1]
         live = live[~zero & (hi[live] - lo[live] >= 1e-14)]
     roots[inside] = 0.5 * (lo + hi)
-    sp, dc = derivative_series(params, coeffs)
-    d_scale = np.max(np.abs(jacobi_table(sp, dc.size - 1, grid) @ dc))
-    slopes = np.abs(jacobi_table(sp, dc.size - 1, roots) @ dc)
+    d_scale = np.max(np.abs(dvals))
+    slopes = np.abs(jacobi_series(*derivative_series(params, coeffs), roots))
     bad = np.flatnonzero(slopes <= TRANSVERSALITY_REL * d_scale)
     if bad.size:
         i = bad[0]
@@ -417,31 +431,40 @@ def _series_roots(
     return roots.tolist()
 
 
-def crossing_points(u: SpectralFunction) -> list[float]:
+def crossing_points(u: SpectralFunction, *, du: np.ndarray | None = None) -> list[float]:
     """Roots of u(t) = 1 in (-1, 1), in increasing order: sign scan on a
-    Chebyshev-distributed grid of 8N points, joint bisection of the brackets,
-    and the transversality check |u'(root)| > TRANSVERSALITY_REL * ||u'||_inf
-    (see _series_roots)."""
+    Chebyshev-distributed grid of 8N points, joint 32-section of the
+    brackets, and the transversality check |u'(root)| > TRANSVERSALITY_REL *
+    ||u'||_inf (see _series_roots).  ``du`` is u' on that grid, if the caller
+    has evaluated it already."""
     _nonconstant_or_raise(u)
     grid = _scan_grid(u.coeffs.size)
+    if du is None:
+        du = u.derivative_values(grid)
     # P_0 = 1: subtract 1 from c_0, not from the sum, so a small u - 1 keeps
     # its relative accuracy
     f = u.coeffs.copy()
     f[0] -= 1.0
-    return _series_roots(u.params, f, grid, "crossing")
+    return _series_roots(u.params, f, grid, jacobi_series(u.params, f, grid), du, "crossing")
 
 
-def count_crossings(u: SpectralFunction) -> int:
-    return len(crossing_points(u))
+def count_crossings(u: SpectralFunction, *, du: np.ndarray | None = None) -> int:
+    return len(crossing_points(u, du=du))
 
 
-def critical_point_list(u: SpectralFunction) -> list[tuple[float, str]]:
+def critical_point_list(
+    u: SpectralFunction, *, du: np.ndarray | None = None
+) -> list[tuple[float, str]]:
     """Interior roots of u' with labels: 'min' where u < 1, 'max' where u > 1
-    (the only possibilities along solution branches)."""
+    (the only possibilities along solution branches).  ``du`` is u' on the
+    scan grid, as for crossing_points."""
     _nonconstant_or_raise(u)
-    sp, dc = derivative_series(u.params, u.coeffs)
     grid = _scan_grid(u.coeffs.size)
-    roots = _series_roots(sp, dc, grid, "critical point")
+    if du is None:
+        du = u.derivative_values(grid)
+    sp, dc = derivative_series(u.params, u.coeffs)
+    ddu = jacobi_series(*derivative_series(sp, dc), grid)
+    roots = _series_roots(sp, dc, grid, du, ddu, "critical point")
     below = u(np.array(roots)) < 1.0
     return [(r, "min" if b else "max") for r, b in zip(roots, below)]
 
@@ -473,14 +496,16 @@ def _make_point(
     rnorm = disc.w_norm(disc.residual_coeffs(c, lam))
     if smin is None:
         smin = float(np.linalg.svd(disc.jacobian(c, lam), compute_uv=False)[-1])
+    # u' on the scan grid serves both scans
+    du = u.derivative_values(_scan_grid(spec.N))
     return BranchPoint(
         u=u,
         lam=float(lam),
         s=float(s),
         residual_norm=rnorm,
         sigma_min=smin,
-        crossings=count_crossings(u),
-        critical=critical_point_list(u),
+        crossings=count_crossings(u, du=du),
+        critical=critical_point_list(u, du=du),
     )
 
 
@@ -628,8 +653,9 @@ def continue_branch(
     Each accepted point is Newton-converged for the bordered system
     {F(c, lambda) = 0, <x - x_prev, tau>_metric = ds} and carries the full
     diagnostic set.  Terminates on step budget, lambda leaving
-    (lambda_floor, lambda_ceiling), amplitude cap, or (optionally) a few
-    steps after a fold is bracketed.
+    (lambda_floor, lambda_ceiling), amplitude cap, a return to the trivial
+    solution u = 1 (that state is not appended), or (optionally) a few steps
+    after a fold is bracketed.
     """
     settings = settings or ContinuationSettings()
     disc = discretization(spec)
@@ -668,6 +694,10 @@ def continue_branch(
             raise NumericalBreakdownError(
                 f"quadrature convergence check failed (gap={gap:.2e}); increase M"
             )
+        if _is_constant(c_new):
+            # the branch has come back to u = 1, where no count is defined
+            branch.termination = "trivial-branch"
+            return branch
         s_abs += ds
         point = _make_point(c_new, lam_new, direction * s_abs, spec)
         branch.points.append(point)
@@ -737,7 +767,8 @@ def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
     pts = branch.points
     j = _fold_index([p.lam for p in pts])
     if j is None:
-        raise NoFoldBracketError("no sign change in the discrete dlambda/ds sequence")
+        why = " (the branch returned to u = 1)" if branch.termination == "trivial-branch" else ""
+        raise NoFoldBracketError(f"no sign change in the discrete dlambda/ds sequence{why}")
     # the secant across the extremum orients every tangent forward
     sec_c = pts[j + 1].u.coeffs - pts[j - 1].u.coeffs
     sec_lam = pts[j + 1].lam - pts[j - 1].lam

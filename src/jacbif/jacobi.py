@@ -2,8 +2,9 @@
 
 The three-term recurrence is written once, as the multiplication-by-t
 operator (jacobi_operator, in any scalar type); the basis tables, the Gauss
-rules and the P_k^2 expansion of ``linearization`` all run from it.  Exact
-monomial coefficients are built independently from the differential operator
+rules, the Clenshaw series sums and the P_k^2 expansion of ``linearization``
+all run from it.  Exact monomial coefficients are built independently from
+the differential operator
 L(y) = (1-t^2) y'' + (beta - alpha - (alpha+beta+2) t) y', whose
 degree-k eigenpolynomial (eigenvalue -k(k+alpha+beta+1)) is pinned to the
 normalization P_k(1) = (alpha+1)_k / k!.  The two routes cross-check each
@@ -31,6 +32,7 @@ __all__ = [
     "QuadratureRule",
     "jacobi_operator",
     "jacobi_table",
+    "jacobi_series",
     "eval_jacobi",
     "eval_jacobi_deriv",
     "endpoint_value",
@@ -145,6 +147,40 @@ def jacobi_table(params: JacobiParams, kmax: int, t) -> np.ndarray:
         out[:, n + 1] = ((t - mid[n]) * out[:, n] - down[n] * prev) / up[n]
         prev = out[:, n]
     return out
+
+
+@lru_cache(maxsize=None)
+def _clenshaw_scalars(params: JacobiParams, n: int) -> tuple[tuple, tuple, tuple]:
+    """mid_j, up_j and down_{j+1} / up_{j+1} (0 past the end) for j < n, as
+    Python floats, so the Clenshaw loop indexes no arrays."""
+    up, mid, down = jacobi_operator(n, params.alpha, params.beta)
+    ratio = np.append(down[1:] / up[1:], 0.0)
+    return tuple(mid.tolist()), tuple(up.tolist()), tuple(ratio[:n].tolist())
+
+
+def jacobi_series(params: JacobiParams, coeffs, t):
+    """sum_i coeffs_i P_i at the points t, by Clenshaw's backward recurrence.
+
+    With P_{j+1} = ((t - mid_j) P_j - down_j P_{j-1}) / up_j from
+    jacobi_operator, b_j = c_j + (t - mid_j) b_{j+1} / up_j
+    - (down_{j+1} / up_{j+1}) b_{j+2} runs down from b_{n+1} = b_{n+2} = 0,
+    and the sum is b_0 since P_0 = 1 and down_0 = 0.  No (len(t), n) table is
+    built.  A scalar t gives a float.
+    """
+    cs = np.asarray(coeffs, dtype=float).tolist()
+    if not cs:
+        raise ParameterError("a series needs at least one coefficient")
+    n = len(cs) - 1
+    mid, up, ratio = _clenshaw_scalars(params, n)
+    if np.ndim(t) == 0:
+        x = float(t)
+        b1, b2 = cs[n], 0.0
+    else:
+        x = np.asarray(t, dtype=float)
+        b1, b2 = np.full(x.shape, cs[n]), np.zeros(x.shape)
+    for j in range(n - 1, -1, -1):
+        b1, b2 = cs[j] + (x - mid[j]) * b1 / up[j] - ratio[j] * b2, b1
+    return b1
 
 
 def eval_jacobi(k: int, params: JacobiParams, t):

@@ -242,6 +242,30 @@ def test_roots_match_zeros_oracle(alpha, beta, k):
     assert np.allclose(critical, expected, rtol=0, atol=1e-12)
 
 
+# rational exponents in (-1, -1/2], a share of them within 1/1000 of -1
+NEAR_MINUS_ONE = st.one_of(
+    st.fractions(min_value=F(-999, 1000), max_value=F(-1, 2), max_denominator=1000),
+    st.integers(1000, 10**6).map(lambda n: F(1, n) - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=NEAR_MINUS_ONE,
+    beta=NEAR_MINUS_ONE,
+    k=st.integers(1, 20),
+    n=st.sampled_from([32, 64, 128, 256]),
+    amp=st.floats(1e-3, 1.0),
+)
+def test_crossings_match_zeros_up_to_degree_20(alpha, beta, k, n, amp):
+    # the 32-section polish of the Clenshaw sign scan, at up to N = 256 modes
+    params = jacobi_params(alpha, beta)
+    c = np.zeros(n)
+    c[0], c[k] = 1.0, amp
+    roots = crossing_points(SpectralFunction(c, params))
+    assert np.allclose(roots, jacobi_zeros(k, params), rtol=0, atol=1e-12)
+
+
 class TestBranchSwitch:
     def test_first_point_monotone_case(self):
         bp = branch_switch(1, P10, 1e-3, +1)
@@ -365,6 +389,17 @@ class TestFolds:
         jv = disc.jacobian(rec.point.u.coeffs, rec.lambda_star) @ rec.null_direction.coeffs
         assert disc.w_norm(jv) < 1e-9
         assert rec.null_direction.w_norm() == pytest.approx(1.0, rel=1e-10)
+
+    def test_branch_back_to_trivial_solution(self):
+        # this k = 4 branch returns to u = 1, where no count is defined; that
+        # is a numerical outcome, not a bad parameter
+        spec = ProblemSpec(jacobi_params(F(3, 10), F(-7, 10)), 1.5, N=64)
+        start = branch_switch(4, spec, 1e-3, +1)
+        branch = continue_branch(start, spec, ContinuationSettings(stop_on_fold=True, max_steps=3000))
+        assert branch.termination == "trivial-branch"
+        assert all(p.crossings == 4 for p in branch.points)
+        with pytest.raises(NoFoldBracketError, match="returned to u = 1"):
+            find_degenerate(4, spec)
 
     def test_parity_violation(self):
         with pytest.raises(ParameterError):

@@ -15,6 +15,7 @@ from jacbif import (
     exact_poly,
     gauss_jacobi_rule,
     jacobi_params,
+    jacobi_series,
     jacobi_table,
     jacobi_zeros,
     weighted_norm_sq,
@@ -114,6 +115,63 @@ class TestEvaluation:
             assert eval_jacobi_deriv(7, params, t) == pytest.approx(
                 float(dp(F(t).limit_denominator(10**6))), rel=1e-12
             )
+
+
+class TestSeries:
+    """jacobi_series (Clenshaw) against the table product, mpmath and edge cases."""
+
+    PAIRS = [*(p.scalars for p in PARAM_GRID), (F(-9, 10), F(-19, 20)), (F(-999, 1000), F(-9, 10))]
+    PTS = np.concatenate(([-1.0, 1.0], np.cos(np.linspace(0.0, np.pi, 301))))
+
+    @pytest.mark.parametrize("n", [1, 16, 64, 256])
+    @pytest.mark.parametrize("ab", PAIRS, ids=str)
+    def test_matches_table_product(self, ab, n):
+        params = jacobi_params(*ab)
+        c = np.random.default_rng(n).standard_normal(n) * 0.95 ** np.arange(n)
+        table = jacobi_table(params, n - 1, self.PTS)
+        # relative to sum_i |c_i P_i(t)|, the size of the terms being summed
+        scale = np.abs(table) @ np.abs(c)
+        err = np.abs(jacobi_series(params, c, self.PTS) - table @ c)
+        assert np.all(err <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("ab", ORACLE_PAIRS, ids=str)
+    def test_matches_mpmath_at_degree_255(self, ab):
+        degrees = [0, 1, 5, 64, 200, 255]
+        c = np.zeros(256)
+        c[degrees] = [0.5, -1.0, 0.25, 1e-3, -2e-3, 1.5]
+        pts = [-1.0, -0.9999, -0.6, -0.25, 0.0, 0.3, 0.75, 0.9999, 1.0]
+        vals = jacobi_series(jacobi_params(*ab), c, pts)
+        with mp.workdps(30):
+            al, be = (mp.mpf(x.numerator) / x.denominator for x in ab)
+            for t, val in zip(pts, vals):
+                terms = [c[n] * mp.jacobi(n, al, be, mp.mpf(t), zeroprec=60) for n in degrees]
+                ref, scale = float(sum(terms)), float(sum(abs(x) for x in terms))
+                assert abs(val - ref) <= 1e-12 * max(1.0, scale), t
+
+    def test_scalar_point_gives_float(self):
+        params = jacobi_params(F(3, 2), F(1, 2))
+        c = [0.5, -0.25, 0.125, 2.0]
+        val = jacobi_series(params, c, 0.3)
+        assert isinstance(val, float)
+        assert val == pytest.approx(float(jacobi_table(params, 3, 0.3)[0] @ c), rel=1e-14)
+
+    @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+    def test_endpoints(self, params):
+        # sum_i c_i P_i(+-1) from the closed-form endpoint values
+        c = np.array([1.0, -0.5, 0.25, -0.125, 0.0625])
+        for side in (-1, 1):
+            ref = sum(ci * float(endpoint_value(i, params, side)) for i, ci in enumerate(c))
+            assert jacobi_series(params, c, float(side)) == pytest.approx(ref, rel=1e-14)
+
+    def test_single_coefficient_is_constant(self):
+        params = jacobi_params(1, 0)
+        assert jacobi_series(params, [2.5], -1.0) == 2.5
+        vals = jacobi_series(params, np.array([2.5]), np.zeros((2, 3)))
+        assert vals.shape == (2, 3) and np.all(vals == 2.5)
+
+    def test_no_coefficients_rejected(self):
+        with pytest.raises(ParameterError):
+            jacobi_series(jacobi_params(1, 0), [], 0.0)
 
 
 class TestEndpoints:

@@ -28,14 +28,21 @@ def test_tracer_installs_records_and_restores(spans):
     spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=16)
     c = np.zeros(spec.N)
     c[0], c[2] = 1.0, 0.01
+    continuation.discretization.cache_clear()  # so the traced call builds its tables
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert continuation.count_crossings(SpectralFunction(c, spec.params)) == 2
+        continuation.discretization(spec)
     finally:
         tracer.uninstall()
     names = {rec[0] for rec in tracer.spans}
-    assert {"continuation.count_crossings", "jacobi.jacobi_table.vector"} <= names
+    assert "continuation.count_crossings" in names
+    # the basis tables of a discretization are the traced jacobi_table calls
+    parents = {
+        tracer.spans[rec[3]][0] for rec in tracer.spans if rec[0] == "jacobi.jacobi_table.vector"
+    }
+    assert "continuation.discretization" in parents
     for home, attr, name in spans.FUNCTIONS:
         assert getattr(home, attr) is functions[name], name
     for cls, attr in spans.METHODS:
