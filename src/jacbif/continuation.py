@@ -354,11 +354,15 @@ def lambda_prime_zero(k: int, spec: ProblemSpec) -> float:
 # crossing / critical-point counting
 
 
+@lru_cache(maxsize=None)
 def _scan_grid(n_modes: int) -> np.ndarray:
+    """The 8N+2 scan points: +-1 and 8N Chebyshev points between (read-only)."""
     m = 8 * n_modes
     i = np.arange(m, dtype=float)
     interior = -np.cos(np.pi * (i + 0.5) / m)
-    return np.concatenate(([-1.0], interior, [1.0]))
+    grid = np.concatenate(([-1.0], interior, [1.0]))
+    grid.setflags(write=False)
+    return grid
 
 
 def _is_constant(c: np.ndarray) -> bool:

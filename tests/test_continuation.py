@@ -266,6 +266,36 @@ def test_crossings_match_zeros_up_to_degree_20(alpha, beta, k, n, amp):
     assert np.allclose(roots, jacobi_zeros(k, params), rtol=0, atol=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=NEAR_MINUS_ONE,
+    beta=EXPONENTS,
+    q=st.floats(1.05, 5.0).filter(lambda q: q != int(q)),
+    lam=st.floats(0.1, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(alpha=F(1, 10**6) - 1, beta=F(1, 10**6) - 1, q=1.05, lam=20.0, seed=0)
+def test_jacobian_matches_central_differences(alpha, beta, q, lam, seed):
+    spec = ProblemSpec(jacobi_params(alpha, beta), q, N=16)
+    disc = discretization(spec)
+    rng = np.random.default_rng(seed)
+    decay = (1.0 + np.arange(spec.N)) ** 3
+    c = 0.3 * rng.standard_normal(spec.N) / decay
+    c[0] = 1.0
+    c[0] += max(0.0, 0.5 - np.min(disc.values(c)))  # u >= 0.5 at the nodes
+    v = rng.standard_normal(spec.N) / decay
+    v /= disc.w_norm(v)
+    # h_0 ~ 1/(alpha+1) weighs the roundoff of c_0 up near -1: over 300 such
+    # draws the error reached 1.0e-7 of ||J v|| at steps 1e-4 (truncation),
+    # 7.1e-8 at 1e-5 and 4.4e-7 at 1e-6 (roundoff)
+    eps = 1e-5
+    fd = (disc.residual_coeffs(c + eps * v, lam) - disc.residual_coeffs(c - eps * v, lam)) / (
+        2.0 * eps
+    )
+    jv = disc.jacobian(c, lam) @ v
+    assert disc.w_norm(fd - jv) <= 1e-6 * (1.0 + disc.w_norm(jv))
+
+
 class TestBranchSwitch:
     def test_first_point_monotone_case(self):
         bp = branch_switch(1, P10, 1e-3, +1)

@@ -2,10 +2,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from scipy.special import roots_jacobi
 
 from jacbif import (
+    NumericalBreakdownError,
     ParameterError,
     apply_L,
     endpoint_value,
@@ -20,7 +23,12 @@ from jacbif import (
     jacobi_zeros,
     weighted_norm_sq,
 )
+from jacbif import jacobi
+from jacbif.continuation import _scan_grid
 from jacbif.jacobi import (
+    _BANDED_MAX_POINTS,
+    _series_banded,
+    _series_loop,
     derivative_series,
     integrate_relative,
     norm_sq_closed_form,
@@ -108,6 +116,35 @@ class TestEvaluation:
                     ref = float(mp.jacobi(n, al, be, mp.mpf(t), zeroprec=60))
                     assert abs(table[i, n] - ref) <= 1e-12 * max(1.0, abs(ref)), (n, t)
 
+    @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+    def test_table_equals_column_wise_build(self, params):
+        # the recurrence on contiguous vectors runs the same arithmetic as
+        # filling the (len(t), kmax+1) table in place, column by column
+        kmax, t = 255, _scan_grid(256)
+        up, mid, down = jacobi.jacobi_operator(kmax, params.alpha, params.beta)
+        ref = np.empty((t.size, kmax + 1))
+        ref[:, 0] = 1.0
+        prev = np.zeros(t.size)
+        for n in range(kmax):
+            ref[:, n + 1] = ((t - mid[n]) * ref[:, n] - down[n] * prev) / up[n]
+            prev = ref[:, n]
+        table = jacobi_table(params, kmax, t)
+        assert table.flags.c_contiguous
+        assert np.array_equal(table, ref)
+
+    def test_evaluators_keep_the_shape_of_t(self):
+        params = jacobi_params(F(3, 2), F(1, 2))
+        t = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        assert jacobi_table(params, 2, t).shape == (6, 3)
+        for k in (0, 2):
+            vals = eval_jacobi(k, params, t)
+            assert vals.shape == (2, 3)
+            assert vals.ravel().tolist() == [eval_jacobi(k, params, x) for x in t.ravel()]
+            dvals = eval_jacobi_deriv(k, params, t)
+            assert dvals.shape == (2, 3)
+            assert dvals.ravel().tolist() == [eval_jacobi_deriv(k, params, x) for x in t.ravel()]
+        assert isinstance(eval_jacobi_deriv(0, params, 0.5), float)
+
     def test_derivative_matches_exact_derivative(self):
         params = jacobi_params(F(3, 2), F(1, 2))
         dp = exact_coeffs(7, params).deriv()
@@ -118,21 +155,43 @@ class TestEvaluation:
 
 
 class TestSeries:
-    """jacobi_series (Clenshaw) against the table product, mpmath and edge cases."""
+    """jacobi_series (Clenshaw) against the table product, mpmath and edge
+    cases, on both sides of _BANDED_MAX_POINTS: the banded solve below it,
+    the loop over degrees from it on."""
 
     PAIRS = [*(p.scalars for p in PARAM_GRID), (F(-9, 10), F(-19, 20)), (F(-999, 1000), F(-9, 10))]
     PTS = np.concatenate(([-1.0, 1.0], np.cos(np.linspace(0.0, np.pi, 301))))
 
+    @staticmethod
+    def points(count, n):
+        # "scan" is the 8N+2 scan grid of continuation: banded for N = 1 and
+        # 16, looped for N = 64 and 256
+        if count == "scan":
+            return _scan_grid(n)
+        return np.cos(np.linspace(0.0, np.pi, count))
+
+    def test_dispatch_constant_splits_the_point_counts(self):
+        assert 93 < _BANDED_MAX_POINTS <= 8 * 64 + 2
+
+    @staticmethod
+    def check_table_product(params, n, pts):
+        c = np.random.default_rng(n).standard_normal(n) * 0.95 ** np.arange(n)
+        table = jacobi_table(params, n - 1, pts)
+        # relative to sum_i |c_i P_i(t)|, the size of the terms being summed
+        scale = np.abs(table) @ np.abs(c)
+        err = np.abs(jacobi_series(params, c, pts) - table @ c)
+        assert np.all(err <= 1e-13 * scale)
+
     @pytest.mark.parametrize("n", [1, 16, 64, 256])
     @pytest.mark.parametrize("ab", PAIRS, ids=str)
     def test_matches_table_product(self, ab, n):
-        params = jacobi_params(*ab)
-        c = np.random.default_rng(n).standard_normal(n) * 0.95 ** np.arange(n)
-        table = jacobi_table(params, n - 1, self.PTS)
-        # relative to sum_i |c_i P_i(t)|, the size of the terms being summed
-        scale = np.abs(table) @ np.abs(c)
-        err = np.abs(jacobi_series(params, c, self.PTS) - table @ c)
-        assert np.all(err <= 1e-13 * scale)
+        self.check_table_product(jacobi_params(*ab), n, self.PTS)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 31, 93, "scan"], ids=str)
+    @pytest.mark.parametrize("n", [1, 16, 64, 256])
+    @pytest.mark.parametrize("ab", PAIRS, ids=str)
+    def test_matches_table_product_at_point_counts(self, ab, n, count):
+        self.check_table_product(jacobi_params(*ab), n, self.points(count, n))
 
     @pytest.mark.parametrize("ab", ORACLE_PAIRS, ids=str)
     def test_matches_mpmath_at_degree_255(self, ab):
@@ -140,13 +199,16 @@ class TestSeries:
         c = np.zeros(256)
         c[degrees] = [0.5, -1.0, 0.25, 1e-3, -2e-3, 1.5]
         pts = [-1.0, -0.9999, -0.6, -0.25, 0.0, 0.3, 0.75, 0.9999, 1.0]
-        vals = jacobi_series(jacobi_params(*ab), c, pts)
+        params = jacobi_params(*ab)
+        banded = _series_banded(params, c, np.array(pts))
+        looped = _series_loop(params, c, np.array(pts))
         with mp.workdps(30):
             al, be = (mp.mpf(x.numerator) / x.denominator for x in ab)
-            for t, val in zip(pts, vals):
+            for t, vals in zip(pts, zip(banded, looped)):
                 terms = [c[n] * mp.jacobi(n, al, be, mp.mpf(t), zeroprec=60) for n in degrees]
                 ref, scale = float(sum(terms)), float(sum(abs(x) for x in terms))
-                assert abs(val - ref) <= 1e-12 * max(1.0, scale), t
+                for val in vals:
+                    assert abs(val - ref) <= 1e-12 * max(1.0, scale), t
 
     def test_scalar_point_gives_float(self):
         params = jacobi_params(F(3, 2), F(1, 2))
@@ -166,12 +228,75 @@ class TestSeries:
     def test_single_coefficient_is_constant(self):
         params = jacobi_params(1, 0)
         assert jacobi_series(params, [2.5], -1.0) == 2.5
-        vals = jacobi_series(params, np.array([2.5]), np.zeros((2, 3)))
-        assert vals.shape == (2, 3) and np.all(vals == 2.5)
+        for shape in [(2, 3), (2, 250)]:  # banded, looped
+            vals = jacobi_series(params, np.array([2.5]), np.zeros(shape))
+            assert vals.shape == shape and np.all(vals == 2.5)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_banded_split_leaves_each_point_alone(self, n):
+        # _BAND_UNKNOWNS splits 93 points into several solves at N = 256
+        params = jacobi_params(F(-999, 1000), F(-9, 10))
+        c = np.random.default_rng(n).standard_normal(n)
+        pts = self.points(93, n)
+        one_by_one = [_series_banded(params, c, pts[i : i + 1])[0] for i in range(pts.size)]
+        assert np.array_equal(_series_banded(params, c, pts), one_by_one)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_points_keep_their_shape(self, shape):
+        # critical_point_list sums u at its roots, and there may be none
+        vals = jacobi_series(jacobi_params(1, 0), [1.0, 2.0, 3.0], np.zeros(shape))
+        assert isinstance(vals, np.ndarray) and vals.shape == shape
+
+    @pytest.mark.parametrize("count", [1, 2, 500])
+    def test_coefficients_left_unchanged(self, count):
+        # the banded solve overwrites its right-hand side in place, so that
+        # must never be a view of the caller's coefficients
+        c = np.array([1.0, -0.5, 0.25, 0.125])
+        jacobi_series(jacobi_params(1, 0), c, np.linspace(-1.0, 1.0, count))
+        assert c.tolist() == [1.0, -0.5, 0.25, 0.125]
 
     def test_no_coefficients_rejected(self):
         with pytest.raises(ParameterError):
             jacobi_series(jacobi_params(1, 0), [], 0.0)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "dtbtrs", lambda ab, b, **kw: (b, -2))
+        with pytest.raises(NumericalBreakdownError, match="info=-2"):
+            jacobi_series(jacobi_params(1, 0), [1.0, 2.0], [0.5])
+
+
+# rational exponents in (-1, 3], a share of them within 1/1000 of -1
+EXPONENTS = st.one_of(
+    st.fractions(min_value=F(-999, 1000), max_value=3, max_denominator=1000),
+    st.integers(1000, 10**6).map(lambda n: F(1, n) - 1),
+)
+
+
+def _series_gap(alpha, beta, n, seed, pts=None):
+    """|banded - looped| / sum_i |c_i P_i| at 40 random points in (-1, 1), or
+    at ``pts``, for random coefficients with a random geometric decay."""
+    params = jacobi_params(alpha, beta)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n) * rng.uniform(0.5, 1.0) ** np.arange(n)
+    pts = rng.uniform(-1.0, 1.0, 40) if pts is None else np.asarray(pts)
+    scale = np.abs(jacobi_table(params, n - 1, pts)) @ np.abs(c)
+    return np.abs(_series_banded(params, c, pts) - _series_loop(params, c, pts)) / scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=EXPONENTS, beta=EXPONENTS, n=st.integers(8, 256), seed=st.integers(0, 2**32 - 1))
+def test_banded_and_looped_series_agree(alpha, beta, n, seed):
+    assert np.all(_series_gap(alpha, beta, n, seed) <= 1e-14)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at t = +-1 with exponents near -1, P_i(+-1) ~ (alpha+1)/i is far smaller than "
+    "Clenshaw's partial sums, so both paths lose digits against sum |c_i P_i(+-1)| "
+    "(here 1.8e-14 apart; 8.5e-14 at worst over 1500 draws)",
+)
+def test_banded_and_looped_series_agree_at_endpoints():
+    assert np.all(_series_gap(F(-999, 1000), F(-999, 1000), 72, 35084152, [-1.0, 1.0]) <= 1e-14)
 
 
 class TestEndpoints:
