@@ -42,6 +42,7 @@ from .errors import (
 from .geometry import SphereContext, supercritical_threshold
 from .jacobi import (
     JacobiParams,
+    chebyshev_series,
     derivative_series,
     gauss_jacobi_rule,
     jacobi_series,
@@ -365,6 +366,17 @@ def _scan_grid(n_modes: int) -> np.ndarray:
     return grid
 
 
+_ENDS = np.array([-1.0, 1.0])
+_ENDS.setflags(write=False)
+
+
+def _scan_values(params: JacobiParams, coeffs: np.ndarray, n_modes: int) -> np.ndarray:
+    """f = sum_i coeffs_i P_i on _scan_grid(n_modes): the closed form at +-1
+    and one FFT at the 8N Chebyshev points between (chebyshev_series)."""
+    ends = jacobi_series(params, coeffs, _ENDS)
+    return np.concatenate((ends[:1], chebyshev_series(params, coeffs, 8 * n_modes), ends[1:]))
+
+
 def _is_constant(c: np.ndarray) -> bool:
     """True when the coefficients past c_0 vanish to roundoff."""
     tail = float(np.max(np.abs(c[1:]))) if c.size > 1 else 0.0
@@ -435,40 +447,34 @@ def _series_roots(
     return roots.tolist()
 
 
-def crossing_points(u: SpectralFunction, *, du: np.ndarray | None = None) -> list[float]:
+def crossing_points(u: SpectralFunction) -> list[float]:
     """Roots of u(t) = 1 in (-1, 1), in increasing order: sign scan on a
     Chebyshev-distributed grid of 8N points, joint 32-section of the
     brackets, and the transversality check |u'(root)| > TRANSVERSALITY_REL *
-    ||u'||_inf (see _series_roots).  ``du`` is u' on that grid, if the caller
-    has evaluated it already."""
+    ||u'||_inf (see _series_roots)."""
     _nonconstant_or_raise(u)
-    grid = _scan_grid(u.coeffs.size)
-    if du is None:
-        du = u.derivative_values(grid)
+    n = u.coeffs.size
     # P_0 = 1: subtract 1 from c_0, not from the sum, so a small u - 1 keeps
     # its relative accuracy
     f = u.coeffs.copy()
     f[0] -= 1.0
-    return _series_roots(u.params, f, grid, jacobi_series(u.params, f, grid), du, "crossing")
+    du = _scan_values(*derivative_series(u.params, u.coeffs), n)
+    return _series_roots(u.params, f, _scan_grid(n), _scan_values(u.params, f, n), du, "crossing")
 
 
-def count_crossings(u: SpectralFunction, *, du: np.ndarray | None = None) -> int:
-    return len(crossing_points(u, du=du))
+def count_crossings(u: SpectralFunction) -> int:
+    return len(crossing_points(u))
 
 
-def critical_point_list(
-    u: SpectralFunction, *, du: np.ndarray | None = None
-) -> list[tuple[float, str]]:
+def critical_point_list(u: SpectralFunction) -> list[tuple[float, str]]:
     """Interior roots of u' with labels: 'min' where u < 1, 'max' where u > 1
-    (the only possibilities along solution branches).  ``du`` is u' on the
-    scan grid, as for crossing_points."""
+    (the only possibilities along solution branches)."""
     _nonconstant_or_raise(u)
-    grid = _scan_grid(u.coeffs.size)
-    if du is None:
-        du = u.derivative_values(grid)
+    n = u.coeffs.size
     sp, dc = derivative_series(u.params, u.coeffs)
-    ddu = jacobi_series(*derivative_series(sp, dc), grid)
-    roots = _series_roots(sp, dc, grid, du, ddu, "critical point")
+    du = _scan_values(sp, dc, n)
+    ddu = _scan_values(*derivative_series(sp, dc), n)
+    roots = _series_roots(sp, dc, _scan_grid(n), du, ddu, "critical point")
     below = u(np.array(roots)) < 1.0
     return [(r, "min" if b else "max") for r, b in zip(roots, below)]
 
@@ -487,43 +493,36 @@ def endpoint_label(u: SpectralFunction, side: int) -> str:
 # branch construction
 
 
-def _make_point(
-    c: np.ndarray,
-    lam: float,
-    s: float,
-    spec: ProblemSpec,
-    smin: float | None = None,
-) -> BranchPoint:
-    """The point (c, lam) with its diagnostics; ``smin`` of J if already known."""
+def _sigma_min(jac: np.ndarray) -> float:
+    return float(np.linalg.svd(jac, compute_uv=False)[-1])
+
+
+def _make_point(c: np.ndarray, lam: float, s: float, spec: ProblemSpec, smin: float) -> BranchPoint:
+    """The point (c, lam) with its diagnostics; ``smin`` is sigma_min of J there."""
     disc = discretization(spec)
     u = SpectralFunction(c, spec.params)
-    rnorm = disc.w_norm(disc.residual_coeffs(c, lam))
-    if smin is None:
-        smin = float(np.linalg.svd(disc.jacobian(c, lam), compute_uv=False)[-1])
-    # u' on the scan grid serves both scans
-    du = u.derivative_values(_scan_grid(spec.N))
     return BranchPoint(
         u=u,
         lam=float(lam),
         s=float(s),
-        residual_norm=rnorm,
+        residual_norm=disc.w_norm(disc.residual_coeffs(c, lam)),
         sigma_min=smin,
-        crossings=count_crossings(u, du=du),
-        critical=critical_point_list(u, du=du),
+        crossings=count_crossings(u),
+        critical=critical_point_list(u),
     )
 
 
 def _bordered_matrix(
     disc: Discretization,
+    jac: np.ndarray,
     c: np.ndarray,
-    lam: float,
     border: np.ndarray,
     border_lam: float,
 ) -> np.ndarray:
-    """[[J, F_lambda], [border, border_lam]] at (c, lambda)."""
+    """[[J, F_lambda], [border, border_lam]] at (c, lambda), J = ``jac`` there."""
     n = c.size
     a_mat = np.empty((n + 1, n + 1))
-    a_mat[:n, :n] = disc.jacobian(c, lam)
+    a_mat[:n, :n] = jac
     a_mat[:n, n] = disc.dresidual_dlambda(c)
     a_mat[n, :n] = border
     a_mat[n, n] = border_lam
@@ -555,7 +554,7 @@ def _bordered_newton(
         converged = disc.w_norm(r) < NEWTON_TOL * (1.0 + disc.w_norm(c))
         if converged and abs(g) < NEWTON_TOL * (1.0 + abs(target)):
             return c, lam, it
-        a_mat = _bordered_matrix(disc, c, lam, border, border_lam)
+        a_mat = _bordered_matrix(disc, disc.jacobian(c, lam), c, border, border_lam)
         delta = np.linalg.solve(a_mat, np.append(-r, -g))
         c = c + delta[:n]
         lam = lam + delta[n]
@@ -608,7 +607,7 @@ def branch_switch(
         raise ParameterError(f"k={k} must lie in [1, N/2] = [1, {spec.N // 2}]")
     sigma = direction * s0
     c, lam = solve_at_phase(k, spec, sigma)
-    bp = _make_point(c, lam, sigma, spec)
+    bp = _make_point(c, lam, sigma, spec, _sigma_min(jacobian(c, lam, spec)))
     if bp.crossings != k:
         raise StructureViolationError(
             f"first branch point has {bp.crossings} crossings, expected {k}; "
@@ -619,18 +618,18 @@ def branch_switch(
 
 def _tangent(
     disc: Discretization,
+    jac: np.ndarray,
     c: np.ndarray,
-    lam: float,
     guess_c: np.ndarray,
     guess_lam: float,
 ) -> tuple[np.ndarray, float]:
-    """Unit tangent of the solution curve at (c, lambda), oriented along the
-    guess direction; computed from a bordered solve so it stays well-defined
-    at folds."""
+    """Unit tangent of the solution curve at (c, lambda), where J = ``jac``,
+    oriented along the guess direction; computed from a bordered solve so it
+    stays well-defined at folds."""
     n = c.size
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    sol = np.linalg.solve(_bordered_matrix(disc, c, lam, disc.h * guess_c, guess_lam), rhs)
+    sol = np.linalg.solve(_bordered_matrix(disc, jac, c, disc.h * guess_c, guess_lam), rhs)
     tc, tl = sol[:n], sol[n]
     nrm = math.sqrt(float(disc.h @ (tc * tc)) + tl * tl)
     tc, tl = tc / nrm, tl / nrm
@@ -674,7 +673,7 @@ def continue_branch(
     guess_c = np.zeros(n)
     guess_c[k] = direction / sqh
     guess_lam = direction * lambda_prime_zero(k, spec) / sqh
-    tau_c, tau_lam = _tangent(disc, c, lam, guess_c, guess_lam)
+    tau_c, tau_lam = _tangent(disc, disc.jacobian(c, lam), c, guess_c, guess_lam)
 
     s_abs = abs(start.s)
     ds = min(max(settings.ds0, settings.ds_min), settings.ds_max)
@@ -703,10 +702,12 @@ def continue_branch(
             branch.termination = "trivial-branch"
             return branch
         s_abs += ds
-        point = _make_point(c_new, lam_new, direction * s_abs, spec)
+        # one Jacobian serves sigma_min and the next tangent
+        jac = disc.jacobian(c_new, lam_new)
+        point = _make_point(c_new, lam_new, direction * s_abs, spec, _sigma_min(jac))
         branch.points.append(point)
         c, lam = c_new, lam_new
-        tau_c, tau_lam = _tangent(disc, c, lam, tau_c, tau_lam)
+        tau_c, tau_lam = _tangent(disc, jac, c, tau_c, tau_lam)
 
         if not (settings.lambda_floor < lam < settings.lambda_ceiling):
             branch.termination = "lambda-window"
@@ -776,7 +777,10 @@ def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
     # the secant across the extremum orients every tangent forward
     sec_c = pts[j + 1].u.coeffs - pts[j - 1].u.coeffs
     sec_lam = pts[j + 1].lam - pts[j - 1].lam
-    taus = [_tangent(disc, p.u.coeffs, p.lam, sec_c, sec_lam) for p in pts[j - 1 : j + 2]]
+    taus = [
+        _tangent(disc, disc.jacobian(p.u.coeffs, p.lam), p.u.coeffs, sec_c, sec_lam)
+        for p in pts[j - 1 : j + 2]
+    ]
     lo = 0 if taus[0][1] * taus[1][1] <= 0.0 else 1
     if taus[lo][1] * taus[lo + 1][1] > 0.0:
         raise NoFoldBracketError("the tangent's lambda component keeps its sign")
@@ -790,7 +794,8 @@ def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
     for _ in range(MAX_ITER):
         ds = b - fb * (b - a) / (fb - fa)
         c, lam, _ = _correct(disc, start.u.coeffs, start.lam, tau_c, tau_lam, ds)
-        v, f = _tangent(disc, c, lam, tau_c, tau_lam)
+        jac = disc.jacobian(c, lam)  # J at the last iterate serves the certificate
+        v, f = _tangent(disc, jac, c, tau_c, tau_lam)
         if f * fb < 0.0:
             a, fa = b, fb
         else:
@@ -801,7 +806,6 @@ def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
     else:
         raise NewtonDivergenceError(f"fold not located to {xtol:.1e} in arclength")
     v = v / disc.w_norm(v)
-    jac = disc.jacobian(c, lam)
     ms_res = math.sqrt(
         disc.w_norm(disc.residual_coeffs(c, lam)) ** 2
         + disc.w_norm(jac @ v) ** 2

@@ -2,9 +2,11 @@
 
 The three-term recurrence is written once, as the multiplication-by-t
 operator (jacobi_operator, in any scalar type); the basis tables, the Gauss
-rules, the Clenshaw series sums and the P_k^2 expansion of ``linearization``
-all run from it.  A series at a few points is summed by banded LAPACK solves
-of Clenshaw's recurrence, at many points by a loop over degrees.  Exact
+rules, the Clenshaw series sums, the Jacobi-to-Chebyshev connection matrices
+and the P_k^2 expansion of ``linearization`` all run from it.  A series is
+summed at given interior points by banded LAPACK solves of Clenshaw's
+recurrence, at t = +-1 from the closed-form endpoint values, and on a grid of
+first-kind Chebyshev points by one FFT of its Chebyshev coefficients.  Exact
 monomial coefficients are built independently from the differential operator
 L(y) = (1-t^2) y'' + (beta - alpha - (alpha+beta+2) t) y', whose
 degree-k eigenpolynomial (eigenvalue -k(k+alpha+beta+1)) is pinned to the
@@ -35,6 +37,8 @@ __all__ = [
     "jacobi_operator",
     "jacobi_table",
     "jacobi_series",
+    "chebyshev_connection",
+    "chebyshev_series",
     "eval_jacobi",
     "eval_jacobi_deriv",
     "endpoint_value",
@@ -159,11 +163,6 @@ def _shaped(vals: np.ndarray, t):
     return float(vals[0]) if np.ndim(t) == 0 else vals.reshape(np.shape(t))
 
 
-# Fewer points than this are summed by one banded solve, more by the loop over
-# degrees.  The banded cost grows with the point count and the loop's is nearly
-# flat, so they meet near 400 points at N = 64 and at N = 256; at the 2050-point
-# scan grid of N = 256 the loop takes 3.2 ms and the band 7.1 ms, in 12.6 MB.
-_BANDED_MAX_POINTS = 400
 # Unknowns per banded solve, so that a band (3 doubles per unknown) stays
 # below glibc's initial 128 KiB mmap threshold.  Freeing a larger block raises
 # that threshold, and the heap then keeps more memory resident: with one
@@ -173,28 +172,17 @@ _BAND_UNKNOWNS = 5000
 
 @lru_cache(maxsize=None)
 def _clenshaw_operator(params: JacobiParams, n: int) -> tuple[np.ndarray, ...]:
-    """mid_j, up_j and ratio_j = down_{j+1} / up_{j+1} (0 past the end) for
-    j < n, and the (n + 1, 3) band template of one point: row j holds the
-    coefficients of b_j in equations j - 2, j - 1 and j (ratio_{j-2}, a
-    placeholder 0 for the point's own entry, and 1), 0 where j < 2."""
+    """mid_j and up_j for j < n, and the (n + 1, 3) band template of one
+    point: row j holds the coefficients of b_j in equations j - 2, j - 1 and
+    j (ratio_{j-2} = down_{j-1} / up_{j-1}, a placeholder 0 for the point's
+    own entry, and 1), 0 where j < 2."""
     up, mid, down = jacobi_operator(n, params.alpha, params.beta)
-    ratio = np.append(down[1:] / up[1:], 0.0)[:n]
     band = np.zeros((n + 1, 3))
     band[:, 2] = 1.0
-    band[2:, 0] = ratio[: n - 1]
-    for a in (mid, up, ratio, band):
+    band[2:, 0] = down[1:] / up[1:]
+    for a in (mid, up, band):
         a.setflags(write=False)
-    return mid, up, ratio, band
-
-
-def _series_loop(params: JacobiParams, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Clenshaw's recurrence run down the degrees, vectorized over x."""
-    n = c.size - 1
-    mid, up, ratio, _ = _clenshaw_operator(params, n)
-    b1, b2 = np.full(x.shape, c[n]), np.zeros(x.shape)
-    for j in range(n - 1, -1, -1):
-        b1, b2 = c[j] + (x - mid[j]) * b1 / up[j] - ratio[j] * b2, b1
-    return b1
+    return mid, up, band
 
 
 def _series_banded(params: JacobiParams, c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -210,7 +198,7 @@ def _series_banded(params: JacobiParams, c: np.ndarray, x: np.ndarray) -> np.nda
     interact, so the split does not change the result.
     """
     n = c.size - 1
-    mid, up, _, template = _clenshaw_operator(params, n)
+    mid, up, template = _clenshaw_operator(params, n)
     step = max(1, _BAND_UNKNOWNS // (n + 1))
     out = np.empty(x.size)
     for lo in range(0, x.size, step):
@@ -229,26 +217,78 @@ def _series_banded(params: JacobiParams, c: np.ndarray, x: np.ndarray) -> np.nda
 
 
 def jacobi_series(params: JacobiParams, coeffs, t):
-    """sum_i coeffs_i P_i at the points t, by Clenshaw's backward recurrence.
+    """sum_i coeffs_i P_i at the points t.
 
-    With P_{j+1} = ((t - mid_j) P_j - down_j P_{j-1}) / up_j from
+    At t = +-1 the sum is coeffs @ (P_i(+-1)), from the closed-form endpoint
+    values (_endpoint_vector); the recurrences lose digits there when an
+    exponent is near -1.  Elsewhere it is Clenshaw's backward recurrence:
+    with P_{j+1} = ((t - mid_j) P_j - down_j P_{j-1}) / up_j from
     jacobi_operator, b_j = c_j + (t - mid_j) b_{j+1} / up_j
     - (down_{j+1} / up_{j+1}) b_{j+2} runs down from b_{n+1} = b_{n+2} = 0,
-    and the sum is b_0 since P_0 = 1 and down_0 = 0.  No (len(t), n) table is
-    built.  Fewer than _BANDED_MAX_POINTS points are summed together by
-    banded solves (_series_banded), more by a loop over degrees
-    (_series_loop); the two agree to roundoff.  The result has the shape of
-    t, and a scalar t gives a float.
+    and the sum is b_0 since P_0 = 1 and down_0 = 0.  All points are summed
+    together by banded solves (_series_banded), and no (len(t), n) table is
+    built.  The result has the shape of t, and a scalar t gives a float.
     """
     c = np.asarray(coeffs, dtype=float).ravel()
     if c.size == 0:
         raise ParameterError("a series needs at least one coefficient")
     t = np.asarray(t, dtype=float)
     x = t.ravel()
-    if x.size == 0:
-        return np.empty(t.shape)
-    sums = _series_banded if x.size < _BANDED_MAX_POINTS else _series_loop
-    return _shaped(sums(params, c, x), t)
+    inner = np.abs(x) != 1.0
+    vals = np.empty(x.size)
+    vals[inner] = _series_banded(params, c, x[inner])
+    for side in (-1, 1):
+        at = x == side
+        if at.any():
+            vals[at] = _endpoint_vector(params, c.size, side) @ c
+    return _shaped(vals, t)
+
+
+# The scans of one state use three connection matrices (u - 1, u' and u'' in
+# their own bases), 1.5 MB at N = 256.  Keeping only those bounds the memory
+# when one process traces several parameter sets: with an unbounded cache,
+# fold-n256 peak RSS read 118.4 to 121.4 MB over three runs against 118.1 to
+# 118.3 MB at the parent; with this bound, 118.1 to 118.2 MB.
+@lru_cache(maxsize=3)
+def chebyshev_connection(params: JacobiParams, n: int) -> np.ndarray:
+    """The (n, n) matrix C with sum_i c_i P_i = sum_k (C c)_k T_k for n
+    coefficients c (read-only): column i holds the Chebyshev coefficients of
+    P_i.  They come from the values of P_0 .. P_{n-1} (jacobi_table) at the n
+    first-kind Chebyshev points x_j = cos(pi (j + 1/2) / n), by the DCT-II
+    (C c)_k = (2 - [k = 0]) / n sum_j f(x_j) T_k(x_j), which is exact for
+    degree < n.  The DCT runs down the columns as one zero-padded real FFT of
+    length 2n: Re(e^{-i pi k / 2n} sum_j v_j e^{-2 pi i j k / 2n}).
+    """
+    if n < 1:
+        raise ParameterError("a connection matrix needs n >= 1")
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    spectrum = np.fft.rfft(jacobi_table(params, n - 1, np.cos(theta)), 2 * n, axis=0)[:n]
+    spectrum *= np.exp(-0.5j * np.pi * np.arange(n) / n)[:, None]
+    conn = spectrum.real * (2.0 / n)
+    conn[0] *= 0.5
+    conn.setflags(write=False)
+    return conn
+
+
+def chebyshev_series(params: JacobiParams, coeffs, m: int) -> np.ndarray:
+    """sum_i coeffs_i P_i at the m increasing points -cos(pi (j + 1/2) / m),
+    for at most m coefficients.
+
+    With a = C c (chebyshev_connection) and T_k(-cos theta) = (-1)^k
+    cos(k theta), the sums are the DCT-III
+    f_j = sum_k (-1)^k a_k cos(pi k (2 j + 1) / 2m), taken as one real
+    inverse FFT of length 2m of z_k = m (-1)^k a_k e^{i pi k / 2m}
+    (z_0 = 2m a_0), whose first m entries are f.
+    """
+    c = np.asarray(coeffs, dtype=float).ravel()
+    if not 0 < c.size <= m:
+        raise ParameterError(f"{c.size} coefficients cannot be summed at {m} Chebyshev points")
+    k = np.arange(c.size)
+    z = np.zeros(m + 1, dtype=complex)
+    z[: c.size] = (m * (chebyshev_connection(params, c.size) @ c)) * np.exp(0.5j * np.pi * k / m)
+    z[1 : c.size : 2] *= -1.0
+    z[0] *= 2.0
+    return np.fft.irfft(z, 2 * m)[:m]
 
 
 def eval_jacobi(k: int, params: JacobiParams, t):
@@ -268,21 +308,35 @@ def eval_jacobi_deriv(k: int, params: JacobiParams, t):
     return _shaped(factor * jacobi_table(shifted_params(params), k - 1, t)[:, k - 1], t)
 
 
-def endpoint_value(k: int, params: JacobiParams, side: int):
-    """Closed-form P_k(side) for side in {-1, +1}.
+def _endpoint_values(params: JacobiParams, n: int, side: int) -> list:
+    """P_0 .. P_{n-1} at side in {-1, +1}, by the running product
+    P_k(1) = (alpha+1)_k / k!  and  P_k(-1) = (-1)^k (beta+1)_k / k!,
+    as Fractions when exact parameters are available, else as floats."""
+    base = params.scalars[0 if side == 1 else 1]
+    vals = [type(base)(1)]
+    for j in range(1, n):
+        vals.append(vals[-1] * ((base + j) / j))
+    return vals if side == 1 else [-v if k % 2 else v for k, v in enumerate(vals)]
 
-    P_k(1) = (alpha+1)_k / k!  and  P_k(-1) = (-1)^k (beta+1)_k / k!.
+
+@lru_cache(maxsize=None)
+def _endpoint_vector(params: JacobiParams, n: int, side: int) -> np.ndarray:
+    """_endpoint_values as a read-only float vector."""
+    vec = np.array([float(v) for v in _endpoint_values(params, n, side)])
+    vec.setflags(write=False)
+    return vec
+
+
+def endpoint_value(k: int, params: JacobiParams, side: int):
+    """Closed-form P_k(side) for side in {-1, +1} (see _endpoint_values).
+
     Returns a Fraction when exact parameters are available, else a float.
     """
     if k < 0:
         raise ParameterError("negative degree")
     if side not in (-1, 1):
         raise ParameterError("side must be -1 or +1")
-    base = params.scalars[0 if side == 1 else 1]
-    val = type(base)(1)
-    for j in range(1, k + 1):
-        val *= (base + j) / j
-    return val if side == 1 else (-1) ** k * val
+    return _endpoint_values(params, k + 1, side)[k]
 
 
 # ---------------------------------------------------------------------------

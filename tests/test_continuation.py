@@ -32,9 +32,15 @@ from jacbif import (
     params_from_sphere,
     residual,
 )
-from jacbif import jacobi_params
-from jacbif.continuation import NEWTON_TOL, discretization, solve_at_phase
-from jacbif.jacobi import gauss_jacobi_rule, jacobi_table, shifted_params
+from jacbif import NumericalError, continuation, jacobi_params
+from jacbif.continuation import NEWTON_TOL, _scan_grid, discretization, solve_at_phase
+from jacbif.jacobi import (
+    _series_banded,
+    gauss_jacobi_rule,
+    jacobi_table,
+    norm_sq_closed_form,
+    shifted_params,
+)
 
 P10 = ProblemSpec(jacobi_params(1, 0), 2.0)
 PHALF = ProblemSpec(jacobi_params(F(1, 2), F(1, 2)), 3.0)
@@ -294,6 +300,64 @@ def test_jacobian_matches_central_differences(alpha, beta, q, lam, seed):
     )
     jv = disc.jacobian(c, lam) @ v
     assert disc.w_norm(fd - jv) <= 1e-6 * (1.0 + disc.w_norm(jv))
+
+
+SCAN_PAIRS = [(1, 0), (F(1, 2), F(1, 2)), (0, 0), (F(3, 2), F(1, 2)), (F(-1, 2), F(-1, 2))]
+SCAN_PAIRS += [(F(-999, 1000), F(-9, 10))]
+
+
+def _clenshaw_scan(params, coeffs, n_modes):
+    # the reference scan: Clenshaw's recurrence by banded solves at every
+    # point of the 8N+2 grid, +-1 included
+    return _series_banded(params, np.asarray(coeffs, dtype=float), _scan_grid(n_modes))
+
+
+def _diagnostics(u):
+    """Crossings, labelled critical points and both endpoint labels of u, or
+    the name of the error each one raises."""
+    out = []
+    for diag in (
+        crossing_points,
+        critical_point_list,
+        lambda v: endpoint_label(v, -1),
+        lambda v: endpoint_label(v, +1),
+    ):
+        try:
+            out.append(diag(u))
+        except (NumericalError, ParameterError) as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def _scan_states(params, rng):
+    """Random decaying states at N = 16, 64 and 256, and the projections of
+    1 + amp (t - t0)^3 and 1 + amp (t - t0)^4 at N = 16, whose crossings and
+    critical points touch."""
+    for n, count in ((16, 12), (64, 6), (256, 2)):
+        for _ in range(count):
+            c = 10 ** rng.uniform(-3, 0) * rng.standard_normal(n)
+            c *= rng.uniform(0.5, 0.95) ** np.arange(n)
+            c[0] += 1.0
+            yield SpectralFunction(c, params)
+    n = 16
+    rule = gauss_jacobi_rule(params, 2 * n)
+    proj = (jacobi_table(params, n - 1, rule.nodes) * rule.weights[:, None]).T
+    proj /= np.array([norm_sq_closed_form(i, params) for i in range(n)])[:, None]
+    for power in (3, 4):
+        for _ in range(5):
+            amp = 10 ** rng.uniform(-2, 0) * rng.choice([-1.0, 1.0])
+            vals = 1.0 + amp * (rule.nodes - rng.uniform(-0.9, 0.9)) ** power
+            yield SpectralFunction(proj @ vals, params)
+
+
+@pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
+def test_fft_scan_matches_clenshaw_scan(ab, monkeypatch):
+    # the FFT scan and a Clenshaw scan bracket the same roots, so counts,
+    # labels, error types and the polished roots agree exactly
+    states = list(_scan_states(jacobi_params(*ab), np.random.default_rng(2026)))
+    fft = [_diagnostics(u) for u in states]
+    monkeypatch.setattr(continuation, "_scan_values", _clenshaw_scan)
+    assert fft == [_diagnostics(u) for u in states]
 
 
 class TestBranchSwitch:

@@ -26,9 +26,9 @@ from jacbif import (
 from jacbif import jacobi
 from jacbif.continuation import _scan_grid
 from jacbif.jacobi import (
-    _BANDED_MAX_POINTS,
     _series_banded,
-    _series_loop,
+    chebyshev_connection,
+    chebyshev_series,
     derivative_series,
     integrate_relative,
     norm_sq_closed_form,
@@ -155,23 +155,28 @@ class TestEvaluation:
 
 
 class TestSeries:
-    """jacobi_series (Clenshaw) against the table product, mpmath and edge
-    cases, on both sides of _BANDED_MAX_POINTS: the banded solve below it,
-    the loop over degrees from it on."""
+    """jacobi_series (banded Clenshaw solves inside (-1, 1), the closed form
+    at +-1) against the table product, mpmath and edge cases."""
 
     PAIRS = [*(p.scalars for p in PARAM_GRID), (F(-9, 10), F(-19, 20)), (F(-999, 1000), F(-9, 10))]
     PTS = np.concatenate(([-1.0, 1.0], np.cos(np.linspace(0.0, np.pi, 301))))
 
     @staticmethod
     def points(count, n):
-        # "scan" is the 8N+2 scan grid of continuation: banded for N = 1 and
-        # 16, looped for N = 64 and 256
+        # "scan" is the 8N+2 scan grid of continuation
         if count == "scan":
             return _scan_grid(n)
         return np.cos(np.linspace(0.0, np.pi, count))
 
-    def test_dispatch_constant_splits_the_point_counts(self):
-        assert 93 < _BANDED_MAX_POINTS <= 8 * 64 + 2
+    @pytest.mark.parametrize("count", [93, 399, 400, 2050])
+    def test_banded_path_takes_every_point_count(self, count):
+        # no dispatch on the point count: inside (-1, 1) every sum is banded,
+        # on both sides of the 400 points where a loop over degrees once took over
+        params = jacobi_params(F(3, 2), F(1, 2))
+        pts = np.cos(np.linspace(0.0, np.pi, count + 2))[1:-1]
+        c = np.random.default_rng(count).standard_normal(64) * 0.95 ** np.arange(64)
+        assert np.array_equal(jacobi_series(params, c, pts), _series_banded(params, c, pts))
+        self.check_table_product(params, 64, pts)
 
     @staticmethod
     def check_table_product(params, n, pts):
@@ -200,11 +205,12 @@ class TestSeries:
         c[degrees] = [0.5, -1.0, 0.25, 1e-3, -2e-3, 1.5]
         pts = [-1.0, -0.9999, -0.6, -0.25, 0.0, 0.3, 0.75, 0.9999, 1.0]
         params = jacobi_params(*ab)
+        # the banded solve at every point, and jacobi_series (closed form at +-1)
         banded = _series_banded(params, c, np.array(pts))
-        looped = _series_loop(params, c, np.array(pts))
+        summed = jacobi_series(params, c, pts)
         with mp.workdps(30):
             al, be = (mp.mpf(x.numerator) / x.denominator for x in ab)
-            for t, vals in zip(pts, zip(banded, looped)):
+            for t, vals in zip(pts, zip(banded, summed)):
                 terms = [c[n] * mp.jacobi(n, al, be, mp.mpf(t), zeroprec=60) for n in degrees]
                 ref, scale = float(sum(terms)), float(sum(abs(x) for x in terms))
                 for val in vals:
@@ -228,7 +234,7 @@ class TestSeries:
     def test_single_coefficient_is_constant(self):
         params = jacobi_params(1, 0)
         assert jacobi_series(params, [2.5], -1.0) == 2.5
-        for shape in [(2, 3), (2, 250)]:  # banded, looped
+        for shape in [(2, 3), (2, 250)]:
             vals = jacobi_series(params, np.array([2.5]), np.zeros(shape))
             assert vals.shape == shape and np.all(vals == 2.5)
 
@@ -273,30 +279,129 @@ EXPONENTS = st.one_of(
 
 
 def _series_gap(alpha, beta, n, seed, pts=None):
-    """|banded - looped| / sum_i |c_i P_i| at 40 random points in (-1, 1), or
-    at ``pts``, for random coefficients with a random geometric decay."""
+    """|banded - table product| / sum_i |c_i P_i| at 40 random points in
+    (-1, 1), or at ``pts``, for random coefficients with a random geometric
+    decay."""
     params = jacobi_params(alpha, beta)
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(n) * rng.uniform(0.5, 1.0) ** np.arange(n)
     pts = rng.uniform(-1.0, 1.0, 40) if pts is None else np.asarray(pts)
-    scale = np.abs(jacobi_table(params, n - 1, pts)) @ np.abs(c)
-    return np.abs(_series_banded(params, c, pts) - _series_loop(params, c, pts)) / scale
+    table = jacobi_table(params, n - 1, pts)
+    return np.abs(_series_banded(params, c, pts) - table @ c) / (np.abs(table) @ np.abs(c))
 
 
 @settings(max_examples=60, deadline=None)
 @given(alpha=EXPONENTS, beta=EXPONENTS, n=st.integers(8, 256), seed=st.integers(0, 2**32 - 1))
-def test_banded_and_looped_series_agree(alpha, beta, n, seed):
+def test_banded_series_matches_table(alpha, beta, n, seed):
     assert np.all(_series_gap(alpha, beta, n, seed) <= 1e-14)
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="at t = +-1 with exponents near -1, P_i(+-1) ~ (alpha+1)/i is far smaller than "
-    "Clenshaw's partial sums, so both paths lose digits against sum |c_i P_i(+-1)| "
-    "(here 1.8e-14 apart; 8.5e-14 at worst over 1500 draws)",
+    "the recurrences' partial sums, so the banded sum and the table lose digits against "
+    "sum |c_i P_i(+-1)| (here 1.2e-12 apart); jacobi_series takes +-1 from the closed form",
 )
-def test_banded_and_looped_series_agree_at_endpoints():
-    assert np.all(_series_gap(F(-999, 1000), F(-999, 1000), 72, 35084152, [-1.0, 1.0]) <= 1e-14)
+def test_banded_series_matches_table_at_endpoints():
+    assert np.all(_series_gap(F(-999, 1000), F(-999, 1000), 72, 1417, [-1.0, 1.0]) <= 1e-14)
+
+
+# exponents within 1e-6 of -1, where the recurrences lose digits at +-1
+NEAR_ONE = [(-1 + 1e-6, -1 + 1e-6), (-1 + 1e-6, 0.5)]
+
+
+@pytest.mark.parametrize("ab", NEAR_ONE, ids=str)
+def test_endpoint_sums_match_mpmath(ab):
+    # the closed form P_i(+-1) = (+-1)^i (exponent + 1)_i / i! against the
+    # 50-digit hypergeometric mp.jacobi, on the same float exponents
+    params = jacobi_params(*ab)
+    c = np.random.default_rng(7).standard_normal(256) * 0.98 ** np.arange(256)
+    with mp.workdps(50):
+        al, be = mp.mpf(ab[0]), mp.mpf(ab[1])
+        for side in (-1, 1):
+            terms = [mp.mpf(ci) * mp.jacobi(i, al, be, side) for i, ci in enumerate(c)]
+            ref, scale = sum(terms), sum(abs(x) for x in terms)
+            assert abs(jacobi_series(params, c, float(side)) - ref) <= 1e-13 * scale, side
+
+
+class TestChebyshev:
+    """chebyshev_series (one FFT of the Chebyshev coefficients) against the
+    table product, the banded sum and mpmath."""
+
+    @staticmethod
+    def check_references(params, c, m):
+        # relative to max over the grid of sum_i |c_i P_i(t)|
+        pts = -np.cos(np.pi * (np.arange(m) + 0.5) / m)
+        table = jacobi_table(params, c.size - 1, pts)
+        scale = np.max(np.abs(table) @ np.abs(c))
+        vals = chebyshev_series(params, c, m)
+        assert np.max(np.abs(vals - table @ c)) <= 2e-12 * scale
+        assert np.max(np.abs(vals - _series_banded(params, c, pts))) <= 2e-12 * scale
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 256])
+    @pytest.mark.parametrize("ab", TestSeries.PAIRS, ids=str)
+    def test_matches_table_and_banded_on_the_scan_grid(self, ab, n):
+        # u - 1, u' and u'' as the scans sum them: shifts 0 to 2 of the
+        # parameters, n to n - 2 coefficients, at the 8n interior scan points
+        rng = np.random.default_rng(n)
+        for decay in (0.5, 0.75, 1.0):
+            params, c = jacobi_params(*ab), rng.standard_normal(n) * decay ** np.arange(n)
+            for _ in range(3):
+                self.check_references(params, c, 8 * n)
+                params, c = derivative_series(params, c)
+
+    @pytest.mark.parametrize("ab", ORACLE_PAIRS, ids=str)
+    def test_matches_mpmath_at_degree_255(self, ab):
+        degrees = [0, 1, 5, 64, 200, 255]
+        c = np.zeros(256)
+        c[degrees] = [0.5, -1.0, 0.25, 1e-3, -2e-3, 1.5]
+        m = 8 * 256
+        params = jacobi_params(*ab)
+        vals = chebyshev_series(params, c, m)
+        # the transform spreads its error over the grid, so the bound is
+        # relative to max over the grid of sum_i |c_i P_i(t)|
+        pts = -np.cos(np.pi * (np.arange(m) + 0.5) / m)
+        scale = np.max(np.abs(jacobi_table(params, 255, pts)) @ np.abs(c))
+        with mp.workdps(30):
+            al, be = (mp.mpf(x.numerator) / x.denominator for x in ab)
+            for j in [0, 1, 300, 1023, 1024, 1500, 2046, 2047]:
+                t = -mp.cos(mp.pi * (j + mp.mpf(1) / 2) / m)
+                ref = float(sum(c[n] * mp.jacobi(n, al, be, t) for n in degrees))
+                assert abs(vals[j] - ref) <= 2e-12 * scale, j
+
+    def test_connection_is_cached_and_read_only(self):
+        params = jacobi_params(F(3, 2), F(1, 2))
+        conn = chebyshev_connection(params, 16)
+        assert conn is chebyshev_connection(jacobi_params(F(3, 2), F(1, 2)), 16)
+        assert conn.shape == (16, 16) and not conn.flags.writeable
+        with pytest.raises(ValueError):
+            conn[0, 0] = 1.0
+        # column i holds the Chebyshev coefficients of P_i, of degree i
+        assert np.all(np.abs(np.tril(conn, -1)) <= 1e-13 * np.abs(conn).max())
+        assert np.allclose(conn[:2, 1], [(params.alpha - params.beta) / 2, (params.a + 1) / 2])
+
+    def test_too_many_coefficients_rejected(self):
+        with pytest.raises(ParameterError):
+            chebyshev_series(jacobi_params(1, 0), np.ones(9), 8)
+        with pytest.raises(ParameterError):
+            chebyshev_series(jacobi_params(1, 0), [], 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=EXPONENTS,
+    beta=EXPONENTS,
+    n=st.integers(8, 256),
+    shift=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chebyshev_series_matches_table(alpha, beta, n, shift, seed):
+    rng = np.random.default_rng(seed)
+    params, c = jacobi_params(alpha, beta), rng.standard_normal(n)
+    c *= rng.uniform(0.5, 1.0) ** np.arange(n)
+    for _ in range(shift):
+        params, c = derivative_series(params, c)
+    TestChebyshev.check_references(params, c, 8 * n)
 
 
 class TestEndpoints:
