@@ -82,6 +82,8 @@ def _params_from_args(args) -> tuple:
 
 
 def cmd_sphere(args) -> int:
+    if args.q is not None and not args.q > 1:
+        raise ParameterError(f"q={args.q} must be > 1")
     ctx = params_from_sphere(args.n, args.d, args.c, args.m_focal)
     al, be = ctx.params.exact
     lines = [f"alpha = {al}", f"beta = {be}"]

@@ -210,6 +210,10 @@ class ContinuationSettings:
     amplitude_cap: float = 1e3
     stop_on_fold: bool = False
 
+    def __post_init__(self):
+        if not 0.0 < self.ds_min <= self.ds_max:
+            raise ParameterError(f"need 0 < ds_min <= ds_max, got {self.ds_min} and {self.ds_max}")
+
 
 # ---------------------------------------------------------------------------
 # discretization
@@ -391,26 +395,22 @@ def _nonconstant_or_raise(u: SpectralFunction) -> None:
 _SECTIONS = 32  # a polish round splits each bracket into this many cells: 5 bits
 
 
-def _series_roots(
-    params: JacobiParams,
-    coeffs: np.ndarray,
-    grid: np.ndarray,
-    fvals: np.ndarray,
-    dvals: np.ndarray,
-    what: str,
-) -> list[float]:
+def _series_roots(params: JacobiParams, coeffs: np.ndarray, n_modes: int, what: str) -> list[float]:
     """Roots in (-1, 1) of f = sum_i coeffs_i P_i, in increasing order, from
-    the values ``fvals`` of f and ``dvals`` of f' on the scan grid.
+    a sign scan of f on _scan_grid(n_modes).
 
     A grid node where f is exactly 0 is a root; every grid cell where f
     changes sign brackets one.  All brackets are polished together by
     32-section: each round evaluates f once, at the 31 equispaced interior
     points of every open bracket, and keeps the first cell with a sign change.
     An exact zero collapses its bracket onto that point, and a bracket stops
-    at width 1e-14.  Each root must be transversal, |f'(root)| >
+    at width 1e-14.  Only when there are roots is f' formed (derivative_series)
+    and scanned: each root must be transversal, |f'(root)| >
     TRANSVERSALITY_REL * max |f'| over the grid, or TangencyError names the
     first offending one as ``what``.
     """
+    grid = _scan_grid(n_modes)
+    fvals = _scan_values(params, coeffs, n_modes)
     a, b = fvals[:-1], fvals[1:]
     cell = a * b < 0.0
     j = np.flatnonzero(cell | ((a == 0.0) & (grid[:-1] > -1.0)))
@@ -436,8 +436,9 @@ def _series_roots(
         hi[live] = edges[rows, k + 1]
         live = live[~zero & (hi[live] - lo[live] >= 1e-14)]
     roots[inside] = 0.5 * (lo + hi)
-    d_scale = np.max(np.abs(dvals))
-    slopes = np.abs(jacobi_series(*derivative_series(params, coeffs), roots))
+    dparams, dcoeffs = derivative_series(params, coeffs)
+    d_scale = np.max(np.abs(_scan_values(dparams, dcoeffs, n_modes)))
+    slopes = np.abs(jacobi_series(dparams, dcoeffs, roots))
     bad = np.flatnonzero(slopes <= TRANSVERSALITY_REL * d_scale)
     if bad.size:
         i = bad[0]
@@ -453,13 +454,11 @@ def crossing_points(u: SpectralFunction) -> list[float]:
     brackets, and the transversality check |u'(root)| > TRANSVERSALITY_REL *
     ||u'||_inf (see _series_roots)."""
     _nonconstant_or_raise(u)
-    n = u.coeffs.size
     # P_0 = 1: subtract 1 from c_0, not from the sum, so a small u - 1 keeps
     # its relative accuracy
     f = u.coeffs.copy()
     f[0] -= 1.0
-    du = _scan_values(*derivative_series(u.params, u.coeffs), n)
-    return _series_roots(u.params, f, _scan_grid(n), _scan_values(u.params, f, n), du, "crossing")
+    return _series_roots(u.params, f, u.coeffs.size, "crossing")
 
 
 def count_crossings(u: SpectralFunction) -> int:
@@ -470,11 +469,7 @@ def critical_point_list(u: SpectralFunction) -> list[tuple[float, str]]:
     """Interior roots of u' with labels: 'min' where u < 1, 'max' where u > 1
     (the only possibilities along solution branches)."""
     _nonconstant_or_raise(u)
-    n = u.coeffs.size
-    sp, dc = derivative_series(u.params, u.coeffs)
-    du = _scan_values(sp, dc, n)
-    ddu = _scan_values(*derivative_series(sp, dc), n)
-    roots = _series_roots(sp, dc, _scan_grid(n), du, ddu, "critical point")
+    roots = _series_roots(*derivative_series(u.params, u.coeffs), u.coeffs.size, "critical point")
     below = u(np.array(roots)) < 1.0
     return [(r, "min" if b else "max") for r, b in zip(roots, below)]
 

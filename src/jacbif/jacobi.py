@@ -30,7 +30,6 @@ from .errors import NumericalBreakdownError, ParameterError
 __all__ = [
     "JacobiParams",
     "jacobi_params",
-    "shifted_params",
     "ExactPolynomial",
     "exact_poly",
     "QuadratureRule",
@@ -106,12 +105,6 @@ def jacobi_params(alpha, beta) -> JacobiParams:
     return JacobiParams(af, bf, af + bf + 1.0, exact)
 
 
-def shifted_params(params: JacobiParams) -> JacobiParams:
-    """Parameters (alpha+1, beta+1), preserving exactness."""
-    al, be = params.scalars
-    return jacobi_params(al + 1, be + 1)
-
-
 # ---------------------------------------------------------------------------
 # floating-point evaluation
 
@@ -163,10 +156,12 @@ def _shaped(vals: np.ndarray, t):
     return float(vals[0]) if np.ndim(t) == 0 else vals.reshape(np.shape(t))
 
 
-# Unknowns per banded solve, so that a band (3 doubles per unknown) stays
-# below glibc's initial 128 KiB mmap threshold.  Freeing a larger block raises
-# that threshold, and the heap then keeps more memory resident: with one
-# solve per call, one-pass fold-ref peak RSS rose from 63.5 to 65.2 MB.
+# Unknowns per banded solve, so that the work arrays of one solve stay bounded
+# for any number of points t.  A point costs n + 1 unknowns of 4 doubles (band
+# and right-hand side), about 8 kB at n = 256, so one solve over 10^5 points
+# would allocate about 0.8 GB.  The program's own calls (polish rounds of 31
+# points per open bracket, slopes, labels) are small enough that a single
+# solve per call left peak RSS unchanged on fold-ref and fold-n256.
 _BAND_UNKNOWNS = 5000
 
 
@@ -298,13 +293,15 @@ def eval_jacobi(k: int, params: JacobiParams, t):
 
 
 def eval_jacobi_deriv(k: int, params: JacobiParams, t):
-    """d/dt P_k at t, via the degree/parameter shift identity."""
+    """d/dt P_k at t: the one term of derivative_series of P_k."""
     if k < 0:
         raise ParameterError("negative degree")
     if k == 0:
         return _shaped(np.zeros(np.size(t)), t)
-    factor = 0.5 * (k + params.a)
-    return _shaped(factor * jacobi_table(shifted_params(params), k - 1, t)[:, k - 1], t)
+    e_k = np.zeros(k + 1)
+    e_k[k] = 1.0
+    sp, dc = derivative_series(params, e_k)
+    return _shaped(dc[k - 1] * jacobi_table(sp, k - 1, t)[:, k - 1], t)
 
 
 def _endpoint_values(params: JacobiParams, n: int, side: int) -> list:
@@ -589,12 +586,14 @@ def jacobi_zeros(k: int, params: JacobiParams) -> np.ndarray:
 
 
 def derivative_series(params: JacobiParams, coeffs: np.ndarray):
-    """Coefficients of d/dt of sum c_i P_i, in the (alpha+1, beta+1) basis.
+    """Coefficients of d/dt of sum c_i P_i, in the (alpha+1, beta+1) basis
+    (exact when params are), by the degree/parameter shift identity
 
     d/dt P_i = (i + alpha + beta + 1)/2 * P_{i-1}^{(alpha+1, beta+1)}.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    sp = shifted_params(params)
+    al, be = params.scalars
+    sp = jacobi_params(al + 1, be + 1)
     if coeffs.size <= 1:
         return sp, np.zeros(1)
     i = np.arange(1, coeffs.size, dtype=float)

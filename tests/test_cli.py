@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jacbif
 from jacbif.cli import main
 
 
@@ -35,6 +38,12 @@ class TestSphere:
         code, _, err = run_cli(["sphere", "--n", "3", "--d", "5", "--c", "0"], capsys)
         assert code == 2
         assert "invalid degree" in err
+
+    @pytest.mark.parametrize("q", ["1", "1/2"])
+    def test_q_at_most_one_exits_2(self, q, capsys):
+        code, out, err = run_cli(["sphere", "--n", "3", "--d", "1", "--c", "0", "--q", q], capsys)
+        assert code == 2 and out == ""
+        assert "must be > 1" in err
 
 
 class TestLinearize:
@@ -106,6 +115,15 @@ class TestTrace:
         assert code == 2
         assert "exactly one" in err
 
+    def test_zero_step_bound_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["trace", "--k", "1", "--alpha", "1", "--beta", "0", "--q", "2",
+             "--ds-max", "0", "--max-steps", "4"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "ds_min <= ds_max" in err
+
     def test_numerical_failure_exits_3(self, capsys):
         # u^5 at N=16 needs degree-75 quadrature but M=32 only covers 63, so
         # the M-doubling convergence check trips once the amplitude grows
@@ -168,7 +186,9 @@ def test_byte_identical_runs_in_separate_processes(tmp_path):
         sys.executable, "-m", "jacbif.cli", "trace", "--k", "1", "--alpha", "1",
         "--beta", "0", "--q", "2", "--n-modes", "32", "--max-steps", "5",
     ]
+    # the child imports the package this process imported, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(jacbif.__file__).parents[1])}
     runs = [
-        subprocess.run(args, capture_output=True, check=True).stdout for _ in range(2)
+        subprocess.run(args, capture_output=True, check=True, env=env).stdout for _ in range(2)
     ]
     assert runs[0] == runs[1]

@@ -38,8 +38,8 @@ from jacbif.jacobi import (
     _series_banded,
     gauss_jacobi_rule,
     jacobi_table,
+    derivative_series,
     norm_sq_closed_form,
-    shifted_params,
 )
 
 P10 = ProblemSpec(jacobi_params(1, 0), 2.0)
@@ -243,7 +243,7 @@ def test_roots_match_zeros_oracle(alpha, beta, k):
     u = _mode_state(ProblemSpec(params, 2.0), k, 0.01)
     assert np.allclose(crossing_points(u), jacobi_zeros(k, params), rtol=0, atol=1e-12)
     critical = [t for t, _ in critical_point_list(u)]
-    expected = jacobi_zeros(k - 1, shifted_params(params)) if k > 1 else []
+    expected = jacobi_zeros(k - 1, derivative_series(params, u.coeffs)[0]) if k > 1 else []
     assert len(critical) == len(expected)
     assert np.allclose(critical, expected, rtol=0, atol=1e-12)
 
@@ -360,6 +360,23 @@ def test_fft_scan_matches_clenshaw_scan(ab, monkeypatch):
     assert fft == [_diagnostics(u) for u in states]
 
 
+def test_derivative_is_scanned_only_for_a_sign_change(monkeypatch):
+    # u = 1 + 0.01 P_1: u - 1 has one root, so its slope scan runs; u' has
+    # none, so u'' is never scanned
+    calls = []
+
+    def counting_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    scan = continuation._scan_values
+    monkeypatch.setattr(continuation, "_scan_values", counting_scan)
+    u = _mode_state(P10, 1, 0.01)
+    assert critical_point_list(u) == [] and len(calls) == 1
+    calls.clear()
+    assert len(crossing_points(u)) == 1 and len(calls) == 2
+
+
 class TestBranchSwitch:
     def test_first_point_monotone_case(self):
         bp = branch_switch(1, P10, 1e-3, +1)
@@ -404,6 +421,13 @@ class TestBranchSwitch:
 
 
 class TestContinueBranch:
+    @pytest.mark.parametrize(
+        "ds_min, ds_max", [(0.0, 0.05), (-1e-6, 0.05), (1e-6, 0.0), (0.1, 0.05)]
+    )
+    def test_step_bounds_must_be_positive_and_ordered(self, ds_min, ds_max):
+        with pytest.raises(ParameterError):
+            ContinuationSettings(ds_min=ds_min, ds_max=ds_max)
+
     def test_descending_branch(self):
         settings = ContinuationSettings(max_steps=25, ds_max=0.02)
         start = branch_switch(1, P10, 1e-3, +1)
