@@ -161,12 +161,14 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Ordered accepted points rooted at a bifurcation point."""
+    """Ordered accepted points rooted at a bifurcation point, each with its unit
+    tangent (tau_c, tau_lam) oriented along the tracing (not serialized)."""
 
     spec: ProblemSpec
     k: int
     direction: int
     points: list[BranchPoint] = field(default_factory=list)
+    tangents: list[tuple[np.ndarray, float]] = field(default_factory=list)
     folds: list["FoldRecord"] = field(default_factory=list)
     termination: str = ""
 
@@ -213,6 +215,12 @@ class ContinuationSettings:
     def __post_init__(self):
         if not 0.0 < self.ds_min <= self.ds_max:
             raise ParameterError(f"need 0 < ds_min <= ds_max, got {self.ds_min} and {self.ds_max}")
+        if self.max_steps < 1:
+            raise ParameterError(f"max_steps={self.max_steps} must be >= 1")
+        if not self.lambda_floor < self.lambda_ceiling:
+            raise ParameterError(f"empty lambda window ({self.lambda_floor}, {self.lambda_ceiling})")
+        if not self.amplitude_cap > 0.0:
+            raise ParameterError(f"amplitude_cap={self.amplitude_cap} must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +641,11 @@ def _tangent(
     return tc, tl
 
 
-def _fold_index(lams: list[float]) -> int | None:
-    """Index of the first point where the lambda sequence turns back, or None."""
-    for j in range(1, len(lams) - 1):
-        if (lams[j + 1] - lams[j]) * (lams[j] - lams[j - 1]) < 0.0:
-            return j
+def _fold_bracket(tangents: list[tuple[np.ndarray, float]]) -> int | None:
+    """First i where tau_lam changes sign between tangents i and i + 1, or None."""
+    for i in range(len(tangents) - 1):
+        if tangents[i][1] * tangents[i + 1][1] <= 0.0:
+            return i
     return None
 
 
@@ -652,8 +660,8 @@ def continue_branch(
     {F(c, lambda) = 0, <x - x_prev, tau>_metric = ds} and carries the full
     diagnostic set.  Terminates on step budget, lambda leaving
     (lambda_floor, lambda_ceiling), amplitude cap, a return to the trivial
-    solution u = 1 (that state is not appended), or (optionally) a few steps
-    after a fold is bracketed.
+    solution u = 1 (that state is not appended), or (optionally) FOLD_TRAIL
+    points after the first fold bracket (_fold_bracket on Branch.tangents).
     """
     settings = settings or ContinuationSettings()
     disc = discretization(spec)
@@ -668,7 +676,7 @@ def continue_branch(
     guess_c = np.zeros(n)
     guess_c[k] = direction / sqh
     guess_lam = direction * lambda_prime_zero(k, spec) / sqh
-    tau_c, tau_lam = _tangent(disc, disc.jacobian(c, lam), c, guess_c, guess_lam)
+    branch.tangents.append(_tangent(disc, disc.jacobian(c, lam), c, guess_c, guess_lam))
 
     s_abs = abs(start.s)
     ds = min(max(settings.ds0, settings.ds_min), settings.ds_max)
@@ -677,7 +685,7 @@ def continue_branch(
     while len(branch.points) < settings.max_steps:
         while True:
             try:
-                accepted = _correct(disc, c, lam, tau_c, tau_lam, ds)
+                accepted = _correct(disc, c, lam, *branch.tangents[-1], ds)
                 break
             except (NewtonDivergenceError, NonpositiveStateError, np.linalg.LinAlgError):
                 ds *= 0.5
@@ -702,7 +710,7 @@ def continue_branch(
         point = _make_point(c_new, lam_new, direction * s_abs, spec, _sigma_min(jac))
         branch.points.append(point)
         c, lam = c_new, lam_new
-        tau_c, tau_lam = _tangent(disc, jac, c, tau_c, tau_lam)
+        branch.tangents.append(_tangent(disc, jac, c, *branch.tangents[-1]))
 
         if not (settings.lambda_floor < lam < settings.lambda_ceiling):
             branch.termination = "lambda-window"
@@ -711,7 +719,7 @@ def continue_branch(
             branch.termination = "amplitude-cap"
             return branch
         if settings.stop_on_fold and (
-            steps_after_bracket or _fold_index([p.lam for p in branch.points]) is not None
+            steps_after_bracket or _fold_bracket(branch.tangents[-2:]) is not None
         ):
             steps_after_bracket += 1
             if steps_after_bracket > FOLD_TRAIL:
@@ -754,37 +762,28 @@ def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
     """Localize the first turning point bracketed by the branch.
 
     The fold test function is tau_lam, the lambda component of the unit
-    tangent, which changes sign at a regular fold.  It is evaluated at the
-    accepted points around the first discrete lambda extremum; its root in
-    arclength is found by the Illinois method, each evaluation being one
-    corrector step from the lower bracket point.  At the root the tangent is
-    (v, 0) with J v = 0, and v is the kernel direction, scaled to ||v||_w = 1
-    with its largest weighted component positive.  The fold is certified a
-    posteriori: the Moore-Spence residual ||(F, J v, ||v||_w^2 - 1)|| must be
-    below CERTIFICATE_TOL and sigma_min/sigma_max of J below DEGENERATE_TOL.
+    tangent, which changes sign at a regular fold.  Its first sign change
+    between Branch.tangents i and i + 1 (_fold_bracket) brackets the fold,
+    and its root in arclength is found by the Illinois method from points[i]
+    along tangents[i], each evaluation being one corrector step and one
+    tangent.  At the root the tangent is (v, 0) with J v = 0, and v is the
+    kernel direction, scaled to ||v||_w = 1 with its largest weighted
+    component positive.  The fold is certified a posteriori: the Moore-Spence
+    residual ||(F, J v, ||v||_w^2 - 1)|| must be below CERTIFICATE_TOL and
+    sigma_min/sigma_max of J below DEGENERATE_TOL.
     """
     disc = discretization(spec)
-    pts = branch.points
-    j = _fold_index([p.lam for p in pts])
-    if j is None:
+    pts, taus = branch.points, branch.tangents
+    i = _fold_bracket(taus)
+    if i is None:
         why = " (the branch returned to u = 1)" if branch.termination == "trivial-branch" else ""
-        raise NoFoldBracketError(f"no sign change in the discrete dlambda/ds sequence{why}")
-    # the secant across the extremum orients every tangent forward
-    sec_c = pts[j + 1].u.coeffs - pts[j - 1].u.coeffs
-    sec_lam = pts[j + 1].lam - pts[j - 1].lam
-    taus = [
-        _tangent(disc, disc.jacobian(p.u.coeffs, p.lam), p.u.coeffs, sec_c, sec_lam)
-        for p in pts[j - 1 : j + 2]
-    ]
-    lo = 0 if taus[0][1] * taus[1][1] <= 0.0 else 1
-    if taus[lo][1] * taus[lo + 1][1] > 0.0:
-        raise NoFoldBracketError("the tangent's lambda component keeps its sign")
-    start = pts[j - 1 + lo]
-    tau_c, tau_lam = taus[lo]
+        raise NoFoldBracketError(f"tau_lambda keeps its sign on the traced branch{why}")
+    start = pts[i]
+    tau_c, tau_lam = taus[i]
     # regula falsi on tau_lam(ds) with the Illinois rule: the root stays
     # between a and the latest iterate b, and the value kept at a is halved
     # whenever a survives a step
-    a, fa, b, fb = 0.0, tau_lam, abs(pts[j + lo].s - start.s), taus[lo + 1][1]
+    a, fa, b, fb = 0.0, tau_lam, abs(pts[i + 1].s - start.s), taus[i + 1][1]
     xtol = NEWTON_TOL * b
     for _ in range(MAX_ITER):
         ds = b - fb * (b - a) / (fb - fa)

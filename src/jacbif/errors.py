@@ -28,8 +28,9 @@ class NonpositiveStateError(NumericalError):
 
 
 class NoFoldBracketError(NumericalError):
-    """The traced branch contains no sign change in the discrete dlambda/ds
-    sequence, so there is nothing to localize."""
+    """The lambda component tau_lam of the unit tangents stored along the
+    traced branch (Branch.tangents) never changes sign, so no fold is
+    bracketed and there is nothing to localize."""
 
 
 class TangencyError(NumericalError):

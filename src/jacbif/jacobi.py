@@ -247,19 +247,27 @@ def jacobi_series(params: JacobiParams, coeffs, t):
 def chebyshev_connection(params: JacobiParams, n: int) -> np.ndarray:
     """The (n, n) matrix C with sum_i c_i P_i = sum_k (C c)_k T_k for n
     coefficients c (read-only): column i holds the Chebyshev coefficients of
-    P_i.  They come from the values of P_0 .. P_{n-1} (jacobi_table) at the n
-    first-kind Chebyshev points x_j = cos(pi (j + 1/2) / n), by the DCT-II
-    (C c)_k = (2 - [k = 0]) / n sum_j f(x_j) T_k(x_j), which is exact for
-    degree < n.  The DCT runs down the columns as one zero-padded real FFT of
-    length 2n: Re(e^{-i pi k / 2n} sum_j v_j e^{-2 pi i j k / 2n}).
+    P_i, so C is upper triangular.  They come from the recurrence
+    P_{j+1} = ((t - mid_j) P_j - down_j P_{j-1}) / up_j of jacobi_operator,
+    run on Chebyshev coefficient vectors, where multiplication by t is
+    t T_0 = T_1 and t T_k = (T_{k+1} + T_{k-1}) / 2; no values at rounded
+    nodes enter.  P_j is built as row j and the result is the transpose.
     """
     if n < 1:
         raise ParameterError("a connection matrix needs n >= 1")
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    spectrum = np.fft.rfft(jacobi_table(params, n - 1, np.cos(theta)), 2 * n, axis=0)[:n]
-    spectrum *= np.exp(-0.5j * np.pi * np.arange(n) / n)[:, None]
-    conn = spectrum.real * (2.0 / n)
-    conn[0] *= 0.5
+    up, mid, down = jacobi_operator(n - 1, params.alpha, params.beta)
+    rows = np.zeros((n, n))
+    rows[0, 0] = 1.0
+    prev = np.zeros(n)
+    for j in range(n - 1):
+        cur = rows[j]  # degree j < n - 1, so t P_j still fits in n coefficients
+        t_cur = np.zeros(n)
+        t_cur[1:] = 0.5 * cur[:-1]
+        t_cur[:-1] += 0.5 * cur[1:]
+        t_cur[1] += 0.5 * cur[0]
+        rows[j + 1] = (t_cur - mid[j] * cur - down[j] * prev) / up[j]
+        prev = cur
+    conn = np.ascontiguousarray(rows.T)
     conn.setflags(write=False)
     return conn
 

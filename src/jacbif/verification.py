@@ -30,6 +30,7 @@ from .continuation import (
     lambda_prime_zero,
     solve_at_phase,
 )
+from .errors import ParameterError
 from .jacobi import (
     JacobiParams,
     endpoint_value,
@@ -538,6 +539,8 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
+    if seed < 0:
+        raise ParameterError(f"seed={seed} must be >= 0")
     if name == "all":
         return run_all(seed)
     if name not in SUITES:

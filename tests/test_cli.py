@@ -45,6 +45,14 @@ class TestSphere:
         assert code == 2 and out == ""
         assert "must be > 1" in err
 
+    @pytest.mark.parametrize("kmax", ["0", "-2"])
+    def test_kmax_below_one_exits_2(self, kmax, capsys):
+        code, out, err = run_cli(
+            ["sphere", "--n", "3", "--d", "1", "--c", "0", "--q", "3", "--kmax", kmax], capsys
+        )
+        assert code == 2 and out == ""
+        assert "kmax" in err
+
 
 class TestLinearize:
     def test_json_output(self, capsys):
@@ -124,6 +132,23 @@ class TestTrace:
         assert code == 2 and out == ""
         assert "ds_min <= ds_max" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--max-steps", "0"], "max_steps"),
+            (["--max-steps", "-1"], "max_steps"),
+            (["--amplitude-cap", "-1"], "amplitude_cap"),
+            (["--lambda-floor", "9", "--lambda-ceiling", "1"], "empty lambda window"),
+        ],
+        ids=str,
+    )
+    def test_out_of_range_settings_exit_2(self, extra, message, capsys):
+        code, out, err = run_cli(
+            ["trace", "--k", "1", "--alpha", "1", "--beta", "0", "--q", "2", *extra], capsys
+        )
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_numerical_failure_exits_3(self, capsys):
         # u^5 at N=16 needs degree-75 quadrature but M=32 only covers 63, so
         # the M-doubling convergence check trips once the amplitude grows
@@ -174,6 +199,11 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "quadrature"], capsys)
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(["verify", "gasper", "--seed", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert "seed" in err
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:

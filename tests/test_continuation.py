@@ -33,7 +33,14 @@ from jacbif import (
     residual,
 )
 from jacbif import NumericalError, continuation, jacobi_params
-from jacbif.continuation import NEWTON_TOL, _scan_grid, discretization, solve_at_phase
+from jacbif.continuation import (
+    FOLD_TRAIL,
+    NEWTON_TOL,
+    _fold_bracket,
+    _scan_grid,
+    discretization,
+    solve_at_phase,
+)
 from jacbif.jacobi import (
     _series_banded,
     gauss_jacobi_rule,
@@ -41,6 +48,7 @@ from jacbif.jacobi import (
     derivative_series,
     norm_sq_closed_form,
 )
+from jacbif.verification import FOLD_CASES
 
 P10 = ProblemSpec(jacobi_params(1, 0), 2.0)
 PHALF = ProblemSpec(jacobi_params(F(1, 2), F(1, 2)), 3.0)
@@ -428,6 +436,35 @@ class TestContinueBranch:
         with pytest.raises(ParameterError):
             ContinuationSettings(ds_min=ds_min, ds_max=ds_max)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_steps": 0},
+            {"max_steps": -1},
+            {"lambda_floor": 9.0, "lambda_ceiling": 1.0},
+            {"lambda_floor": 2.0, "lambda_ceiling": 2.0},
+            {"lambda_floor": math.nan},
+            {"amplitude_cap": 0.0},
+            {"amplitude_cap": -1.0},
+            {"amplitude_cap": math.nan},
+        ],
+        ids=str,
+    )
+    def test_out_of_range_settings_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            ContinuationSettings(**bad)
+
+    def test_tangents_are_aligned_unit_and_forward(self):
+        settings = ContinuationSettings(max_steps=12, ds_max=0.05)
+        start = branch_switch(2, PHALF, 1e-3, +1)
+        branch = continue_branch(start, PHALF, settings)
+        assert len(branch.tangents) == len(branch.points) == 12
+        h = discretization(PHALF).h
+        for tc, tl in branch.tangents:
+            assert abs(float(h @ (tc * tc)) + tl * tl - 1.0) <= 1e-12
+        for (tc0, tl0), (tc1, tl1) in zip(branch.tangents, branch.tangents[1:]):
+            assert float(h @ (tc0 * tc1)) + tl0 * tl1 > 0.0
+
     def test_descending_branch(self):
         settings = ContinuationSettings(max_steps=25, ds_max=0.02)
         start = branch_switch(1, P10, 1e-3, +1)
@@ -485,13 +522,60 @@ class TestContinueBranch:
         assert abs(bm) < bound and abs(bp_) < bound
 
 
+@pytest.fixture(scope="module")
+def fold_records():
+    """find_degenerate on the three reference FOLD_CASES, traced once."""
+    return [find_degenerate(k, ProblemSpec(params, q)) for k, params, q in FOLD_CASES]
+
+
 class TestFolds:
     def test_no_bracket_raises(self):
         settings = ContinuationSettings(max_steps=6, ds_max=0.01)
         start = branch_switch(1, P10, 1e-3, +1)
         branch = continue_branch(start, P10, settings)
-        with pytest.raises(NoFoldBracketError):
+        with pytest.raises(NoFoldBracketError, match="keeps its sign"):
             detect_fold(branch, P10)
+
+    def test_bracket_is_the_first_sign_change_of_tau_lambda(self):
+        taus = [(None, 0.3), (None, 0.1), (None, -0.2), (None, 0.4)]
+        assert _fold_bracket(taus) == 1
+        assert _fold_bracket(taus[:2]) is None
+        assert _fold_bracket([(None, -0.1), (None, 0.0)]) == 0
+        assert _fold_bracket(taus[:1]) is None and _fold_bracket([]) is None
+
+    @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
+    def test_stop_on_fold_keeps_fold_trail_points(self, fold_records, case):
+        rec = fold_records[case]
+        branch = rec.branch
+        assert branch.termination == "fold-bracketed"
+        assert len(branch.tangents) == len(branch.points)
+        i = _fold_bracket(branch.tangents)
+        assert i is not None
+        assert len(branch.points) == i + 2 + FOLD_TRAIL
+        assert branch.points[i].s < rec.point.s < branch.points[i + 1].s
+
+    @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
+    def test_fold_localization_builds_one_tangent_per_corrector(
+        self, fold_records, case, monkeypatch
+    ):
+        rec = fold_records[case]
+        calls = {"_tangent": 0, "_correct": 0}
+
+        def counting(name):
+            orig = getattr(continuation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(continuation, name, counting(name))
+        again = detect_fold(rec.branch, rec.branch.spec)
+        assert calls["_correct"] >= 2
+        assert calls["_tangent"] == calls["_correct"]
+        assert again.lambda_star == rec.lambda_star
 
     def test_monotone_fold_case(self):
         rec = find_degenerate(1, P10)
