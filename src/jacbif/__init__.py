@@ -41,13 +41,7 @@ from .errors import (
     StructureViolationError,
     TangencyError,
 )
-from .geometry import (
-    SphereContext,
-    consistency_check,
-    params_from_sphere,
-    sphere_eigenvalue,
-    supercritical_threshold,
-)
+from .geometry import params_from_sphere, sphere_eigenvalue
 from .jacobi import (
     ExactPolynomial,
     JacobiParams,
@@ -74,6 +68,7 @@ from .linearization import (
     linearization_coeffs,
     quartic_sign_structure,
     sign_classification,
+    supercritical_threshold,
 )
 
 __version__ = "0.1.0"

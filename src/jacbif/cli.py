@@ -24,9 +24,9 @@ from .continuation import (
     detect_fold,
 )
 from .errors import NoFoldBracketError, NumericalError, ParameterError
-from .geometry import params_from_sphere, sphere_eigenvalue, supercritical_threshold
+from .geometry import params_from_sphere, sphere_eigenvalue
 from .jacobi import jacobi_params
-from .linearization import linearization_coeffs, sign_classification
+from .linearization import linearization_coeffs, sign_classification, supercritical_threshold
 from .output import branch_to_csv, branch_to_json, linearization_to_json
 from .verification import SUITE_NAMES, run_suite
 
@@ -61,11 +61,14 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _params_from_args(args) -> tuple:
+def _params_from_args(args):
     """RunConfig invariant: exactly one of (alpha, beta) or (n, d, c)."""
     have_ab = args.alpha is not None or args.beta is not None
     have_ndc = args.n is not None or args.d is not None or args.c is not None
@@ -74,11 +77,10 @@ def _params_from_args(args) -> tuple:
     if have_ab:
         if args.alpha is None or args.beta is None:
             raise ParameterError("both --alpha and --beta are required")
-        return jacobi_params(args.alpha, args.beta), None
+        return jacobi_params(args.alpha, args.beta)
     if args.n is None or args.d is None or args.c is None:
         raise ParameterError("all of --n, --d and --c are required")
-    ctx = params_from_sphere(args.n, args.d, args.c, args.m_focal)
-    return ctx.params, ctx
+    return params_from_sphere(args.n, args.d, args.c)
 
 
 def cmd_sphere(args) -> int:
@@ -86,21 +88,19 @@ def cmd_sphere(args) -> int:
         raise ParameterError(f"q={args.q} must be > 1")
     if args.kmax < 1:
         raise ParameterError(f"kmax={args.kmax} must be >= 1")
-    ctx = params_from_sphere(args.n, args.d, args.c, args.m_focal)
-    al, be = ctx.params.exact
+    params = params_from_sphere(args.n, args.d, args.c)
+    al, be = params.exact
     lines = [f"alpha = {al}", f"beta = {be}"]
     header = "i\tmu_di"
     if args.q is not None:
         header += "\tlambda_i"
     lines.append(header)
     for i in range(1, args.kmax + 1):
-        row = f"{i}\t{sphere_eigenvalue(i, ctx)}"
+        row = f"{i}\t{sphere_eigenvalue(i, args.n, args.d)}"
         if args.q is not None:
             row += f"\t{bifurcation_lambda(i, al + be + 1, args.q)}"
         lines.append(row)
-    if args.m_focal is not None:
-        qf = supercritical_threshold(args.n, args.m_focal)
-        lines.append(f"q_f = {qf}")
+    lines.append(f"q_f = {supercritical_threshold(params)}")
     _emit("\n".join(lines) + "\n", _resolve_output(args.output))
     return 0
 
@@ -120,7 +120,7 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    params, _ctx = _params_from_args(args)
+    params = _params_from_args(args)
     spec = ProblemSpec(params, args.q, N=args.n_modes, M=args.quad_order)
     settings = ContinuationSettings(
         ds0=args.ds0,
@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sphere.add_argument("--c", type=int, required=True, help="multiplicity difference (<= 0)")
     p_sphere.add_argument("--q", type=_fraction, help="nonlinearity exponent (> 1)")
     p_sphere.add_argument("--kmax", type=int, default=5, help="number of table rows")
-    p_sphere.add_argument("--m-focal", type=int, help="minimal focal dimension")
     p_sphere.add_argument("-o", "--output", help="write to file instead of stdout")
     p_sphere.set_defaults(func=cmd_sphere)
 
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--n", type=int, help="sphere dimension (alternative input)")
     p_trace.add_argument("--d", type=int)
     p_trace.add_argument("--c", type=int)
-    p_trace.add_argument("--m-focal", type=int)
     p_trace.add_argument("--q", type=float, required=True)
     p_trace.add_argument("--n-modes", type=int, default=64, help="Jacobi modes N")
     p_trace.add_argument("--quad-order", type=int, default=0, help="quadrature order M")

@@ -39,7 +39,6 @@ from .errors import (
     StructureViolationError,
     TangencyError,
 )
-from .geometry import SphereContext, supercritical_threshold
 from .jacobi import (
     JacobiParams,
     chebyshev_series,
@@ -93,8 +92,8 @@ class ProblemSpec:
     M: int = 0
 
     def __post_init__(self):
-        if not self.q > 1.0:
-            raise ParameterError(f"q={self.q} must be > 1")
+        if not 1.0 < self.q < math.inf:
+            raise ParameterError(f"q={self.q} must be finite and > 1")
         if self.N < 8:
             raise ParameterError(f"N={self.N} must be >= 8")
         object.__setattr__(self, "q", float(self.q))
@@ -213,6 +212,8 @@ class ContinuationSettings:
     stop_on_fold: bool = False
 
     def __post_init__(self):
+        if math.isnan(self.ds0):
+            raise ParameterError("ds0 is NaN")
         if not 0.0 < self.ds_min <= self.ds_max:
             raise ParameterError(f"need 0 < ds_min <= ds_max, got {self.ds_min} and {self.ds_max}")
         if self.max_steps < 1:
@@ -835,19 +836,14 @@ def _alternating(labels: list[str]) -> bool:
     return all(a != b for a, b in zip(labels, labels[1:]))
 
 
-def find_degenerate(
-    k: int,
-    spec: ProblemSpec,
-    sphere: SphereContext | None = None,
-    s0: float = 1e-3,
-) -> FoldRecord:
+def find_degenerate(k: int, spec: ProblemSpec, s0: float = 1e-3) -> FoldRecord:
     """Trace the branch rooted at (1, lambda_k) in the direction of
     decreasing lambda until a fold is bracketed, then localize it.
 
     For alpha == beta the branch slope vanishes for odd k and the descent
-    direction is undetermined, so odd k is rejected in that case.  When a
-    sphere context with a focal dimension is supplied, q must stay below the
-    supercriticality threshold.
+    direction is undetermined, so odd k is rejected in that case.  q at or
+    above ``linearization.supercritical_threshold(spec.params)`` is accepted:
+    some folds there are resolved at N and some are not.
     """
     require_theorem_scope(spec.params)
     if k < 1:
@@ -857,10 +853,6 @@ def find_degenerate(
             "parity violation: for alpha == beta the slope vanishes for odd k "
             "and no descent direction is available"
         )
-    if sphere is not None and sphere.m_focal is not None:
-        qf = supercritical_threshold(sphere.n, sphere.m_focal)
-        if not spec.q < qf:
-            raise ParameterError(f"q={spec.q} is not below the threshold q_f={qf}")
     slope = lambda_prime_zero(k, spec)
     if not slope < 0.0:
         raise StructureViolationError(

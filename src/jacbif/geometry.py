@@ -1,44 +1,26 @@
 """Map isoparametric sphere data (n, d, c) to interval weight exponents.
 
-All arithmetic here is exact rational; floats only appear downstream.
+All arithmetic here is exact rational; floats only appear downstream.  The
+supercritical threshold q_f depends on the interval exponents alone and
+lives in ``linearization.supercritical_threshold``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
 from .jacobi import JacobiParams, jacobi_params
 
-__all__ = [
-    "VALID_DEGREES",
-    "SphereContext",
-    "params_from_sphere",
-    "sphere_eigenvalue",
-    "consistency_check",
-    "supercritical_threshold",
-]
+__all__ = ["VALID_DEGREES", "params_from_sphere", "sphere_eigenvalue"]
 
 VALID_DEGREES = (1, 2, 3, 4, 6)
 
 
-@dataclass(frozen=True)
-class SphereContext:
-    """Sphere dimension n, invariant-hypersurface degree d, multiplicity
-    difference c <= 0, optional minimal focal dimension, and the induced
-    interval parameters (alpha, beta)."""
-
-    n: int
-    d: int
-    c: int
-    m_focal: int | None
-    params: JacobiParams
-
-
-def params_from_sphere(n: int, d: int, c: int, m_focal: int | None = None) -> SphereContext:
-    """Solve beta - alpha = c/2 and alpha + beta + 2 = (n+d-1)/d exactly.
+def params_from_sphere(n: int, d: int, c: int) -> JacobiParams:
+    """Interval exponents of sphere dimension n, invariant-hypersurface
+    degree d and multiplicity difference c: solve beta - alpha = c/2 and
+    alpha + beta + 2 = (n+d-1)/d exactly.
 
     Requires n >= 3, d in {1,2,3,4,6}, c <= 0 and an integrable weight
     (beta > -1).  Callers wanting c > 0 swap (alpha, beta) themselves.
@@ -49,8 +31,6 @@ def params_from_sphere(n: int, d: int, c: int, m_focal: int | None = None) -> Sp
         raise ParameterError(f"sphere dimension n={n} must be >= 3")
     if c > 0:
         raise ParameterError(f"c={c} > 0; swap the weight exponents instead")
-    if m_focal is not None and not (0 <= m_focal <= n - 2):
-        raise ParameterError(f"m_focal={m_focal} outside [0, {n - 2}]")
     s = Fraction(n + d - 1, d) - 2  # alpha + beta
     half_c = Fraction(c, 2)
     alpha = (s - half_c) / 2
@@ -59,36 +39,11 @@ def params_from_sphere(n: int, d: int, c: int, m_focal: int | None = None) -> Sp
         raise ParameterError(
             f"(n={n}, d={d}, c={c}) gives beta={beta} <= -1: weight not integrable"
         )
-    return SphereContext(n, d, c, m_focal, jacobi_params(alpha, beta))
+    return jacobi_params(alpha, beta)
 
 
-def sphere_eigenvalue(i: int, ctx: SphereContext) -> int:
+def sphere_eigenvalue(i: int, n: int, d: int) -> int:
     """Laplacian eigenvalue -d*i*(n + d*i - 1) on invariant functions."""
     if i < 0:
         raise ParameterError("eigenvalue index must be >= 0")
-    return -ctx.d * i * (ctx.n + ctx.d * i - 1)
-
-
-def consistency_check(i: int, ctx: SphereContext, q) -> Fraction:
-    """Residual of -mu_{di} / d^2 == i (i + alpha + beta + 1); exactly 0.
-
-    q > 1 is the exponent the identity is used with downstream; it cancels
-    and is validated only.
-    """
-    if i < 1:
-        raise ParameterError("index must be >= 1")
-    if not float(q) > 1.0:
-        raise ParameterError("exponent q must be > 1")
-    al, be = ctx.params.exact
-    lhs = Fraction(-sphere_eigenvalue(i, ctx), ctx.d * ctx.d)
-    rhs = i * (i + al + be + 1)
-    return abs(lhs - rhs)
-
-
-def supercritical_threshold(n: int, m_focal: int):
-    """q_f = (n - m + 2) / (n - m - 2); infinity when m = n - 2."""
-    if not (0 <= m_focal <= n - 2):
-        raise ParameterError(f"m_focal={m_focal} outside [0, {n - 2}]")
-    if m_focal == n - 2:
-        return math.inf
-    return Fraction(n - m_focal + 2, n - m_focal - 2)
+    return -d * i * (n + d * i - 1)

@@ -102,6 +102,8 @@ def jacobi_params(alpha, beta) -> JacobiParams:
     af, bf = float(alpha), float(beta)
     if not (af > -1.0 and bf > -1.0):
         raise ParameterError(f"weight not integrable: alpha={alpha}, beta={beta}")
+    if not (math.isfinite(af) and math.isfinite(bf)):
+        raise ParameterError(f"exponents must be finite: alpha={alpha}, beta={beta}")
     return JacobiParams(af, bf, af + bf + 1.0, exact)
 
 

@@ -1,5 +1,6 @@
-"""Expansion of P_k^2 back into the Jacobi family, cube integrals, and the
-sign machinery for the expansion coefficients.
+"""Expansion of P_k^2 back into the Jacobi family, cube integrals, the
+sign machinery for the expansion coefficients, and the parameter regimes
+(theorem scope, supercritical threshold) that rest on (alpha, beta) alone.
 
 Multiplication by t is tridiagonal in the Jacobi basis, so P_k^2 = P_k(T) e_k
 follows from the three-term recurrence on coefficient vectors (Olver and
@@ -12,6 +13,7 @@ oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ __all__ = [
     "SignReport",
     "classify",
     "require_theorem_scope",
+    "supercritical_threshold",
     "sign_classification",
     "GasperQuartic",
     "gasper_quartic",
@@ -155,6 +158,17 @@ def require_theorem_scope(params: JacobiParams) -> None:
             f"hypothesis violation: need alpha >= beta and alpha+beta+1 > 0, "
             f"got ({al}, {be})"
         )
+
+
+def supercritical_threshold(params: JacobiParams):
+    """q_f = (alpha + 2) / alpha, or infinity for alpha <= 0.
+
+    The focal submanifold at t = +1 has codimension m = 2 alpha + 2, and
+    q_f = (m + 2) / (m - 2).  Exact (a Fraction) when the parameters are
+    rational.
+    """
+    al = params.scalars[0]
+    return (al + 2) / al if al > 0 else math.inf
 
 
 def sign_classification(k: int, params: JacobiParams) -> SignReport:

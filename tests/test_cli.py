@@ -19,9 +19,7 @@ def run_cli(args, capsys):
 class TestSphere:
     def test_table(self, capsys):
         code, out, _ = run_cli(
-            ["sphere", "--n", "3", "--d", "1", "--c", "0", "--q", "3", "--kmax", "2",
-             "--m-focal", "0"],
-            capsys,
+            ["sphere", "--n", "3", "--d", "1", "--c", "0", "--q", "3", "--kmax", "2"], capsys
         )
         assert code == 0
         assert "alpha = 1/2" in out
@@ -33,6 +31,16 @@ class TestSphere:
         code, out, _ = run_cli(["sphere", "--n", "5", "--d", "2", "--c", "0"], capsys)
         assert code == 0
         assert "alpha = 1/2" in out and "beta = 1/2" in out
+
+    @pytest.mark.parametrize(
+        "n, d, c, q_f",
+        [("5", "2", "0", "5"), ("5", "2", "-2", "3"), ("3", "2", "0", "inf")],
+        ids=["S2xS2", "S1xS3", "S1xS1"],
+    )
+    def test_q_f_follows_alpha(self, n, d, c, q_f, capsys):
+        code, out, _ = run_cli(["sphere", "--n", n, "--d", d, "--c", c], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == f"q_f = {q_f}"
 
     def test_invalid_degree_exits_2(self, capsys):
         code, _, err = run_cli(["sphere", "--n", "3", "--d", "5", "--c", "0"], capsys)
@@ -52,6 +60,21 @@ class TestSphere:
         )
         assert code == 2 and out == ""
         assert "kmax" in err
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory", "missing-env-dir"])
+    def test_unwritable_output_exits_2(self, target, tmp_path, capsys, monkeypatch):
+        out_path = {
+            "missing-dir": str(tmp_path / "missing" / "x.txt"),
+            "directory": str(tmp_path),
+            "missing-env-dir": "x.txt",
+        }[target]
+        if target == "missing-env-dir":
+            monkeypatch.setenv("JACBIF_OUTPUT_DIR", str(tmp_path / "missing"))
+        code, out, err = run_cli(
+            ["sphere", "--n", "3", "--d", "1", "--c", "0", "-o", out_path], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ")
 
 
 class TestLinearize:
@@ -139,6 +162,8 @@ class TestTrace:
             (["--max-steps", "-1"], "max_steps"),
             (["--amplitude-cap", "-1"], "amplitude_cap"),
             (["--lambda-floor", "9", "--lambda-ceiling", "1"], "empty lambda window"),
+            (["--ds0", "nan"], "ds0"),
+            (["--q", "inf"], "finite"),
         ],
         ids=str,
     )
@@ -183,15 +208,18 @@ class TestTrace:
         assert all(p["s"] < 0 for p in doc["points"])
 
     def test_fold_detection_in_trace(self, capsys):
-        code, out, _ = run_cli(
-            ["trace", "--k", "1", "--alpha", "1", "--beta", "0", "--q", "2",
-             "--stop-on-fold", "--max-steps", "400"],
-            capsys,
-        )
+        args = ["trace", "--k", "1", "--alpha", "1", "--beta", "0", "--q", "2",
+                "--stop-on-fold", "--max-steps", "400"]
+        code, out, _ = run_cli(args, capsys)
         assert code == 0
         doc = json.loads(out)
         assert len(doc["folds"]) == 1
         assert 0.0 < doc["folds"][0]["lambda_star"] < 3.0
+        code, out, _ = run_cli([*args, "--no-fold-detect"], capsys)
+        assert code == 0
+        skipped = json.loads(out)
+        assert skipped["folds"] == []
+        assert skipped["points"] == doc["points"]
 
 
 class TestVerify:

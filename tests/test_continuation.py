@@ -29,7 +29,6 @@ from jacbif import (
     jacobi_zeros,
     lambda_prime_zero,
     linearization_coeffs,
-    params_from_sphere,
     residual,
 )
 from jacbif import NumericalError, continuation, jacobi_params
@@ -71,6 +70,10 @@ class TestProblemSpec:
     def test_q_must_exceed_one(self, q):
         with pytest.raises(ParameterError):
             ProblemSpec(jacobi_params(1, 0), q)
+
+    def test_q_must_be_finite(self):
+        with pytest.raises(ParameterError, match="finite"):
+            ProblemSpec(jacobi_params(1, 0), math.inf)
 
     def test_quadrature_floor(self):
         with pytest.raises(ParameterError):
@@ -447,6 +450,7 @@ class TestContinueBranch:
             {"amplitude_cap": 0.0},
             {"amplitude_cap": -1.0},
             {"amplitude_cap": math.nan},
+            {"ds0": math.nan},
         ],
         ids=str,
     )
@@ -608,12 +612,6 @@ class TestFolds:
             find_degenerate(1, PHALF)
         with pytest.raises(ParameterError):
             find_degenerate(3, PLEG)
-
-    def test_supercritical_exponent_rejected(self):
-        sphere = params_from_sphere(3, 1, 0, m_focal=0)  # threshold (3+2)/(3-2) = 5
-        spec = ProblemSpec(sphere.params, 6.0)
-        with pytest.raises(ParameterError):
-            find_degenerate(2, spec, sphere=sphere)
 
 
 class TestPhaseSolve:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -72,6 +73,11 @@ class TestParams:
     @pytest.mark.parametrize("al,be", [(-1, 0), (0, -1), (-1.5, 0.0)])
     def test_nonintegrable_weight_rejected(self, al, be):
         with pytest.raises(ParameterError):
+            jacobi_params(al, be)
+
+    @pytest.mark.parametrize("al,be", [(math.inf, 0.0), (0.0, math.inf)])
+    def test_infinite_exponent_rejected(self, al, be):
+        with pytest.raises(ParameterError, match="finite"):
             jacobi_params(al, be)
 
 
