@@ -216,6 +216,8 @@ class ContinuationSettings:
             raise ParameterError("ds0 is NaN")
         if not 0.0 < self.ds_min <= self.ds_max:
             raise ParameterError(f"need 0 < ds_min <= ds_max, got {self.ds_min} and {self.ds_max}")
+        if not math.isfinite(self.ds_max):
+            raise ParameterError(f"ds_max={self.ds_max} must be finite")
         if self.max_steps < 1:
             raise ParameterError(f"max_steps={self.max_steps} must be >= 1")
         if not self.lambda_floor < self.lambda_ceiling:

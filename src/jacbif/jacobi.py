@@ -1,9 +1,11 @@
 """Jacobi polynomials for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
 
 The three-term recurrence is written once, as the multiplication-by-t
-operator (jacobi_operator, in any scalar type); the basis tables, the Gauss
-rules, the Clenshaw series sums, the Jacobi-to-Chebyshev connection matrices
-and the P_k^2 expansion of ``linearization`` all run from it.  A series is
+operator (jacobi_operator: float arrays, or for rational exponents
+ExactVectors, Python-int numerators over one shared denominator); the basis
+tables, the Gauss rules, the Clenshaw series sums, the Jacobi-to-Chebyshev
+connection matrices and the P_k^2 expansion of ``linearization`` all run from
+it.  A series is
 summed at given interior points by banded LAPACK solves of Clenshaw's
 recurrence, at t = +-1 from the closed-form endpoint values, and on a grid of
 first-kind Chebyshev points by one FFT of its Chebyshev coefficients.  Exact
@@ -33,6 +35,7 @@ __all__ = [
     "ExactPolynomial",
     "exact_poly",
     "QuadratureRule",
+    "ExactVector",
     "jacobi_operator",
     "jacobi_table",
     "jacobi_series",
@@ -108,27 +111,148 @@ def jacobi_params(alpha, beta) -> JacobiParams:
 
 
 # ---------------------------------------------------------------------------
-# floating-point evaluation
+# the three-term recurrence, in floats or exactly
 
 
-def jacobi_operator(m: int, alpha, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class ExactVector:
+    """A vector of rationals num[i] / den: Python-int numerators over one
+    shared positive int denominator.
+
+    Elementwise +, - and * (by another vector of the same length, an int or a
+    Fraction) bring the operands to a common denominator without reducing;
+    / (elementwise or by a scalar) reduces the result by one gcd over den and
+    every numerator.  Indexing a position and iterating give reduced
+    Fractions; a slice is a vector, and a slice or position can be assigned a
+    vector or a scalar.  The exact scalar type of ``jacobi_operator`` and of
+    the P_k^2 recurrence in ``linearization``.
+    """
+
+    __slots__ = ("num", "den")
+    __array_ufunc__ = None  # numpy operands defer to these methods, which refuse them
+
+    def __init__(self, num, den: int = 1):
+        self.num = list(num)
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __iter__(self):
+        den = self.den
+        return (Fraction(n, den) for n in self.num)
+
+    def __repr__(self) -> str:
+        return f"ExactVector({[str(v) for v in self]})"
+
+    def _operand(self, other):
+        """(numerators, denominator) of a vector or scalar operand, the scalar
+        repeated to this length; None for any other type."""
+        if isinstance(other, ExactVector):
+            if len(other.num) != len(self.num):
+                raise ValueError(f"length {len(other.num)} != {len(self.num)}")
+            return other.num, other.den
+        if isinstance(other, (int, Fraction)):
+            return [other.numerator] * len(self.num), other.denominator
+        return None
+
+    def _scales(self, den: int) -> tuple[int, int, int]:
+        """(lcm, lcm // self.den, lcm // den)."""
+        lcm = math.lcm(self.den, den)
+        return lcm, lcm // self.den, lcm // den
+
+    def __add__(self, other):
+        if (op := self._operand(other)) is None:
+            return NotImplemented
+        b, den = op
+        lcm, fa, fb = self._scales(den)
+        return ExactVector([x * fa + y * fb for x, y in zip(self.num, b)], lcm)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if (op := self._operand(other)) is None:
+            return NotImplemented
+        b, den = op
+        lcm, fa, fb = self._scales(den)
+        return ExactVector([x * fa - y * fb for x, y in zip(self.num, b)], lcm)
+
+    def __mul__(self, other):
+        if (op := self._operand(other)) is None:
+            return NotImplemented
+        b, den = op
+        return ExactVector([x * y for x, y in zip(self.num, b)], self.den * den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if (op := self._operand(other)) is None:
+            return NotImplemented
+        b, den = op
+        if not all(b):
+            raise ZeroDivisionError("ExactVector division by zero")
+        # (x_i / self.den) / (b_i / den) = x_i den (lcm / b_i) / (self.den lcm)
+        lcm = math.lcm(*b)
+        num = [x * den * (lcm // y) for x, y in zip(self.num, b)]
+        den = self.den * lcm
+        g = math.gcd(den, *num)
+        return ExactVector([x // g for x in num], den // g)
+
+    def __rtruediv__(self, other):
+        if (op := self._operand(other)) is None:
+            return NotImplemented
+        return ExactVector(*op) / self
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return ExactVector(self.num[key], self.den)
+        return Fraction(self.num[key], self.den)
+
+    def __setitem__(self, key, value) -> None:
+        if isinstance(value, ExactVector):
+            b, den = value.num, value.den
+        elif isinstance(value, (int, Fraction)):
+            b, den = value.numerator, value.denominator
+        else:
+            raise TypeError(f"cannot assign {type(value).__name__} to an ExactVector")
+        lcm, fa, fb = self._scales(den)
+        if fa != 1:
+            self.num = [x * fa for x in self.num]
+            self.den = lcm
+        if not isinstance(key, slice):
+            if isinstance(b, list):
+                raise ValueError("cannot assign a vector to one position")
+            self.num[key] = b * fb
+            return
+        n = len(range(*key.indices(len(self.num))))
+        if not isinstance(b, list):
+            b = [b] * n
+        elif len(b) != n:
+            raise ValueError(f"cannot assign {len(b)} values to a slice of {n}")
+        self.num[key] = [y * fb for y in b]
+
+
+def jacobi_operator(m: int, alpha, beta):
     """(up, mid, down) of t P_j = up_j P_{j+1} + mid_j P_j + down_j P_{j-1}, j < m,
-    in the scalar type of (alpha, beta): float arrays, or object arrays of
+    in the scalar type of (alpha, beta): float arrays, or ExactVectors for
     Fractions.  Column j >= 1 is the recurrence at degree j + 1 with its common
     factors cancelled; column 0 has its own line, since the degree-1 recurrence
     degenerates when alpha + beta is 0 or -1.  down_0 = 0.
     """
     apb = alpha + beta
-    j = np.arange(1, m, dtype=object if isinstance(apb, Fraction) else float)
+    i = ExactVector(range(m)) if isinstance(apb, Fraction) else np.arange(m, dtype=float)
+    up, mid, down = 0 * i, 0 * i, 0 * i
+    # column 0: t P_0 = (2 P_1 - (alpha - beta)) / (alpha + beta + 2); [:1] is empty if m = 0
+    up[:1], mid[:1], down[:1] = 2 / (apb + 2), (beta - alpha) / (apb + 2), 0 * apb
+    j = i[1:]
     s = 2 * j + apb
-    up = 2 * (j + 1) * (j + 1 + apb) / ((s + 1) * (s + 2))
-    mid = (beta * beta - alpha * alpha) / (s * (s + 2))
-    down = 2 * (j + alpha) * (j + beta) / (s * (s + 1))
-    # column 0: t P_0 = (2 P_1 - (alpha - beta)) / (alpha + beta + 2)
-    up = np.concatenate(([2 / (apb + 2)], up))
-    mid = np.concatenate(([(beta - alpha) / (apb + 2)], mid))
-    down = np.concatenate(([0 * apb], down))
-    return up[:m], mid[:m], down[:m]
+    up[1:] = 2 * (j + 1) * (j + 1 + apb) / ((s + 1) * (s + 2))
+    mid[1:] = (beta * beta - alpha * alpha) / (s * (s + 2))
+    down[1:] = 2 * (j + alpha) * (j + beta) / (s * (s + 1))
+    return up, mid, down
+
+
+# ---------------------------------------------------------------------------
+# floating-point evaluation
 
 
 def jacobi_table(params: JacobiParams, kmax: int, t) -> np.ndarray:

@@ -5,10 +5,11 @@ sign machinery for the expansion coefficients, and the parameter regimes
 Multiplication by t is tridiagonal in the Jacobi basis, so P_k^2 = P_k(T) e_k
 follows from the three-term recurrence on coefficient vectors (Olver and
 Townsend 2013), with T the operator ``jacobi.jacobi_operator`` that also
-builds the basis tables and the Gauss rules.  The one algorithm runs on floats
-and, for rational (alpha, beta), on Fractions; monomial products
-(``jacobi.ExactPolynomial``) and Gauss cube integrals remain as independent
-oracles.
+builds the basis tables and the Gauss rules.  The one algorithm runs on float
+arrays and, for rational (alpha, beta), on ``jacobi.ExactVector``s (Python-int
+numerators over one shared denominator, reduced once per divide); monomial
+products (``jacobi.ExactPolynomial``) and Gauss cube integrals remain as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -68,24 +69,27 @@ class LinearizationTable:
     i3: float
 
 
-def _square_coeffs(k: int, alpha, beta) -> np.ndarray:
-    """C_k^0 .. C_k^2k as P_k(T) e_k, in the scalar type of (alpha, beta).
+def _square_coeffs(k: int, alpha, beta):
+    """C_k^0 .. C_k^2k as P_k(T) e_k: a float array for float (alpha, beta),
+    an ExactVector for Fractions, the same lines on either.
 
     T is multiplication by t in the P basis, from ``jacobi.jacobi_operator``.
     P_n(T) e_k follows from the recurrence P_{n+1} = ((T - mid_n) P_n - down_n
     P_{n-1}) / up_n and lives on k - n .. k + n, so 2k + 1 entries hold every
-    step exactly.
+    step exactly.  Exactly, each step is one gcd reduction (the divide by
+    up_n).
     """
     size = 2 * k + 1
     up, mid, down = jacobi_operator(size, alpha, beta)
 
-    def times_t(x: np.ndarray) -> np.ndarray:
+    def times_t(x):
         y = mid * x
         y[1:] += up[:-1] * x[:-1]
         y[:-1] += down[1:] * x[1:]
         return y
 
-    cur = np.array([0 * mid[0] + (i == k) for i in range(size)])  # e_k in the scalar type
+    cur = 0 * up  # +0.0 in floats, since every up_j > 0
+    cur[k] = 1  # e_k in the scalar type
     prev = 0 * cur
     for n in range(k):
         prev, cur = cur, (times_t(cur) - mid[n] * cur - down[n] * prev) / up[n]

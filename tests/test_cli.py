@@ -163,6 +163,7 @@ class TestTrace:
             (["--amplitude-cap", "-1"], "amplitude_cap"),
             (["--lambda-floor", "9", "--lambda-ceiling", "1"], "empty lambda window"),
             (["--ds0", "nan"], "ds0"),
+            (["--ds-max", "inf"], "ds_max"),
             (["--q", "inf"], "finite"),
         ],
         ids=str,

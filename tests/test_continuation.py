@@ -451,6 +451,7 @@ class TestContinueBranch:
             {"amplitude_cap": -1.0},
             {"amplitude_cap": math.nan},
             {"ds0": math.nan},
+            {"ds_max": math.inf},
         ],
         ids=str,
     )

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction as F
 
 import numpy as np
@@ -458,6 +459,101 @@ class TestExactCoefficients:
             for k in range(13):
                 coeffs = exact_coeffs(k, params).coeffs
                 assert all(c == 0 for i, c in enumerate(coeffs) if (i - k) % 2 == 1)
+
+    @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+    def test_exact_operator_is_the_three_term_recurrence(self, params):
+        # t P_j = up_j P_{j+1} + mid_j P_j + down_j P_{j-1} on the monomial oracle
+        m = 12
+        up, mid, down = jacobi.jacobi_operator(m, *params.exact)
+        p = [exact_coeffs(j, params) for j in range(m + 1)]
+        for j in range(m):
+            rhs = p[j + 1].scale(up[j]) + p[j].scale(mid[j])
+            if j:
+                rhs = rhs + p[j - 1].scale(down[j])
+            assert p[j].shift_up(1).coeffs == rhs.coeffs, j
+        assert down[0] == 0 and len(up) == len(mid) == len(down) == m
+
+
+DENOMINATORS = st.integers(1, 10**6)
+SCALARS = st.one_of(
+    st.integers(-(10**6), 10**6), st.builds(F, st.integers(-(10**6), 10**6), DENOMINATORS)
+)
+
+
+@st.composite
+def exact_vectors(draw, n):
+    """An ExactVector of length n, numerators not reduced against their
+    denominator, and the same rationals as an object array of Fractions."""
+    entry = st.one_of(st.just(0), st.integers(-(10**9), 10**9))
+    nums = draw(st.lists(entry, min_size=n, max_size=n))
+    den = draw(DENOMINATORS)
+    return jacobi.ExactVector(nums, den), np.array([F(x, den) for x in nums], dtype=object)
+
+
+def _same(vec, ref):
+    assert len(vec) == len(ref)
+    assert all(type(x) is F for x in vec)
+    assert list(vec) == list(ref)
+
+
+class TestExactVector:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 8), s=SCALARS)
+    def test_arithmetic_matches_fraction_arrays(self, data, n, s):
+        (v, rv), (w, rw) = data.draw(exact_vectors(n)), data.draw(exact_vectors(n))
+        for op in (operator.add, operator.sub, operator.mul):
+            _same(op(v, w), op(rv, rw))
+            _same(op(v, s), op(rv, s))
+        _same(s + v, s + rv)
+        _same(s * v, s * rv)
+        for a, b, ra, rb in ((v, w, rv, rw), (v, s, rv, s), (s, w, s, rw)):
+            try:
+                ref = ra / rb
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    a / b
+                continue
+            out = a / b
+            _same(out, ref)
+            assert out.den > 0 and math.gcd(out.den, *out.num) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 8),
+        s=SCALARS,
+        step=st.sampled_from([None, 1, 2, -1]),
+    )
+    def test_indexing_and_assignment_match_fraction_arrays(self, data, n, s, step):
+        (v, rv), (w, rw) = data.draw(exact_vectors(n)), data.draw(exact_vectors(n))
+        i = data.draw(st.integers(-n, n - 1))
+        key = slice(data.draw(st.integers(-n, n)), data.draw(st.integers(-n, n)), step)
+        assert v[i] == rv[i] and type(v[i]) is F
+        _same(v[key], rv[key])
+        v[key], rv[key] = w[key], rw[key]
+        _same(v, rv)
+        v[key], rv[key] = s, s
+        _same(v, rv)
+        v[i], rv[i] = s, s
+        _same(v, rv)
+        v[i], rv[i] = w[i], rw[i]
+        _same(v, rv)
+
+    def test_refuses_floats_and_mismatched_lengths(self):
+        v = jacobi.ExactVector([1, -2, 0], 3)
+        for bad in (0.5, np.float64(0.5), np.ones(3)):
+            with pytest.raises(TypeError):
+                v + bad
+            with pytest.raises(TypeError):
+                bad * v
+            with pytest.raises(TypeError):
+                v[0] = bad
+        with pytest.raises(ValueError):
+            v + jacobi.ExactVector([1, 2])
+        with pytest.raises(ValueError):
+            v[1:] = jacobi.ExactVector([1, 2, 3])
+        with pytest.raises(ValueError):
+            v[0] = jacobi.ExactVector([1])
 
 
 class TestApplyL:

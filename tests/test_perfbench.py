@@ -2,6 +2,7 @@
 Installing its tracer fails if one of those names is gone, so this keeps the
 program and the benchmark in step."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,22 @@ def spans(monkeypatch):
     import spans
 
     return spans
+
+
+def test_sign_references_match_the_exact_expansion(monkeypatch):
+    # every exact-sq reference, k up to 16, recomputed from the exact P_k^2
+    # expansion (the monomial oracle tests stop at k = 7)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import cases
+    import workloads
+
+    refs = json.loads((PERFBENCH / "refs.json").read_text())["sign"]
+    grid = cases.sign_cases(0)
+    assert len(grid) == len(refs) == 128 and max(c.k for c in grid) == 16
+    for case in grid:
+        got = workloads.sign_reference(case)
+        ref = refs[case.key]
+        assert (got["sha256"], got["signs"]) == (ref["sha256"], ref["signs"]), case.key
 
 
 def test_tracer_installs_records_and_restores(spans):
