@@ -81,6 +81,12 @@ def default_quadrature_order(n_modes: int) -> int:
     return max(2 * n_modes + 16, 3 * n_modes)
 
 
+# The largest quadrature order M.  A discretization builds Gauss rules of M and
+# 2M points, and Golub-Welsch holds every eigenvector of the second: a 2M x 2M
+# float matrix, 512 MiB at this bound (and 2.9 TB at N = 100000, M = 3N).
+MAX_QUADRATURE_ORDER = 4096
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Discretization of the interval problem: weight parameters, exponent
@@ -101,6 +107,12 @@ class ProblemSpec:
             object.__setattr__(self, "M", default_quadrature_order(self.N))
         if self.M < 2 * self.N:
             raise ParameterError(f"M={self.M} must be >= 2N={2 * self.N}")
+        if self.M > MAX_QUADRATURE_ORDER:
+            raise ParameterError(
+                f"N={self.N}, M={self.M}: the {2 * self.M} x {2 * self.M} Golub-Welsch "
+                f"eigenvector matrix would take {8 * (2 * self.M) ** 2:,} bytes; "
+                f"M must be <= {MAX_QUADRATURE_ORDER}"
+            )
 
 
 @lru_cache(maxsize=None)

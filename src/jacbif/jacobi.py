@@ -13,7 +13,8 @@ monomial coefficients are built independently from the differential operator
 L(y) = (1-t^2) y'' + (beta - alpha - (alpha+beta+2) t) y', whose
 degree-k eigenpolynomial (eigenvalue -k(k+alpha+beta+1)) is pinned to the
 normalization P_k(1) = (alpha+1)_k / k!.  The two routes cross-check each
-other throughout the test suite.
+other throughout the test suite.  The exact oracles run on Python ints over
+one common denominator and form each reduced Fraction once, at the end.
 """
 
 from __future__ import annotations
@@ -133,6 +134,12 @@ class ExactVector:
     def __init__(self, num, den: int = 1):
         self.num = list(num)
         self.den = den
+
+    @classmethod
+    def from_rationals(cls, values) -> "ExactVector":
+        """A sequence of ints and Fractions over their least common denominator."""
+        den = math.lcm(*(v.denominator for v in values))
+        return cls([v.numerator * (den // v.denominator) for v in values], den)
 
     def __len__(self) -> int:
         return len(self.num)
@@ -440,19 +447,30 @@ def eval_jacobi_deriv(k: int, params: JacobiParams, t):
 
 def _endpoint_values(params: JacobiParams, n: int, side: int) -> list:
     """P_0 .. P_{n-1} at side in {-1, +1}, by the running product
-    P_k(1) = (alpha+1)_k / k!  and  P_k(-1) = (-1)^k (beta+1)_k / k!,
-    as Fractions when exact parameters are available, else as floats."""
+    P_k(1) = (alpha+1)_k / k!  and  P_k(-1) = (-1)^k (beta+1)_k / k!: floats
+    for float parameters, else unreduced (numerator, denominator) int pairs,
+    prod_{j<=k} side (p + j q) / (j q) for the exponent p / q."""
     base = params.scalars[0 if side == 1 else 1]
-    vals = [type(base)(1)]
+    if params.exact is None:
+        vals = [1.0]
+        for j in range(1, n):
+            vals.append(vals[-1] * ((base + j) / j))
+        return vals if side == 1 else [-v if k % 2 else v for k, v in enumerate(vals)]
+    p, q = base.numerator, base.denominator
+    pairs = [(1, 1)]
     for j in range(1, n):
-        vals.append(vals[-1] * ((base + j) / j))
-    return vals if side == 1 else [-v if k % 2 else v for k, v in enumerate(vals)]
+        num, den = pairs[-1]
+        pairs.append((num * side * (p + j * q), den * j * q))
+    return pairs
 
 
 @lru_cache(maxsize=None)
 def _endpoint_vector(params: JacobiParams, n: int, side: int) -> np.ndarray:
-    """_endpoint_values as a read-only float vector."""
-    vec = np.array([float(v) for v in _endpoint_values(params, n, side)])
+    """_endpoint_values as a read-only float vector (int / int rounds once)."""
+    vals = _endpoint_values(params, n, side)
+    if params.exact is not None:
+        vals = [num / den for num, den in vals]
+    vec = np.array(vals, dtype=float)
     vec.setflags(write=False)
     return vec
 
@@ -466,7 +484,8 @@ def endpoint_value(k: int, params: JacobiParams, side: int):
         raise ParameterError("negative degree")
     if side not in (-1, 1):
         raise ParameterError("side must be -1 or +1")
-    return _endpoint_values(params, k + 1, side)[k]
+    val = _endpoint_values(params, k + 1, side)[k]
+    return val if params.exact is None else Fraction(*val)
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +536,16 @@ class ExactPolynomial:
         return self + other.scale(-1)
 
     def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
+        """One integer convolution, each operand over one denominator."""
         if not self.coeffs or not other.coeffs:
             return exact_poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return exact_poly(out)
+        a, b = ExactVector.from_rationals(self.coeffs), ExactVector.from_rationals(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                j = i + len(b)
+                out[i:j] = [o + x * y for o, y in zip(out[i:j], b.num)]
+        return exact_poly(ExactVector(out, a.den * b.den))
 
 
 def exact_poly(coeffs) -> ExactPolynomial:
@@ -561,26 +582,24 @@ def exact_coeffs(k: int, params: JacobiParams) -> ExactPolynomial:
     Builds the degree-k eigenpolynomial of L for eigenvalue -k(k+a) by a
     descending coefficient recurrence (each lower-degree correction term is
     uniquely solvable since the eigenvalues j(j+a) are distinct for j <= k),
-    then rescales so the value at 1 matches (alpha+1)_k / k!.
+    then rescales so the value at 1 matches (alpha+1)_k / k!.  Fraction-free:
+    with alpha = A / L and beta = B / L the divisor (k - m)(k + m + a) is
+    D_m / L, D_m = (k - m)((k + m + 1) L + A + B) > 0, and over the common
+    denominator D_0 .. D_{k-1} the monic numerators are N_k = D_0 .. D_{k-1},
+    N_m = -((m + 1)(B - A) N_{m+1} + (m + 2)(m + 1) L N_{m+2}) / D_m, exactly.
     """
     if k < 0:
         raise ParameterError("negative degree")
-    al, be = _require_exact(params)
-    if k == 0:
-        return exact_poly([1])
-    a = al + be + 1
-    # monic solve: c[k] = 1; for m < k,
-    #   (k(k+a) - m(m+a)) c[m] + (m+1)(be-al) c[m+1] + (m+2)(m+1) c[m+2] = 0
-    c = [Fraction(0)] * (k + 1)
-    c[k] = Fraction(1)
+    v = ExactVector.from_rationals(_require_exact(params))
+    (A, B), L = v.num, v.den
+    d = [(k - m) * ((k + m + 1) * L + A + B) for m in range(k)]
+    n = [0] * k + [math.prod(d), 0]  # N_0 .. N_{k+1}
     for m in range(k - 1, -1, -1):
-        num = (m + 1) * (be - al) * c[m + 1]
-        if m + 2 <= k:
-            num += (m + 2) * (m + 1) * c[m + 2]
-        c[m] = -num / ((k - m) * (k + m + a))
-    value_at_one = sum(c)
-    target = endpoint_value(k, params, +1)
-    return exact_poly(c).scale(target / value_at_one)
+        n[m] = -((m + 1) * (B - A) * n[m + 1] + (m + 2) * (m + 1) * L * n[m + 2]) // d[m]
+    n.pop()  # N_{k+1} = 0
+    e_num, e_den = _endpoint_values(params, k + 1, +1)[k]
+    den = sum(n) * e_den  # > 0: P_k(1) and the monic P_k at 1 are positive
+    return ExactPolynomial(tuple(Fraction(x * e_num, den) for x in n))
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +612,18 @@ def rel_weight_moments(params: JacobiParams, jmax: int) -> tuple[Fraction, ...]:
 
     The ratios are rational for rational (alpha, beta) and follow from
     integrating d/dt [ t^j (1-t)^(alpha+1) (1+t)^(beta+1) ] over [-1, 1].
+    On ints, with alpha = A / L, beta = B / L and E_j = (j + 2) L + A + B,
+    r_j = s_j / (E_0 .. E_{j-1}) and s_{j+1} = (B - A) s_j + j L E_{j-1} s_{j-1}.
     """
-    al, be = _require_exact(params)
+    v = ExactVector.from_rationals(_require_exact(params))
+    (A, B), L = v.num, v.den
     r = [Fraction(1)]
-    if jmax >= 1:
-        r.append((be - al) / (al + be + 2))
-    for j in range(1, jmax):
-        r.append(((be - al) * r[j] + j * r[j - 1]) / (j + al + be + 2))
-    return tuple(r[: jmax + 1])
+    s_prev, s, den = 0, 1, 1
+    for j in range(jmax):
+        s_prev, s = s, (B - A) * s + j * L * ((j + 1) * L + A + B) * s_prev
+        den *= (j + 2) * L + A + B
+        r.append(Fraction(s, den))
+    return tuple(r)
 
 
 def weight_mass(params: JacobiParams) -> float:
@@ -622,20 +645,17 @@ def weight_mass_exact(params: JacobiParams) -> Fraction | None:
     if al.denominator != 1 or be.denominator != 1 or al < 0 or be < 0:
         return None
     ai, bi = int(al), int(be)
-    return (
-        Fraction(2) ** (ai + bi + 1)
-        * math.factorial(ai)
-        * math.factorial(bi)
-        / Fraction(math.factorial(ai + bi + 1))
-    )
+    num = 2 ** (ai + bi + 1) * math.factorial(ai) * math.factorial(bi)
+    return Fraction(num, math.factorial(ai + bi + 1))
 
 
 def integrate_relative(p: ExactPolynomial, params: JacobiParams) -> Fraction:
-    """Exact (int p w dt) / m_0 for an exact polynomial p."""
+    """Exact (int p w dt) / m_0 for an exact polynomial p: an integer dot product."""
     if not p.coeffs:
         return Fraction(0)
     r = rel_weight_moments(params, p.degree)
-    return sum(c * r[i] for i, c in enumerate(p.coeffs))
+    terms = ExactVector.from_rationals(p.coeffs) * ExactVector.from_rationals(r)
+    return Fraction(sum(terms.num), terms.den)
 
 
 @dataclass(eq=False)
@@ -664,7 +684,7 @@ def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     up, mid, down = jacobi_operator(m, params.alpha, params.beta)
     try:
         nodes, vecs = eigh_tridiagonal(mid, np.sqrt(up[:-1] * down[1:]))
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
+    except (np.linalg.LinAlgError, ValueError) as exc:  # LAPACK's info != 0; MemoryError passes
         raise NumericalBreakdownError(f"tridiagonal eigensolve failed: {exc}") from exc
     weights = weight_mass(params) * vecs[0, :] ** 2
     if not (

@@ -7,9 +7,9 @@ follows from the three-term recurrence on coefficient vectors (Olver and
 Townsend 2013), with T the operator ``jacobi.jacobi_operator`` that also
 builds the basis tables and the Gauss rules.  The one algorithm runs on float
 arrays and, for rational (alpha, beta), on ``jacobi.ExactVector``s (Python-int
-numerators over one shared denominator, reduced once per divide); monomial
-products (``jacobi.ExactPolynomial``) and Gauss cube integrals remain as
-independent oracles.
+numerators over one shared denominator, reduced once per divide).  Monomial
+products (``jacobi.ExactPolynomial``, also on ints) and Gauss cube integrals
+remain as independent oracles.
 """
 
 from __future__ import annotations

@@ -165,6 +165,8 @@ class TestTrace:
             (["--ds0", "nan"], "ds0"),
             (["--ds-max", "inf"], "ds_max"),
             (["--q", "inf"], "finite"),
+            (["--n-modes", "100000"], "N=100000, M=300000"),
+            (["--n-modes", "16", "--quad-order", "4097"], "M must be <= 4096"),
         ],
         ids=str,
     )

@@ -34,6 +34,7 @@ from jacbif import (
 from jacbif import NumericalError, continuation, jacobi_params
 from jacbif.continuation import (
     FOLD_TRAIL,
+    MAX_QUADRATURE_ORDER,
     NEWTON_TOL,
     _fold_bracket,
     _scan_grid,
@@ -78,6 +79,22 @@ class TestProblemSpec:
     def test_quadrature_floor(self):
         with pytest.raises(ParameterError):
             ProblemSpec(jacobi_params(1, 0), 2.0, N=16, M=24)
+
+    def test_rule_size_is_bounded_before_allocating(self):
+        # the 2M-point rule of N = 100000 would hold a 600000^2 eigenvector matrix
+        with pytest.raises(ParameterError) as info:
+            ProblemSpec(jacobi_params(1, 0), 2.0, N=100000)
+        msg = str(info.value)
+        assert "N=100000, M=300000" in msg and "600000 x 600000" in msg
+        assert "2,880,000,000,000 bytes" in msg
+
+    def test_largest_quadrature_order(self):
+        # a spec allocates nothing; its discretization is built on first use
+        assert ProblemSpec(jacobi_params(1, 0), 2.0, N=16, M=MAX_QUADRATURE_ORDER).M == 4096
+        assert ProblemSpec(jacobi_params(1, 0), 2.0, N=1365).M == 4095
+        for kwargs in ({"N": 16, "M": MAX_QUADRATURE_ORDER + 1}, {"N": 1366}):
+            with pytest.raises(ParameterError, match="M must be <= 4096"):
+                ProblemSpec(jacobi_params(1, 0), 2.0, **kwargs)
 
 
 class TestResidual:

@@ -462,16 +462,37 @@ class TestExactCoefficients:
 
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_exact_operator_is_the_three_term_recurrence(self, params):
-        # t P_j = up_j P_{j+1} + mid_j P_j + down_j P_{j-1} on the monomial oracle
-        m = 12
-        up, mid, down = jacobi.jacobi_operator(m, *params.exact)
-        p = [exact_coeffs(j, params) for j in range(m + 1)]
-        for j in range(m):
-            rhs = p[j + 1].scale(up[j]) + p[j].scale(mid[j])
-            if j:
-                rhs = rhs + p[j - 1].scale(down[j])
-            assert p[j].shift_up(1).coeffs == rhs.coeffs, j
-        assert down[0] == 0 and len(up) == len(mid) == len(down) == m
+        _check_three_term_recurrence(params, 12)
+
+
+def _check_three_term_recurrence(params, m):
+    """t P_j = up_j P_{j+1} + mid_j P_j + down_j P_{j-1}, j < m, on the
+    monomial oracle, with the exact operator of jacobi_operator."""
+    up, mid, down = jacobi.jacobi_operator(m, *params.exact)
+    p = [exact_coeffs(j, params) for j in range(m + 1)]
+    for j in range(m):
+        rhs = p[j + 1].scale(up[j]) + p[j].scale(mid[j])
+        if j:
+            rhs = rhs + p[j - 1].scale(down[j])
+        assert p[j].shift_up(1).coeffs == rhs.coeffs, j
+    assert len(up) == len(mid) == len(down) == m and (m == 0 or down[0] == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=EXPONENTS, beta=EXPONENTS, k=st.integers(0, 32))
+def test_integer_oracles_are_exact(alpha, beta, k):
+    # exponents down to 1/10^6 above -1, denominators up to 10^6
+    params = jacobi_params(alpha, beta)
+    p = exact_coeffs(k, params)
+    assert p.degree == k and all(type(c) is F for c in p.coeffs)
+    assert apply_L(p, params) == p.scale(-k * (k + alpha + beta + 1))
+    _check_three_term_recurrence(params, k)
+    for side, base in ((1, alpha), (-1, beta)):
+        ref = F(1)  # P_k(side) = prod_{j <= k} side (base + j) / j
+        for j in range(1, k + 1):
+            ref *= side * (base + j) / j
+        value = endpoint_value(k, params, side)
+        assert type(value) is F and value == ref
 
 
 DENOMINATORS = st.integers(1, 10**6)
@@ -622,6 +643,22 @@ class TestQuadrature:
     def test_invalid_order(self):
         with pytest.raises(ParameterError):
             gauss_jacobi_rule(jacobi_params(0, 0), 0)
+
+    @pytest.mark.parametrize(
+        "exc, raised",
+        [(np.linalg.LinAlgError("stemr did not converge"), NumericalBreakdownError),
+         (ValueError("illegal value"), NumericalBreakdownError),
+         (MemoryError(), MemoryError)],
+        ids=["lapack", "invalid", "memory"],
+    )
+    def test_eigensolver_failures(self, monkeypatch, exc, raised):
+        # a LAPACK failure is a numerical breakdown; running out of memory is not
+        def eigh(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(jacobi, "eigh_tridiagonal", eigh)
+        with pytest.raises(raised):
+            gauss_jacobi_rule.__wrapped__(jacobi_params(0, 0), 5)
 
 
 class TestNorms:

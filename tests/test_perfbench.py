@@ -3,6 +3,7 @@ Installing its tracer fails if one of those names is gone, so this keeps the
 program and the benchmark in step."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,3 +66,14 @@ def test_tracer_installs_records_and_restores(spans):
     for cls, attr in spans.METHODS:
         assert vars(cls)[attr] is methods[attr], attr
     assert jacobi.jacobi_table is table and continuation.jacobi_table is table
+
+
+def test_cache_and_exact_coefficient_contract(spans):
+    # the tracer reads misses as cache_info() deltas, and the exact-sq set-up
+    # builds exact_coeffs, whose coefficients are a tuple of Fractions
+    for fn, name in spans.MISSES:
+        info = fn.cache_info()
+        assert info.hits >= 0 and info.misses >= 0, name
+    coeffs = jacobi.exact_coeffs(5, jacobi_params(Fraction(3, 10), Fraction(-7, 10))).coeffs
+    assert type(coeffs) is tuple and len(coeffs) == 6
+    assert all(type(c) is Fraction for c in coeffs)
