@@ -47,6 +47,7 @@ from .jacobi import (
     jacobi_series,
     jacobi_table,
     norm_sq_closed_form,
+    stacked_series,
 )
 from .linearization import linearization_coeffs, require_theorem_scope
 
@@ -267,7 +268,7 @@ class Discretization:
 
     def positive_values(self, c: np.ndarray) -> np.ndarray:
         vals = self.basis @ c
-        if vals.min() <= 0.0:
+        if not vals.min() > 0.0:
             raise NonpositiveStateError(
                 f"state reaches min {vals.min():.3e} at a quadrature node"
             )
@@ -292,7 +293,7 @@ class Discretization:
         """Relative change of the nonlinear projection when M doubles."""
         vals = self.positive_values(c)
         v2 = self.basis2 @ c
-        if v2.min() <= 0.0:
+        if not v2.min() > 0.0:
             raise NonpositiveStateError("state nonpositive on refined grid")
         p1 = self.proj @ (vals - vals**self.spec.q)
         p2 = self.proj2 @ (v2 - v2**self.spec.q)
@@ -338,7 +339,7 @@ def boundary_residual(u: SpectralFunction, lam: float, spec: ProblemSpec) -> tup
     p = spec.params
     ends = np.array([-1.0, 1.0])
     uv = u(ends)
-    if uv.min() <= 0.0:
+    if not uv.min() > 0.0:
         raise NonpositiveStateError("state nonpositive at an endpoint")
     du = u.derivative_values(ends)
     g = uv - uv**spec.q
@@ -411,11 +412,10 @@ def _is_constant(c: np.ndarray) -> bool:
 
 
 def _nonconstant_or_raise(u: SpectralFunction) -> None:
+    if not np.all(np.isfinite(u.coeffs)):
+        raise ParameterError("count is undefined for states with non-finite coefficients")
     if _is_constant(u.coeffs):
         raise ParameterError("count is undefined for (numerically) constant states")
-
-
-_SECTIONS = 32  # a polish round splits each bracket into this many cells: 5 bits
 
 
 def _series_roots(params: JacobiParams, coeffs: np.ndarray, n_modes: int, what: str) -> list[float]:
@@ -423,14 +423,19 @@ def _series_roots(params: JacobiParams, coeffs: np.ndarray, n_modes: int, what: 
     a sign scan of f on _scan_grid(n_modes).
 
     A grid node where f is exactly 0 is a root; every grid cell where f
-    changes sign brackets one.  All brackets are polished together by
-    32-section: each round evaluates f once, at the 31 equispaced interior
-    points of every open bracket, and keeps the first cell with a sign change.
-    An exact zero collapses its bracket onto that point, and a bracket stops
-    at width 1e-14.  Only when there are roots is f' formed (derivative_series)
-    and scanned: each root must be transversal, |f'(root)| >
-    TRANSVERSALITY_REL * max |f'| over the grid, or TangencyError names the
-    first offending one as ``what``.
+    changes sign brackets one.  Only when there are roots is f' formed
+    (derivative_series).  All brackets are then polished together by
+    safeguarded Newton (rtsafe, Press et al., Numerical Recipes, 9.4): each
+    round sums f and f' at every live iterate by one stacked banded solve
+    (stacked_series), starting from the bracket midpoints.  An iterate stops
+    at an exact zero of f or when |f / f'| <= 2 eps max(1, |t|), tested
+    before the bracket is updated from the sign of f, since at convergence
+    that sign is roundoff.  Otherwise the step is Newton's unless it leaves
+    the bracket or fails to halve the step before last, and bisection then;
+    a bracket narrower than 1e-14 stops at its midpoint.  A node root is a
+    bracket of width 0, so its one round reads f' there.  Each root must be
+    transversal, |f'| from its last round > TRANSVERSALITY_REL * max |f'|
+    over the grid, or TangencyError names the first offending one as ``what``.
     """
     grid = _scan_grid(n_modes)
     fvals = _scan_values(params, coeffs, n_modes)
@@ -439,43 +444,52 @@ def _series_roots(params: JacobiParams, coeffs: np.ndarray, n_modes: int, what: 
     j = np.flatnonzero(cell | ((a == 0.0) & (grid[:-1] > -1.0)))
     if j.size == 0:
         return []
-    roots = grid[j]
-    inside = cell[j]
-    j = j[inside]
-    lo, hi, flo = grid[j], grid[j + 1], fvals[j]
-    frac = np.arange(1, _SECTIONS) / _SECTIONS
-    live = np.arange(j.size)
-    while live.size:
-        rows = np.arange(live.size)
-        inner = lo[live, None] + (hi[live] - lo[live])[:, None] * frac
-        edges = np.concatenate((lo[live, None], inner, hi[live, None]), axis=1)
-        # f at the right end of each cell; at hi it has the sign opposite flo
-        fr = np.concatenate((jacobi_series(params, coeffs, inner), -flo[live, None]), axis=1)
-        hit = ((fr > 0.0) != (flo[live, None] > 0.0)) | (fr == 0.0)
-        k = hit.argmax(axis=1)  # the first cell with a sign change
-        zero = fr[rows, k] == 0.0
-        # an exact zero collapses its bracket onto that point
-        lo[live] = np.where(zero, edges[rows, k + 1], edges[rows, k])
-        hi[live] = edges[rows, k + 1]
-        live = live[~zero & (hi[live] - lo[live] >= 1e-14)]
-    roots[inside] = 0.5 * (lo + hi)
     dparams, dcoeffs = derivative_series(params, coeffs)
+    series = ((params, coeffs), (dparams, dcoeffs))
+    lo = grid[j]
+    hi = np.where(cell[j], grid[j + 1], lo)
+    positive = fvals[j] > 0.0  # the sign of f at lo
+    x = 0.5 * (lo + hi)
+    last = before_last = hi - lo  # the last two step lengths
+    roots, slopes = np.empty(j.size), np.empty(j.size)
+    live = np.arange(j.size)
+    tiny = 2.0 * np.finfo(float).eps
+    while live.size:
+        f, df = stacked_series(series, x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = f / df
+        roots[live], slopes[live] = x, np.abs(df)
+        done = (f == 0.0) | (np.abs(newton) <= tiny * np.maximum(1.0, np.abs(x)))
+        at_lo = (f > 0.0) == positive
+        lo, hi = np.where(at_lo, x, lo), np.where(at_lo, hi, x)
+        mid = 0.5 * (lo + hi)
+        guess = x - newton
+        ok = (lo < guess) & (guess < hi) & (np.abs(newton) <= 0.5 * before_last)
+        before_last, last = last, np.where(ok, np.abs(newton), 0.5 * (hi - lo))
+        x = np.where(ok, guess, mid)
+        narrow = ~done & (hi - lo < 1e-14)
+        roots[live[narrow]] = mid[narrow]
+        keep = ~done & ~narrow
+        live, lo, hi, positive, x, last, before_last = (
+            v[keep] for v in (live, lo, hi, positive, x, last, before_last)
+        )
     d_scale = np.max(np.abs(_scan_values(dparams, dcoeffs, n_modes)))
-    slopes = np.abs(jacobi_series(dparams, dcoeffs, roots))
     bad = np.flatnonzero(slopes <= TRANSVERSALITY_REL * d_scale)
     if bad.size:
         i = bad[0]
         raise TangencyError(
-            f"{what} at t={roots[i]:.6f} is nearly degenerate (|slope|={slopes[i]:.2e})"
+            f"{what} at t={roots[i]:.6f} is nearly degenerate (|slope|={slopes[i]:.2e})",
+            t=float(roots[i]),
+            slope=float(slopes[i]),
         )
     return roots.tolist()
 
 
 def crossing_points(u: SpectralFunction) -> list[float]:
     """Roots of u(t) = 1 in (-1, 1), in increasing order: sign scan on a
-    Chebyshev-distributed grid of 8N points, joint 32-section of the
-    brackets, and the transversality check |u'(root)| > TRANSVERSALITY_REL *
-    ||u'||_inf (see _series_roots)."""
+    Chebyshev-distributed grid of 8N points, joint safeguarded Newton polish
+    of the brackets, and the transversality check |u'(root)| >
+    TRANSVERSALITY_REL * ||u'||_inf (see _series_roots)."""
     _nonconstant_or_raise(u)
     # P_0 = 1: subtract 1 from c_0, not from the sum, so a small u - 1 keeps
     # its relative accuracy
@@ -703,12 +717,15 @@ def continue_branch(
                 accepted = _correct(disc, c, lam, *branch.tangents[-1], ds)
                 break
             except (NewtonDivergenceError, NonpositiveStateError, np.linalg.LinAlgError):
-                ds *= 0.5
-                if ds < settings.ds_min:
+                if 0.5 * ds < settings.ds_min:
                     raise NewtonDivergenceError(
                         f"corrector failed below ds_min at s={s_abs:.4f}, "
-                        f"lambda={lam:.6f}"
+                        f"lambda={lam:.6f}",
+                        s=s_abs,
+                        lam=float(lam),
+                        ds=ds,
                     ) from None
+                ds *= 0.5
         c_new, lam_new, iters = accepted
         gap = disc.quad_gap(c_new)
         if gap > QUAD_CHECK_TOL:

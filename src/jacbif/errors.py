@@ -19,7 +19,16 @@ class NumericalBreakdownError(NumericalError):
 
 
 class NewtonDivergenceError(NumericalError):
-    """A Newton corrector failed to converge within its iteration budget."""
+    """A Newton corrector failed to converge within its iteration budget.
+
+    When continue_branch gives up below ds_min, ``s`` is the arclength traced
+    so far, ``lam`` lambda at the last accepted point and ``ds`` the last step
+    tried; elsewhere they are None.
+    """
+
+    def __init__(self, message: str, *, s=None, lam=None, ds=None):
+        super().__init__(message)
+        self.s, self.lam, self.ds = s, lam, ds
 
 
 class NonpositiveStateError(NumericalError):
@@ -35,7 +44,12 @@ class NoFoldBracketError(NumericalError):
 
 class TangencyError(NumericalError):
     """A root of the scanned function is nearly tangent; counts would be
-    unreliable at the current resolution."""
+    unreliable at the current resolution.  ``t`` is the root and ``slope``
+    the |f'| there that failed the transversality test."""
+
+    def __init__(self, message: str, *, t=None, slope=None):
+        super().__init__(message)
+        self.t, self.slope = t, slope
 
 
 class StructureViolationError(NumericalError):

@@ -40,6 +40,7 @@ __all__ = [
     "jacobi_operator",
     "jacobi_table",
     "jacobi_series",
+    "stacked_series",
     "chebyshev_connection",
     "chebyshev_series",
     "eval_jacobi",
@@ -292,9 +293,9 @@ def _shaped(vals: np.ndarray, t):
 # Unknowns per banded solve, so that the work arrays of one solve stay bounded
 # for any number of points t.  A point costs n + 1 unknowns of 4 doubles (band
 # and right-hand side), about 8 kB at n = 256, so one solve over 10^5 points
-# would allocate about 0.8 GB.  The program's own calls (polish rounds of 31
-# points per open bracket, slopes, labels) are small enough that a single
-# solve per call left peak RSS unchanged on fold-ref and fold-n256.
+# would allocate about 0.8 GB.  The program's own calls (polish rounds of one
+# f and f' pair per open bracket, labels) are small enough that a single solve
+# per call left peak RSS unchanged on fold-ref and fold-n256.
 _BAND_UNKNOWNS = 5000
 
 
@@ -313,35 +314,50 @@ def _clenshaw_operator(params: JacobiParams, n: int) -> tuple[np.ndarray, ...]:
     return mid, up, band
 
 
-def _series_banded(params: JacobiParams, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Clenshaw's recurrence at the points of the 1-d x by banded LAPACK solves.
+def stacked_series(series, x: np.ndarray) -> np.ndarray:
+    """Row s holds sum_i c_i P_i at the interior points of the 1-d x, for
+    (params, c) = series[s], all rows from the same banded LAPACK solves.
 
-    Point p owns the unknowns b_0 .. b_n at rows p (n+1) .. p (n+1) + n of a
-    unit upper-triangular system of bandwidth 2,
-    b_j - ((t_p - mid_j) / up_j) b_{j+1} + ratio_j b_{j+2} = c_j,
-    block diagonal since no entry couples two points.  The band is built
-    point-major in a C-order ((n+1) P, 3) array, whose transpose is the
-    Fortran (3, (n+1) P) layout dtbtrs reads without a copy.  One solve takes
-    as many points as fit in _BAND_UNKNOWNS unknowns; the blocks do not
-    interact, so the split does not change the result.
+    Clenshaw's recurrence b_j - ((t - mid_j) / up_j) b_{j+1} + ratio_j b_{j+2}
+    = c_j of one series at one point is a unit upper-triangular system of
+    bandwidth 2 in b_0 .. b_n, and its sum is b_0.  Point p owns one such
+    block per series, in the order of ``series``, one after another.  Rows 0
+    and 1 of each block hold zeros where they would reach into the block
+    before, so the blocks do not couple and every row equals the sum of its
+    series alone (_series_banded) bit for bit.  The band is built point-major
+    in a C-order (unknowns, 3) array, whose transpose is the Fortran layout
+    dtbtrs reads without a copy.  One solve takes as many points as fit in
+    _BAND_UNKNOWNS unknowns; the split does not change the result.  The
+    recurrences lose digits at t = +-1 when an exponent is near -1, so
+    jacobi_series takes those points from the closed form instead.
     """
-    n = c.size - 1
-    mid, up, template = _clenshaw_operator(params, n)
-    step = max(1, _BAND_UNKNOWNS // (n + 1))
-    out = np.empty(x.size)
+    ops = [_clenshaw_operator(params, c.size - 1) for params, c in series]
+    starts = np.cumsum([0] + [c.size for _, c in series])
+    width = int(starts[-1])
+    template = np.concatenate([band for _, _, band in ops])
+    coeffs = np.concatenate([c for _, c in series])
+    step = max(1, _BAND_UNKNOWNS // width)
+    out = np.empty((len(series), x.size))
     for lo in range(0, x.size, step):
         xs = x[lo : lo + step]
-        band = np.empty((xs.size, n + 1, 3))
+        band = np.empty((xs.size, width, 3))
         band[:] = template
-        band[:, 1:, 1] = (mid - xs[:, None]) / up
-        rhs = np.empty((xs.size, n + 1))  # its own buffer: dtbtrs overwrites it
-        rhs[:] = c
+        for (mid, up, _), s in zip(ops, starts):
+            band[:, s + 1 : s + 1 + mid.size, 1] = (mid - xs[:, None]) / up
+        rhs = np.empty((xs.size, width))  # its own buffer: dtbtrs overwrites it
+        rhs[:] = coeffs
         ab = band.reshape(-1, 3).T
         b, info = dtbtrs(ab, rhs.reshape(-1, 1), uplo="U", diag="U", overwrite_b=1)
         if info != 0:
             raise NumericalBreakdownError(f"banded Clenshaw solve failed: dtbtrs info={info}")
-        out[lo : lo + xs.size] = b[:: n + 1, 0]
+        out[:, lo : lo + xs.size] = b.reshape(xs.size, width)[:, starts[:-1]].T
     return out
+
+
+def _series_banded(params: JacobiParams, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i c_i P_i at the points of the 1-d x: Clenshaw's recurrence by
+    banded LAPACK solves, one block per point (stacked_series)."""
+    return stacked_series(((params, c),), x)[0]
 
 
 def jacobi_series(params: JacobiParams, coeffs, t):
@@ -356,6 +372,8 @@ def jacobi_series(params: JacobiParams, coeffs, t):
     and the sum is b_0 since P_0 = 1 and down_0 = 0.  All points are summed
     together by banded solves (_series_banded), and no (len(t), n) table is
     built.  The result has the shape of t, and a scalar t gives a float.
+    Several series at the same interior points, such as the f and f' of the
+    root polish in ``continuation``, share one solve through stacked_series.
     """
     c = np.asarray(coeffs, dtype=float).ravel()
     if c.size == 0:

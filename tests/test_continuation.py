@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from jacbif import (
     ContinuationSettings,
+    NewtonDivergenceError,
     NoFoldBracketError,
+    NonpositiveStateError,
     ParameterError,
     ProblemSpec,
     SpectralFunction,
@@ -118,6 +120,25 @@ class TestResidual:
         r = residual(_mode_state(P10, 1, eps), 0.0, P10)
         assert r.coeffs[1] == pytest.approx(-(P10.params.a + 1.0) * eps, rel=1e-12)
         assert np.max(np.abs(np.delete(r.coeffs, 1))) < 1e-16
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    def test_nonfinite_state_is_not_positive(self, bad):
+        c = np.zeros(P10.N)
+        c[0], c[3] = 1.0, bad
+        u = SpectralFunction(c, P10.params)
+        with pytest.raises(NonpositiveStateError, match="at a quadrature node"):
+            residual(u, 1.0, P10)
+        with pytest.raises(NonpositiveStateError, match="at an endpoint"):
+            boundary_residual(u, 1.0, P10)
+
+    def test_nan_on_refined_grid_is_not_positive(self):
+        # a private discretization whose refined table yields NaN at one node
+        disc = continuation.Discretization(P10)
+        disc.basis2 = disc.basis2.copy()
+        disc.basis2[5, 0] = math.nan
+        c = _mode_state(P10, 1, 0.01).coeffs
+        with pytest.raises(NonpositiveStateError, match="refined grid"):
+            disc.quad_gap(c)
 
     def test_nonpositive_state_rejected(self):
         c = np.zeros(P10.N)
@@ -241,8 +262,10 @@ class TestCounting:
         c[0], c[1], c[3] = 1.0, 0.006, 0.004
         with pytest.raises(
             TangencyError, match=r"^crossing at t=-?0\.000000 is nearly degenerate"
-        ):
+        ) as info:
             crossing_points(SpectralFunction(c, PLEG.params))
+        assert abs(info.value.t) < 1e-6 and 0.0 <= info.value.slope < 1e-8
+        assert f"|slope|={info.value.slope:.2e})" in str(info.value)
 
     def test_degenerate_critical_point_raises(self):
         # Legendre: u - 1 = 0.01 t^4, so u' = 0.04 t^3 has a triple root at t = 0
@@ -252,6 +275,16 @@ class TestCounting:
             TangencyError, match=r"^critical point at t=-?0\.000000 is nearly degenerate"
         ):
             critical_point_list(SpectralFunction(c, PLEG.params))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("count", [crossing_points, critical_point_list])
+    def test_nonfinite_coefficients_rejected(self, count, bad):
+        # no sign change is seen through a NaN, so it would count 0 roots
+        u = _mode_state(PLEG, 3, 0.01)
+        c = u.coeffs.copy()
+        c[5] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            count(SpectralFunction(c, PLEG.params))
 
 
 # rational exponents in (-1, 3], with a share within 1/1000 of -1
@@ -292,7 +325,7 @@ NEAR_MINUS_ONE = st.one_of(
     amp=st.floats(1e-3, 1.0),
 )
 def test_crossings_match_zeros_up_to_degree_20(alpha, beta, k, n, amp):
-    # the 32-section polish of the Clenshaw sign scan, at up to N = 256 modes
+    # the safeguarded Newton polish of the sign scan, at up to N = 256 modes
     params = jacobi_params(alpha, beta)
     c = np.zeros(n)
     c[0], c[k] = 1.0, amp
@@ -367,15 +400,19 @@ def _scan_states(params, rng):
             c *= rng.uniform(0.5, 0.95) ** np.arange(n)
             c[0] += 1.0
             yield SpectralFunction(c, params)
-    n = 16
-    rule = gauss_jacobi_rule(params, 2 * n)
-    proj = (jacobi_table(params, n - 1, rule.nodes) * rule.weights[:, None]).T
-    proj /= np.array([norm_sq_closed_form(i, params) for i in range(n)])[:, None]
     for power in (3, 4):
         for _ in range(5):
             amp = 10 ** rng.uniform(-2, 0) * rng.choice([-1.0, 1.0])
-            vals = 1.0 + amp * (rule.nodes - rng.uniform(-0.9, 0.9)) ** power
-            yield SpectralFunction(proj @ vals, params)
+            t0 = rng.uniform(-0.9, 0.9)
+            yield _projected(params, lambda t: 1.0 + amp * (t - t0) ** power)
+
+
+def _projected(params, fn, n=16):
+    """The degree n - 1 projection of fn, by a Gauss rule of 2n points."""
+    rule = gauss_jacobi_rule(params, 2 * n)
+    proj = (jacobi_table(params, n - 1, rule.nodes) * rule.weights[:, None]).T
+    proj /= np.array([norm_sq_closed_form(i, params) for i in range(n)])[:, None]
+    return SpectralFunction(proj @ fn(rule.nodes), params)
 
 
 @pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
@@ -403,6 +440,49 @@ def test_derivative_is_scanned_only_for_a_sign_change(monkeypatch):
     assert critical_point_list(u) == [] and len(calls) == 1
     calls.clear()
     assert len(crossing_points(u)) == 1 and len(calls) == 2
+
+
+def _count_rounds(monkeypatch):
+    """A list that records one entry per stacked solve of the root polish."""
+    rounds = []
+    solve = continuation.stacked_series
+
+    def counting_solve(series, x):
+        rounds.append(x.size)
+        return solve(series, x)
+
+    monkeypatch.setattr(continuation, "stacked_series", counting_solve)
+    return rounds
+
+
+@pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
+def test_simple_roots_polish_in_few_rounds(ab, monkeypatch):
+    # u = 1 + 0.01 P_k: every bracket of u - 1 and of u' holds a simple root
+    rounds = _count_rounds(monkeypatch)
+    spec = ProblemSpec(jacobi_params(*ab), 2.0)
+    for k in range(1, 9):
+        u = _mode_state(spec, k, 0.01)
+        for count, expected in ((crossing_points, k), (critical_point_list, k - 1)):
+            rounds.clear()
+            assert len(count(u)) == expected
+            assert len(rounds) <= 5
+            assert all(size <= expected for size in rounds)
+
+
+@pytest.mark.parametrize("t0", [0.3, -0.55])
+@pytest.mark.parametrize("ab", [(0, 0), (1, 0), (F(1, 2), F(1, 2))], ids=str)
+def test_off_center_triple_root_raises(ab, t0, monkeypatch):
+    # Newton converges only linearly at a triple root, until roundoff decides
+    # the sign of f; the polish still ends, near t0, in a bounded number of rounds
+    rounds = _count_rounds(monkeypatch)
+    u = _projected(jacobi_params(*ab), lambda t: 1.0 + 0.05 * (t - t0) ** 3)
+    with pytest.raises(
+        TangencyError, match=r"^crossing at t=-?0\.\d{6} is nearly degenerate"
+    ) as info:
+        crossing_points(u)
+    assert abs(info.value.t - t0) < 1e-4
+    assert f"t={info.value.t:.6f}" in str(info.value)
+    assert len(rounds) <= 64
 
 
 class TestBranchSwitch:
@@ -475,6 +555,20 @@ class TestContinueBranch:
     def test_out_of_range_settings_rejected(self, bad):
         with pytest.raises(ParameterError):
             ContinuationSettings(**bad)
+
+    def test_step_failure_below_ds_min_carries_its_numbers(self, monkeypatch):
+        def failing_corrector(*args):
+            raise NewtonDivergenceError("no convergence")
+
+        start = branch_switch(1, P10, 1e-3, +1)
+        monkeypatch.setattr(continuation, "_correct", failing_corrector)
+        # ds = 0.01 fails, then 0.005; half of that is below ds_min
+        settings = ContinuationSettings(ds0=0.01, ds_min=0.004)
+        with pytest.raises(NewtonDivergenceError) as info:
+            continue_branch(start, P10, settings)
+        err = info.value
+        assert str(err) == f"corrector failed below ds_min at s=0.0010, lambda={start.lam:.6f}"
+        assert (err.s, err.lam, err.ds) == (1e-3, start.lam, 0.005)
 
     def test_tangents_are_aligned_unit_and_forward(self):
         settings = ContinuationSettings(max_steps=12, ds_max=0.05)

@@ -36,6 +36,7 @@ from jacbif.jacobi import (
     norm_sq_closed_form,
     norm_sq_relative,
     rel_weight_moments,
+    stacked_series,
     weight_mass,
     weight_mass_exact,
 )
@@ -253,6 +254,20 @@ class TestSeries:
         pts = self.points(93, n)
         one_by_one = [_series_banded(params, c, pts[i : i + 1])[0] for i in range(pts.size)]
         assert np.array_equal(_series_banded(params, c, pts), one_by_one)
+
+    @pytest.mark.parametrize("count", [1, 3, 93], ids=str)
+    @pytest.mark.parametrize("n", [2, 16, 64, 256])
+    @pytest.mark.parametrize("ab", [(1, 0), (F(-999, 1000), F(-9, 10))], ids=str)
+    def test_stacked_pair_equals_separate_sums(self, ab, n, count):
+        # f and f' in one solve, as the root polish sums them; at N = 256 the
+        # 93 points split over several solves
+        params = jacobi_params(*ab)
+        c = np.random.default_rng(n + count).standard_normal(n) * 0.9 ** np.arange(n)
+        dparams, dc = derivative_series(params, c)
+        pts = self.points(count + 2, n)[1:-1]
+        f, df = stacked_series(((params, c), (dparams, dc)), pts)
+        assert np.array_equal(f, _series_banded(params, c, pts))
+        assert np.array_equal(df, _series_banded(dparams, dc, pts))
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
     def test_empty_points_keep_their_shape(self, shape):
