@@ -49,7 +49,6 @@ from .jacobi import (
     apply_L,
     endpoint_value,
     eval_jacobi,
-    eval_jacobi_deriv,
     exact_coeffs,
     exact_poly,
     gauss_jacobi_rule,

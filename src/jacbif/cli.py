@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,22 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _exponents_joined(argv: list[str]) -> list[str]:
+    """argv with "--alpha -1/2" joined into "--alpha=-1/2", likewise for --beta.
+
+    argparse takes a token after an option as its value only if the token
+    does not start with "-" or looks like a negative int or decimal, so a
+    negative fraction after a space would read as a missing value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--alpha", "--beta") and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _direction(text: str) -> int:
@@ -223,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_exponents_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParameterError as exc:

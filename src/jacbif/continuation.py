@@ -24,6 +24,7 @@ certifies it a posteriori.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -88,6 +89,17 @@ def default_quadrature_order(n_modes: int) -> int:
 MAX_QUADRATURE_ORDER = 4096
 
 
+def _count(name: str, value) -> int:
+    """value as an int (numpy integers included); a ParameterError for a bool
+    or a non-integral value."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name}={value!r} must be an integer")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Discretization of the interval problem: weight parameters, exponent
@@ -101,6 +113,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not 1.0 < self.q < math.inf:
             raise ParameterError(f"q={self.q} must be finite and > 1")
+        object.__setattr__(self, "N", _count("N", self.N))
+        object.__setattr__(self, "M", _count("M", self.M))
         if self.N < 8:
             raise ParameterError(f"N={self.N} must be >= 8")
         object.__setattr__(self, "q", float(self.q))
@@ -225,6 +239,7 @@ class ContinuationSettings:
     stop_on_fold: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "max_steps", _count("max_steps", self.max_steps))
         if math.isnan(self.ds0):
             raise ParameterError("ds0 is NaN")
         if not 0.0 < self.ds_min <= self.ds_max:

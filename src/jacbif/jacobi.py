@@ -44,7 +44,6 @@ __all__ = [
     "chebyshev_connection",
     "chebyshev_series",
     "eval_jacobi",
-    "eval_jacobi_deriv",
     "endpoint_value",
     "exact_coeffs",
     "apply_L",
@@ -54,7 +53,6 @@ __all__ = [
     "gauss_jacobi_rule",
     "weighted_norm_sq",
     "norm_sq_closed_form",
-    "norm_sq_relative",
     "jacobi_zeros",
     "derivative_series",
 ]
@@ -451,18 +449,6 @@ def eval_jacobi(k: int, params: JacobiParams, t):
     return _shaped(jacobi_table(params, k, t)[:, k], t)
 
 
-def eval_jacobi_deriv(k: int, params: JacobiParams, t):
-    """d/dt P_k at t: the one term of derivative_series of P_k."""
-    if k < 0:
-        raise ParameterError("negative degree")
-    if k == 0:
-        return _shaped(np.zeros(np.size(t)), t)
-    e_k = np.zeros(k + 1)
-    e_k[k] = 1.0
-    sp, dc = derivative_series(params, e_k)
-    return _shaped(dc[k - 1] * jacobi_table(sp, k - 1, t)[:, k - 1], t)
-
-
 def _endpoint_values(params: JacobiParams, n: int, side: int) -> list:
     """P_0 .. P_{n-1} at side in {-1, +1}, by the running product
     P_k(1) = (alpha+1)_k / k!  and  P_k(-1) = (-1)^k (beta+1)_k / k!: floats
@@ -502,7 +488,7 @@ def endpoint_value(k: int, params: JacobiParams, side: int):
         raise ParameterError("negative degree")
     if side not in (-1, 1):
         raise ParameterError("side must be -1 or +1")
-    val = _endpoint_values(params, k + 1, side)[k]
+    val = _endpoint_values(params, k + 1, int(side))[k]  # 1.0 passes the check
     return val if params.exact is None else Fraction(*val)
 
 
@@ -524,34 +510,12 @@ class ExactPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, t):
-        """Horner evaluation; exact for Fraction/int arguments."""
-        acc = 0 if not isinstance(t, float) else 0.0
-        c = self.coeffs if not isinstance(t, float) else tuple(map(float, self.coeffs))
-        for coef in reversed(c):
+        """Horner evaluation: exact for int/Fraction t, a float for a float t
+        (Fraction + float is a float)."""
+        acc = 0
+        for coef in reversed(self.coeffs):
             acc = acc * t + coef
         return acc
-
-    def deriv(self) -> "ExactPolynomial":
-        return exact_poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def shift_up(self, n: int) -> "ExactPolynomial":
-        """Multiply by t^n."""
-        if not self.coeffs:
-            return self
-        return exact_poly((Fraction(0),) * n + self.coeffs)
-
-    def scale(self, s) -> "ExactPolynomial":
-        return exact_poly([Fraction(s) * c for c in self.coeffs])
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return exact_poly(a)
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return self + other.scale(-1)
 
     def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         """One integer convolution, each operand over one denominator."""
@@ -584,13 +548,15 @@ def _require_exact(params: JacobiParams) -> ExactPair:
 
 
 def apply_L(p: ExactPolynomial, params: JacobiParams) -> ExactPolynomial:
-    """Exact image of p under L(y) = (1-t^2) y'' + (beta-alpha-(alpha+beta+2)t) y'."""
+    """Exact image of p under L(y) = (1-t^2) y'' + (beta-alpha-(alpha+beta+2)t) y':
+    its t^j coefficient is (j+2)(j+1) c_{j+2} + (j+1)(beta-alpha) c_{j+1}
+    - j(j+alpha+beta+1) c_j."""
     al, be = _require_exact(params)
-    d1 = p.deriv()
-    d2 = d1.deriv()
-    term2 = d2 - d2.shift_up(2)
-    term1 = d1.scale(be - al) - d1.shift_up(1).scale(al + be + 2)
-    return term1 + term2
+    c = p.coeffs + (0, 0)
+    return exact_poly(
+        (j + 2) * (j + 1) * c[j + 2] + (j + 1) * (be - al) * c[j + 1] - j * (j + al + be + 1) * c[j]
+        for j in range(len(p.coeffs))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -678,15 +644,11 @@ def integrate_relative(p: ExactPolynomial, params: JacobiParams) -> Fraction:
 
 @dataclass(eq=False)
 class QuadratureRule:
-    """Gauss rule for the Jacobi weight: exact for degree <= 2*order - 1."""
+    """Gauss rule for the Jacobi weight: int f w dt ~ weights @ f(nodes), exact
+    for degree <= 2 * nodes.size - 1."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-    params: JacobiParams
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
 
 
 @lru_cache(maxsize=None)
@@ -714,7 +676,7 @@ def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
         raise NumericalBreakdownError("Golub-Welsch produced an invalid rule")
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes, weights, m, params)
+    return QuadratureRule(nodes, weights)
 
 
 def weighted_norm_sq(k: int, params: JacobiParams) -> float:
@@ -723,7 +685,7 @@ def weighted_norm_sq(k: int, params: JacobiParams) -> float:
         raise ParameterError("negative degree")
     rule = gauss_jacobi_rule(params, k + 1)
     vals = jacobi_table(params, k, rule.nodes)[:, k]
-    return rule.integrate(vals * vals)
+    return float(rule.weights @ (vals * vals))
 
 
 def norm_sq_closed_form(k: int, params: JacobiParams) -> float:
@@ -740,20 +702,14 @@ def norm_sq_closed_form(k: int, params: JacobiParams) -> float:
     ) / (2.0 * k + al + be + 1.0)
 
 
-def norm_sq_relative(k: int, params: JacobiParams) -> Fraction:
-    """Exact h_k / m_0 via the monomial expansion of P_k^2."""
-    p = exact_coeffs(k, params)
-    return integrate_relative(p * p, params)
-
-
 def jacobi_zeros(k: int, params: JacobiParams) -> np.ndarray:
     """The k increasing zeros of P_k in (-1, 1): Gauss nodes + one Newton polish."""
     if k < 1:
         raise ParameterError("degree must be >= 1")
     x = np.array(gauss_jacobi_rule(params, k).nodes)
     f = jacobi_table(params, k, x)[:, k]
-    fp = eval_jacobi_deriv(k, params, x)
-    x -= f / fp
+    sp, dc = derivative_series(params, np.arange(k + 1) == k)  # d/dt P_k = dc[k-1] P_{k-1}^sp
+    x -= f / (dc[k - 1] * jacobi_table(sp, k - 1, x)[:, k - 1])
     return x
 
 

@@ -7,9 +7,9 @@ follows from the three-term recurrence on coefficient vectors (Olver and
 Townsend 2013), with T the operator ``jacobi.jacobi_operator`` that also
 builds the basis tables and the Gauss rules.  The one algorithm runs on float
 arrays and, for rational (alpha, beta), on ``jacobi.ExactVector``s (Python-int
-numerators over one shared denominator, reduced once per divide).  Monomial
-products (``jacobi.ExactPolynomial``, also on ints) and Gauss cube integrals
-remain as independent oracles.
+numerators over one shared denominator, reduced once per divide).  Gauss
+cube integrals remain as an independent floating check; the monomial oracles
+of ``jacobi`` check the exact path from the tests and ``verification``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ import numpy as np
 from .errors import ParameterError, StructureViolationError
 from .jacobi import (
     JacobiParams,
-    exact_coeffs,
     gauss_jacobi_rule,
-    integrate_relative,
     jacobi_operator,
     jacobi_table,
     norm_sq_closed_form,
@@ -35,7 +33,6 @@ __all__ = [
     "LinearizationTable",
     "linearization_coeffs",
     "cube_integral",
-    "cube_integral_relative",
     "SignReport",
     "classify",
     "require_theorem_scope",
@@ -120,13 +117,7 @@ def cube_integral(k: int, params: JacobiParams) -> float:
     # the integrand has degree 3k: ceil((3k+1)/2) points plus 2 guard points
     rule = gauss_jacobi_rule(params, (3 * k + 1 + 1) // 2 + 2)
     vals = jacobi_table(params, k, rule.nodes)[:, k]
-    return rule.integrate(vals**3)
-
-
-def cube_integral_relative(k: int, params: JacobiParams) -> Fraction:
-    """Exact (int P_k^3 w dt) / m_0; rational for rational parameters."""
-    p = exact_coeffs(k, params)
-    return integrate_relative(p * p * p, params)
+    return float(rule.weights @ vals**3)
 
 
 @dataclass(frozen=True)
@@ -215,17 +206,18 @@ def sign_classification(k: int, params: JacobiParams) -> SignReport:
 class GasperQuartic:
     """Q(J), the quartic controlling the sign of the middle recurrence
     coefficient; stored both as the factored difference and expanded
-    monomial coefficients (ascending, exact when ``a`` is rational)."""
+    monomial coefficients (ascending).  ``a`` and the coefficients are
+    Fractions when ``a`` is rational, else floats; either form is exact at an
+    int or Fraction J with a rational ``a``, and a float wherever a float
+    enters (Fraction + float is a float)."""
 
     k: int
-    a: float
+    a: Fraction | float
     coeffs: tuple          # (c0, c1, c2, c3, c4), Fraction or float
-    a_exact: Fraction | None
 
     def factored(self, J):
         """(J+2)^2 (J+2k+2a+1)(2k-J-1)(2J+a+1) - (J+1)^2 (J+2k+2a)(2k-J)(2J+a+3)."""
-        k = self.k
-        a = self.a_exact if (self.a_exact is not None and not isinstance(J, float)) else self.a
+        k, a = self.k, self.a
         return (J + 2) ** 2 * (J + 2 * k + 2 * a + 1) * (2 * k - J - 1) * (2 * J + a + 1) - (
             J + 1
         ) ** 2 * (J + 2 * k + 2 * a) * (2 * k - J) * (2 * J + a + 3)
@@ -233,7 +225,7 @@ class GasperQuartic:
     def expanded(self, J):
         acc = 0 * J
         for c in reversed(self.coeffs):
-            acc = acc * J + (float(c) if isinstance(J, float) else c)
+            acc = acc * J + c
         return acc
 
 
@@ -250,16 +242,15 @@ def gasper_quartic(k: int, a) -> GasperQuartic:
     """
     if k < 2:
         raise ParameterError("k too small: the quartic analysis needs k >= 2")
-    a_exact = Fraction(a) if isinstance(a, (int, Fraction)) else None
-    av = a_exact if a_exact is not None else float(a)
-    if not float(av) > 0.0:
+    av = Fraction(a) if isinstance(a, (int, Fraction)) else float(a)
+    if not av > 0:
         raise ParameterError("need a > 0")
     c4 = -6 * (av**0)  # keeps Fraction type when exact
     c3 = -12 * (av + 2)
     c2 = 8 * k * (k + av) - 6 * av**2 - 38 * av - 34
     c1 = 8 * k * (k + av) * (av + 2) - 14 * av**2 - 38 * av - 20
     c0 = 4 * (k + 3 * k * av + 3 * av + 1) * (k - 1) + 4 * av * k + av**2 * (12 * k - 8)
-    gq = GasperQuartic(k=k, a=float(av), coeffs=(c0, c1, c2, c3, c4), a_exact=a_exact)
+    gq = GasperQuartic(k=k, a=av, coeffs=(c0, c1, c2, c3, c4))
     if not (c3 < 0 and c1 > 0 and c0 > 0):
         raise StructureViolationError(
             f"quartic coefficient signs out of pattern for k={k}, a={a}"

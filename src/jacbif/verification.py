@@ -35,7 +35,9 @@ from .jacobi import (
     JacobiParams,
     endpoint_value,
     eval_jacobi,
+    exact_coeffs,
     gauss_jacobi_rule,
+    integrate_relative,
     jacobi_params,
     jacobi_table,
     norm_sq_closed_form,
@@ -45,7 +47,6 @@ from .jacobi import (
 from .linearization import (
     ZERO_BAND,
     classify,
-    cube_integral_relative,
     gasper_quartic,
     quartic_sign_structure,
     sign_classification,
@@ -102,6 +103,12 @@ FOLD_CASES = [
 ]
 
 
+def _worst(values) -> float:
+    """The largest of values, 0 for none, and NaN if any is NaN: max() keeps
+    its running value when a NaN comes after a number."""
+    return float(np.max(values, initial=0.0))
+
+
 def _fmt(params: JacobiParams) -> str:
     al, be = params.scalars
     return f"({al},{be})"
@@ -131,14 +138,14 @@ def run_quadrature(seed: int = 0) -> list[CheckResult]:
         )
         m0 = weight_mass(params)
         rel = rel_weight_moments(params, 79)
-        worst_m = 0.0
+        errs = []
         for m in (1, 2, 3, 5, 8, 13, 21, 40):
             r = gauss_jacobi_rule(params, m)
             for j in range(2 * m):
                 approx = float(r.weights @ (r.nodes**j))
                 exact = float(rel[j]) * m0
-                err = abs(approx - exact) / max(abs(exact), m0)
-                worst_m = max(worst_m, err)
+                errs.append(abs(approx - exact) / max(abs(exact), m0))
+        worst_m = _worst(errs)
         out.append(
             CheckResult(
                 f"moment exactness {_fmt(params)} deg<=2m-1",
@@ -156,14 +163,14 @@ def run_quadrature(seed: int = 0) -> list[CheckResult]:
 def run_endpoints(seed: int = 0) -> list[CheckResult]:
     out = []
     for params in PARAM_GRID:
-        worst = 0.0
+        errs = []
         signs_ok = True
         prev_minus = None
         for k in range(31):
             for side in (-1, 1):
                 ref = endpoint_value(k, params, side)
                 got = eval_jacobi(k, params, float(side))
-                worst = max(worst, abs(got - float(ref)) / abs(float(ref)))
+                errs.append(abs(got - float(ref)) / abs(float(ref)))
             plus = endpoint_value(k, params, +1)
             minus = endpoint_value(k, params, -1)
             if not plus > 0:
@@ -171,6 +178,7 @@ def run_endpoints(seed: int = 0) -> list[CheckResult]:
             if prev_minus is not None and not prev_minus * minus < 0:
                 signs_ok = False
             prev_minus = minus
+        worst = _worst(errs)
         out.append(
             CheckResult(
                 f"endpoint formulas {_fmt(params)} k<=30",
@@ -205,9 +213,10 @@ def run_theorem21(seed: int = 0) -> list[CheckResult]:
                 detail = f"k={k}: float signs {float_signs} != exact signs {exact_signs}"
                 break
             h32 = norm_sq_closed_form(k, params) ** 1.5
-            i3_exact = cube_integral_relative(k, params)
+            p = exact_coeffs(k, params)
+            i3_exact = integrate_relative(p * p * p, params)  # int P_k^3 w dt / m_0
             if params.is_symmetric and k % 2 == 1:
-                if abs(table.i3) > 1e-12 * h32 or i3_exact != 0:
+                if not (abs(table.i3) <= 1e-12 * h32 and i3_exact == 0):
                     ok = False
                     detail = f"k={k}: cube integral not zero ({table.i3:.2e})"
                     break
@@ -237,7 +246,7 @@ def run_gasper(seed: int = 0) -> list[CheckResult]:
             for x in rng.uniform(0.0, 2.0 * k, size=5):
                 fe, fa = gq.expanded(float(x)), gq.factored(float(x))
                 scale = max(abs(fe), abs(fa), 1.0)
-                if abs(fe - fa) > 1e-10 * scale:
+                if not abs(fe - fa) <= 1e-10 * scale:
                     ok = False
                     detail = f"k={k}, J={x:.3f}: expanded {fe:.6e} vs factored {fa:.6e}"
                     break
@@ -301,8 +310,7 @@ def run_theorem31(seed: int = 0) -> list[CheckResult]:
     for params in SLOPE_PARAMS:
         for q in (2.0, 3.0):
             spec = ProblemSpec(params, q)
-            worst_rel = 0.0
-            worst_fit = 0.0
+            rels, fits = [], []
             ok = True
             detail_parts = []
             for k in range(1, 5):
@@ -313,22 +321,22 @@ def run_theorem31(seed: int = 0) -> list[CheckResult]:
                         detail_parts.append(f"k={k}: closed form {closed:.2e} != 0")
                         continue
                     c_fit, resid = quadratic_window_fit(k, spec)
-                    worst_fit = max(worst_fit, resid)
-                    if resid >= 0.05:
+                    fits.append(resid)
+                    if not resid < 0.05:
                         ok = False
                         detail_parts.append(f"k={k}: quadratic fit residual {resid:.1%}")
                 else:
                     est = estimate_slope(k, spec)
                     rel = abs(est - closed) / abs(closed)
-                    worst_rel = max(worst_rel, rel)
-                    if rel >= 0.01:
+                    rels.append(rel)
+                    if not rel < 0.01:
                         ok = False
                         detail_parts.append(
                             f"k={k}: slope {est:.6f} vs closed {closed:.6f} ({rel:.2%})"
                         )
             detail = (
-                f"max slope mismatch {worst_rel:.2e}, max quadratic-fit residual "
-                f"{worst_fit:.2e}"
+                f"max slope mismatch {_worst(rels):.2e}, max quadratic-fit residual "
+                f"{_worst(fits):.2e}"
             )
             if detail_parts:
                 detail += "; " + "; ".join(detail_parts)
@@ -417,9 +425,9 @@ def _branch_invariants(branch: Branch, k: int, params: JacobiParams, q: float) -
         vals = p.u(ends)
         sgn_minus.add(vals[0] > 1.0)
         sgn_plus.add(vals[1] > 1.0)
-        if vals[1] <= 1.0:
+        if not vals[1] > 1.0:
             plus_above = False
-        if p.lam <= 1e-4:
+        if not p.lam > 1e-4:
             lam_ok = False
     ok = (
         crossings_ok
@@ -459,7 +467,7 @@ def run_hygiene(seed: int = 0) -> list[CheckResult]:
     disc = discretization(spec)
     lam = 2.5
 
-    worst = 0.0
+    errs = []
     eps = 1e-6
     for _ in range(10):
         c = _random_positive_state(rng, spec)
@@ -469,7 +477,8 @@ def run_hygiene(seed: int = 0) -> list[CheckResult]:
         fd = (disc.residual_coeffs(c + eps * v, lam) - disc.residual_coeffs(c - eps * v, lam)) / (
             2.0 * eps
         )
-        worst = max(worst, disc.w_norm(fd - jv))
+        errs.append(disc.w_norm(fd - jv))
+    worst = _worst(errs)
     out.append(
         CheckResult(
             "jacobian vs central differences (10 random states)",
@@ -483,7 +492,7 @@ def run_hygiene(seed: int = 0) -> list[CheckResult]:
     branch = continue_branch(start, spec, settings)
     fine = ProblemSpec(spec.params, spec.q, N=2 * spec.N)
     sqh = math.sqrt(disc.h[1])
-    worst_ref = 0.0
+    shifts = []
     for p in branch.points[2::4]:
         sigma = float(p.u.coeffs[1]) * sqh
         guess_c = np.zeros(fine.N)
@@ -491,7 +500,8 @@ def run_hygiene(seed: int = 0) -> list[CheckResult]:
         # offset lambda so the fine-grid Newton actually re-converges instead
         # of accepting the padded coarse point at iteration zero
         c2, lam2 = solve_at_phase(1, fine, sigma, guess=(guess_c, p.lam * (1.0 + 1e-6)))
-        worst_ref = max(worst_ref, abs(lam2 - p.lam) / abs(p.lam))
+        shifts.append(abs(lam2 - p.lam) / abs(p.lam))
+    worst_ref = _worst(shifts)
     out.append(
         CheckResult(
             "N -> 2N refinement stability of lambda",

@@ -3,11 +3,20 @@
 Each test prints one pass/fail line per check (visible with `pytest -s` or
 via `jacbif verify all`) and fails if any check in its criterion fails.
 The fold runs are shared between criteria 7 and 8 through a module fixture.
+The tests at the end inject a NaN into each suite and expect a FAIL.
 """
 
+import dataclasses
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from jacbif import jacobi_params, lambda_prime_zero, verification
 from jacbif.verification import (
+    PRODUCT_SIGN_GRID,
+    SLOPE_PARAMS,
     run_endpoints,
     run_folds,
     run_gasper,
@@ -65,3 +74,67 @@ def test_criterion_8_branch_invariants(fold_results):
 
 def test_criterion_9_numerical_hygiene():
     _report(run_hygiene(seed=0))
+
+
+# ---------------------------------------------------------------------------
+# a NaN fails its check
+
+
+def test_nan_moment_fails_quadrature(monkeypatch):
+    monkeypatch.setattr(verification, "rel_weight_moments", lambda p, j: (math.nan,) * (j + 1))
+    moments = [r for r in run_quadrature() if r.name.startswith("moment exactness")]
+    assert moments and not any(r.passed for r in moments)
+    assert all("= nan" in r.detail for r in moments)
+
+
+def test_nan_value_fails_endpoints(monkeypatch):
+    monkeypatch.setattr(verification, "eval_jacobi", lambda k, params, t: math.nan)
+    results = run_endpoints()
+    assert not any(r.passed for r in results)
+    assert all("max rel error = nan" in r.detail for r in results)
+
+
+def test_nan_norm_fails_zero_cube_integrals(monkeypatch):
+    # h_k enters only the bound on the cube integrals that must vanish
+    monkeypatch.setattr(verification, "norm_sq_closed_form", lambda k, params: math.nan)
+    assert [r.passed for r in run_theorem21()] == [not p.is_symmetric for p in PRODUCT_SIGN_GRID]
+
+
+def test_nan_quartic_fails_identity(monkeypatch):
+    # a = NaN reaches the factored form only
+    quartic = verification.gasper_quartic
+    monkeypatch.setattr(
+        verification, "gasper_quartic", lambda k, a: dataclasses.replace(quartic(k, a), a=math.nan)
+    )
+    results = run_gasper()
+    assert not any(r.passed for r in results)
+    assert all("vs factored nan" in r.detail for r in results)
+
+
+@pytest.mark.parametrize("nan_in", ["slope", "fit"])
+def test_nan_slope_or_fit_fails_theorem31(nan_in, monkeypatch):
+    slope = (lambda k, spec: math.nan) if nan_in == "slope" else lambda_prime_zero
+    monkeypatch.setattr(verification, "estimate_slope", slope)
+    fit = (0.0, math.nan if nan_in == "fit" else 0.0)
+    monkeypatch.setattr(verification, "quadratic_window_fit", lambda k, spec: fit)
+    passed = [r.passed for r in run_theorem31()]
+    # every line fits slopes at k = 2 and 4; symmetric lines fit k = 1 and 3
+    expected = [nan_in == "fit" and not p.is_symmetric for p in SLOPE_PARAMS for _ in (2, 3)]
+    assert passed == expected
+
+
+@pytest.mark.parametrize("lam, u_plus", [(math.nan, 2.0), (2.0, math.nan)], ids=["lam", "u(+1)"])
+def test_nan_point_fails_branch_invariants(lam, u_plus):
+    point = SimpleNamespace(crossings=1, lam=lam, u=lambda t: np.array([0.5, u_plus]))
+    res = verification._branch_invariants(
+        SimpleNamespace(points=[point]), 1, jacobi_params(1, 0), 2.0
+    )
+    assert not res.passed
+
+
+def test_nan_refined_lambda_fails_hygiene(monkeypatch):
+    monkeypatch.setattr(verification, "solve_at_phase", lambda *args, **kw: (None, math.nan))
+    results = {r.name: r for r in run_hygiene()}
+    res = results["N -> 2N refinement stability of lambda"]
+    assert not res.passed and res.detail == "max relative lambda shift = nan"
+    assert results["byte-identical JSON for identical runs"].passed

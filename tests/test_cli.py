@@ -103,6 +103,27 @@ class TestLinearize:
         assert json.loads(out)["classification"] == []
 
 
+@pytest.mark.parametrize(
+    "head, alpha, beta, tail",
+    [
+        (["linearize", "--k", "2"], "2", "-1/2", []),
+        (["linearize", "--k", "3"], "-1/2", "-3/4", []),
+        (
+            ["trace", "--k", "1"],
+            "3/10",
+            "-7/10",
+            ["--q", "2", "--n-modes", "16", "--max-steps", "3"],
+        ),
+    ],
+    ids=["linearize", "linearize-both", "trace"],
+)
+def test_negative_rational_exponent_after_a_space(head, alpha, beta, tail, capsys):
+    # argparse alone takes the "-1/2" of "--beta -1/2" for an option
+    spaced = run_cli([*head, "--alpha", alpha, "--beta", beta, *tail], capsys)
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert spaced == run_cli([*head, f"--alpha={alpha}", f"--beta={beta}", *tail], capsys)
+
+
 class TestTrace:
     def test_json_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "branch.json"

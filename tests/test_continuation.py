@@ -98,6 +98,21 @@ class TestProblemSpec:
             with pytest.raises(ParameterError, match="M must be <= 4096"):
                 ProblemSpec(jacobi_params(1, 0), 2.0, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"N": 16.0}, {"N": True}, {"N": F(16)}, {"M": 40.5}, {"M": 48.0}, {"M": np.float64(48)}],
+        ids=str,
+    )
+    def test_sizes_must_be_integers(self, kwargs):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            ProblemSpec(jacobi_params(1, 0), 2.0, **{"N": 16, **kwargs})
+
+    def test_numpy_integer_sizes_become_ints(self):
+        spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=np.int64(16), M=np.int32(40))
+        assert (spec.N, spec.M) == (16, 40)
+        assert type(spec.N) is int and type(spec.M) is int
+        assert spec == ProblemSpec(jacobi_params(1, 0), 2.0, N=16, M=40)
+
 
 class TestResidual:
     def test_trivial_state_is_exact_zero(self):
@@ -555,6 +570,14 @@ class TestContinueBranch:
     def test_out_of_range_settings_rejected(self, bad):
         with pytest.raises(ParameterError):
             ContinuationSettings(**bad)
+
+    @pytest.mark.parametrize("max_steps", [2.5, 4.0, True, np.bool_(True)], ids=repr)
+    def test_max_steps_must_be_an_integer(self, max_steps):
+        with pytest.raises(ParameterError, match="max_steps=.* must be an integer"):
+            ContinuationSettings(max_steps=max_steps)
+
+    def test_numpy_integer_max_steps_becomes_int(self):
+        assert type(ContinuationSettings(max_steps=np.int64(7)).max_steps) is int
 
     def test_step_failure_below_ds_min_carries_its_numbers(self, monkeypatch):
         def failing_corrector(*args):

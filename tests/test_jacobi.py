@@ -15,7 +15,6 @@ from jacbif import (
     apply_L,
     endpoint_value,
     eval_jacobi,
-    eval_jacobi_deriv,
     exact_coeffs,
     exact_poly,
     gauss_jacobi_rule,
@@ -34,7 +33,6 @@ from jacbif.jacobi import (
     derivative_series,
     integrate_relative,
     norm_sq_closed_form,
-    norm_sq_relative,
     rel_weight_moments,
     stacked_series,
     weight_mass,
@@ -61,6 +59,23 @@ ORACLE_PAIRS = [
     (F(-999, 1000), F(-9, 10)),
     (F(2), F(-1, 2)),
 ]
+
+
+def _deriv_values(k, params, t):
+    """d/dt P_k at t: the one term of derivative_series of P_k, summed by
+    jacobi_series."""
+    return jacobi_series(*derivative_series(params, np.arange(k + 1) == k), t)
+
+
+def _exact_deriv(p):
+    """The exact derivative of an ExactPolynomial."""
+    return exact_poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def _eigen_image(p, k, params):
+    """-k(k + alpha + beta + 1) p, the image of P_k under L, exactly."""
+    al, be = params.exact
+    return exact_poly(-k * (k + al + be + 1) * c for c in p.coeffs)
 
 
 class TestParams:
@@ -148,16 +163,16 @@ class TestEvaluation:
             vals = eval_jacobi(k, params, t)
             assert vals.shape == (2, 3)
             assert vals.ravel().tolist() == [eval_jacobi(k, params, x) for x in t.ravel()]
-            dvals = eval_jacobi_deriv(k, params, t)
+            dvals = _deriv_values(k, params, t)
             assert dvals.shape == (2, 3)
-            assert dvals.ravel().tolist() == [eval_jacobi_deriv(k, params, x) for x in t.ravel()]
-        assert isinstance(eval_jacobi_deriv(0, params, 0.5), float)
+            assert dvals.ravel().tolist() == [_deriv_values(k, params, x) for x in t.ravel()]
+        assert isinstance(_deriv_values(0, params, 0.5), float)
 
     def test_derivative_matches_exact_derivative(self):
         params = jacobi_params(F(3, 2), F(1, 2))
-        dp = exact_coeffs(7, params).deriv()
+        dp = _exact_deriv(exact_coeffs(7, params))
         for t in (-0.9, -0.25, 0.0, 0.6, 1.0):
-            assert eval_jacobi_deriv(7, params, t) == pytest.approx(
+            assert _deriv_values(7, params, t) == pytest.approx(
                 float(dp(F(t).limit_denominator(10**6))), rel=1e-12
             )
 
@@ -440,6 +455,13 @@ class TestEndpoints:
                 ref = float(endpoint_value(k, params, side))
                 assert eval_jacobi(k, params, float(side)) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("params", [jacobi_params(1, 0), jacobi_params(1.0, 0.0)], ids=str)
+    @pytest.mark.parametrize("side", [1.0, -1.0, np.float64(1), np.float64(-1), np.int64(-1)])
+    def test_side_of_any_number_type(self, params, side):
+        value = endpoint_value(3, params, side)
+        assert type(value) is type(endpoint_value(3, params, int(side)))
+        assert value == endpoint_value(3, params, int(side))
+
     def test_degree_zero_type(self):
         assert type(endpoint_value(0, jacobi_params(1, 0), -1)) is F
         assert type(endpoint_value(0, jacobi_params(1.0, 0.0), +1)) is float
@@ -464,10 +486,9 @@ class TestExactCoefficients:
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_eigen_identity(self, params):
         # L(P_k) = -k(k + alpha + beta + 1) P_k, exactly
-        al, be = params.exact
         for k in range(16):
             p = exact_coeffs(k, params)
-            assert apply_L(p, params).coeffs == p.scale(-k * (k + al + be + 1)).coeffs
+            assert apply_L(p, params).coeffs == _eigen_image(p, k, params).coeffs
 
     def test_parity_for_symmetric_weight(self):
         for params in (jacobi_params(0, 0), jacobi_params(F(1, 2), F(1, 2))):
@@ -484,12 +505,12 @@ def _check_three_term_recurrence(params, m):
     """t P_j = up_j P_{j+1} + mid_j P_j + down_j P_{j-1}, j < m, on the
     monomial oracle, with the exact operator of jacobi_operator."""
     up, mid, down = jacobi.jacobi_operator(m, *params.exact)
-    p = [exact_coeffs(j, params) for j in range(m + 1)]
+    p = [exact_coeffs(j, params).coeffs for j in range(m + 1)]
     for j in range(m):
-        rhs = p[j + 1].scale(up[j]) + p[j].scale(mid[j])
-        if j:
-            rhs = rhs + p[j - 1].scale(down[j])
-        assert p[j].shift_up(1).coeffs == rhs.coeffs, j
+        # monomial coefficients t^0 .. t^(j+1) of P_{j+1}, P_j and P_{j-1}
+        hi, cur, lo = (c + (0,) * (j + 2 - len(c)) for c in (p[j + 1], p[j], p[j - 1] if j else ()))
+        rhs = tuple(up[j] * x + mid[j] * y + down[j] * z for x, y, z in zip(hi, cur, lo))
+        assert (0,) + p[j] == rhs, j
     assert len(up) == len(mid) == len(down) == m and (m == 0 or down[0] == 0)
 
 
@@ -500,7 +521,7 @@ def test_integer_oracles_are_exact(alpha, beta, k):
     params = jacobi_params(alpha, beta)
     p = exact_coeffs(k, params)
     assert p.degree == k and all(type(c) is F for c in p.coeffs)
-    assert apply_L(p, params) == p.scale(-k * (k + alpha + beta + 1))
+    assert apply_L(p, params) == _eigen_image(p, k, params)
     _check_three_term_recurrence(params, k)
     for side, base in ((1, alpha), (-1, beta)):
         ref = F(1)  # P_k(side) = prod_{j <= k} side (base + j) / j
@@ -702,7 +723,8 @@ class TestNorms:
         for params in (jacobi_params(0, 0), jacobi_params(1, 0)):
             mass = weight_mass_exact(params)
             for k in range(9):
-                exact = norm_sq_relative(k, params) * mass
+                p = exact_coeffs(k, params)
+                exact = integrate_relative(p * p, params) * mass
                 assert weighted_norm_sq(k, params) == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
@@ -763,7 +785,7 @@ class TestDerivativeSeries:
         t = np.linspace(-0.95, 0.95, 17)
         got = jacobi_table(sp, dc.size - 1, t) @ dc
         expected = sum(
-            c * np.array([eval_jacobi_deriv(i, params, float(x)) for x in t])
+            c * np.array([float(_exact_deriv(exact_coeffs(i, params))(F(x))) for x in t])
             for i, c in enumerate(coeffs)
         )
         assert got == pytest.approx(expected, abs=1e-13)

@@ -39,7 +39,36 @@ def package_imports(module: str) -> set[str]:
     [
         ("continuation", {"errors", "jacobi", "linearization"}),
         ("jacobi", {"errors"}),
+        ("linearization", {"errors", "jacobi"}),
+        ("output", {"continuation", "linearization"}),
+        ("geometry", {"errors", "jacobi"}),
+        ("errors", set()),
+        ("verification", {"continuation", "errors", "jacobi", "linearization", "output"}),
     ],
 )
 def test_module_imports_only_lower_layers(module, allowed):
     assert package_imports(module) <= allowed
+
+
+MONOMIAL_ORACLES = {
+    "exact_coeffs",
+    "integrate_relative",
+    "ExactPolynomial",
+    "rel_weight_moments",
+    "apply_L",
+}
+
+
+def test_linearization_uses_no_monomial_oracle():
+    # the P_k^2 expansion runs on the three-term recurrence alone; the monomial
+    # oracles of jacobi check it from the tests and verification
+    tree = ast.parse((PACKAGE / "linearization.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & MONOMIAL_ORACLES

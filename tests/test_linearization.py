@@ -17,8 +17,7 @@ from jacbif import (
     quartic_sign_structure,
     sign_classification,
 )
-from jacbif.jacobi import exact_coeffs, integrate_relative, norm_sq_relative, weight_mass_exact
-from jacbif.linearization import cube_integral_relative
+from jacbif.jacobi import exact_coeffs, integrate_relative, weight_mass_exact
 
 SIGN_GRID = [
     jacobi_params(F(-2, 5), F(-2, 5)),
@@ -96,9 +95,10 @@ EXPONENTS = st.one_of(
 @example(alpha=F(0), beta=F(0), k=5)
 def test_exact_coeffs_match_monomial_oracle(alpha, beta, k):
     params = jacobi_params(alpha, beta)
-    sq = exact_coeffs(k, params) * exact_coeffs(k, params)
+    p = [exact_coeffs(i, params) for i in range(2 * k + 1)]
+    sq = p[k] * p[k]
     oracle = tuple(
-        integrate_relative(sq * exact_coeffs(i, params), params) / norm_sq_relative(i, params)
+        integrate_relative(sq * p[i], params) / integrate_relative(p[i] * p[i], params)
         for i in range(2 * k + 1)
     )
     assert linearization_coeffs(k, params).exact == oracle
@@ -112,9 +112,13 @@ class TestCubeIntegral:
         assert cube_integral(2, p00) == pytest.approx(4 / 35, rel=1e-12)
         assert cube_integral(1, p10) == pytest.approx(2 / 5, rel=1e-12)
         # exact route: relative integral times rational mass
-        assert cube_integral_relative(2, p00) * weight_mass_exact(p00) == F(4, 35)
-        assert cube_integral_relative(1, p10) * weight_mass_exact(p10) == F(2, 5)
-        assert cube_integral_relative(1, p00) == 0
+        def cube_relative(k, params):
+            p = exact_coeffs(k, params)
+            return integrate_relative(p * p * p, params)
+
+        assert cube_relative(2, p00) * weight_mass_exact(p00) == F(4, 35)
+        assert cube_relative(1, p10) * weight_mass_exact(p10) == F(2, 5)
+        assert cube_relative(1, p00) == 0
 
 
 class TestSignClassification:
@@ -184,6 +188,6 @@ class TestQuartic:
 
     def test_structure_violation_on_tampered_quartic(self):
         gq = gasper_quartic(2, 2)
-        bad = type(gq)(k=gq.k, a=gq.a, coeffs=(-164.0,) + gq.coeffs[1:], a_exact=None)
+        bad = type(gq)(k=gq.k, a=gq.a, coeffs=(-164.0,) + gq.coeffs[1:])
         with pytest.raises(StructureViolationError):
             quartic_sign_structure(bad)
