@@ -27,7 +27,6 @@ from .continuation import (
     find_degenerate,
     jacobian,
     lambda_prime_zero,
-    residual,
     solve_at_phase,
 )
 from .errors import (

@@ -11,9 +11,11 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
+import typing
 from fractions import Fraction
 
 from .continuation import (
@@ -140,14 +142,7 @@ def cmd_trace(args) -> int:
     params = _params_from_args(args)
     spec = ProblemSpec(params, args.q, N=args.n_modes, M=args.quad_order)
     settings = ContinuationSettings(
-        ds0=args.ds0,
-        ds_min=args.ds_min,
-        ds_max=args.ds_max,
-        max_steps=args.max_steps,
-        lambda_floor=args.lambda_floor,
-        lambda_ceiling=args.lambda_ceiling,
-        amplitude_cap=args.amplitude_cap,
-        stop_on_fold=args.stop_on_fold,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(ContinuationSettings)}
     )
     start = branch_switch(args.k, spec, args.s0, args.direction)
     branch = continue_branch(start, spec, settings)
@@ -209,18 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--d", type=int)
     p_trace.add_argument("--c", type=int)
     p_trace.add_argument("--q", type=float, required=True)
-    p_trace.add_argument("--n-modes", type=int, default=64, help="Jacobi modes N")
-    p_trace.add_argument("--quad-order", type=int, default=0, help="quadrature order M")
+    p_trace.add_argument("--n-modes", type=int, default=ProblemSpec.N, help="Jacobi modes N")
+    p_trace.add_argument("--quad-order", type=int, default=ProblemSpec.M, help="quadrature order M")
     p_trace.add_argument("--s0", type=float, default=1e-3, help="first tangent amplitude")
     p_trace.add_argument("--direction", type=_direction, default=1)
-    p_trace.add_argument("--ds0", type=float, default=0.01)
-    p_trace.add_argument("--ds-min", type=float, default=1e-6)
-    p_trace.add_argument("--ds-max", type=float, default=0.05)
-    p_trace.add_argument("--max-steps", type=int, default=400)
-    p_trace.add_argument("--lambda-floor", type=float, default=1e-4)
-    p_trace.add_argument("--lambda-ceiling", type=float, default=float("inf"))
-    p_trace.add_argument("--amplitude-cap", type=float, default=1e3)
-    p_trace.add_argument("--stop-on-fold", action="store_true")
+    # one flag per ContinuationSettings field, with the field's type and default
+    types = typing.get_type_hints(ContinuationSettings)
+    for f in dataclasses.fields(ContinuationSettings):
+        kind = {"action": "store_true"} if types[f.name] is bool else {"type": types[f.name]}
+        p_trace.add_argument("--" + f.name.replace("_", "-"), default=f.default, **kind)
     p_trace.add_argument(
         "--no-fold-detect",
         action="store_true",

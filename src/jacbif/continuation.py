@@ -60,7 +60,6 @@ __all__ = [
     "FoldRecord",
     "ContinuationSettings",
     "discretization",
-    "residual",
     "boundary_residual",
     "jacobian",
     "bifurcation_lambda",
@@ -157,9 +156,6 @@ class SpectralFunction:
         h = _h_vector(self.params, self.coeffs.size)
         return math.sqrt(float(h @ (self.coeffs * self.coeffs)))
 
-    def derivative_values(self, t):
-        return jacobi_series(*derivative_series(self.params, self.coeffs), t)
-
     @staticmethod
     def constant_one(spec: "ProblemSpec") -> "SpectralFunction":
         c = np.zeros(spec.N)
@@ -170,7 +166,8 @@ class SpectralFunction:
 @dataclass(frozen=True)
 class BranchPoint:
     """One accepted continuation state with its diagnostics; ``critical`` is
-    critical_point_list(u), not serialized beyond its length."""
+    critical_point_list(u), not serialized beyond its length, and ``tangent``
+    the unit tangent (tau_c, tau_lam) oriented along the tracing, not serialized."""
 
     u: SpectralFunction
     lam: float
@@ -179,6 +176,7 @@ class BranchPoint:
     sigma_min: float
     crossings: int
     critical: list[tuple[float, str]]
+    tangent: tuple[np.ndarray, float]
 
     @property
     def critical_points(self) -> int:
@@ -187,14 +185,12 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Ordered accepted points rooted at a bifurcation point, each with its unit
-    tangent (tau_c, tau_lam) oriented along the tracing (not serialized)."""
+    """Ordered accepted points rooted at a bifurcation point."""
 
     spec: ProblemSpec
     k: int
     direction: int
     points: list[BranchPoint] = field(default_factory=list)
-    tangents: list[tuple[np.ndarray, float]] = field(default_factory=list)
     folds: list["FoldRecord"] = field(default_factory=list)
     termination: str = ""
 
@@ -278,9 +274,6 @@ class Discretization:
     def w_norm(self, c: np.ndarray) -> float:
         return math.sqrt(float(self.h @ (c * c)))
 
-    def values(self, c: np.ndarray) -> np.ndarray:
-        return self.basis @ c
-
     def positive_values(self, c: np.ndarray) -> np.ndarray:
         vals = self.basis @ c
         if not vals.min() > 0.0:
@@ -324,23 +317,12 @@ def discretization(spec: ProblemSpec) -> Discretization:
 # basic operations
 
 
-def _as_coeffs(u: SpectralFunction | np.ndarray, spec: ProblemSpec) -> np.ndarray:
+def jacobian(u: SpectralFunction, lam: float, spec: ProblemSpec) -> np.ndarray:
+    """State Jacobian: diag(-i(i+a)) - lambda * M[1 - q u^(q-1)]."""
     c = u.coeffs if isinstance(u, SpectralFunction) else np.asarray(u, dtype=float)
     if c.size != spec.N:
         raise ParameterError(f"state has {c.size} coefficients, spec wants {spec.N}")
-    return c
-
-
-def residual(u: SpectralFunction, lam: float, spec: ProblemSpec) -> SpectralFunction:
-    """Galerkin residual of F(u, lambda), returned as a coefficient vector."""
-    disc = discretization(spec)
-    return SpectralFunction(disc.residual_coeffs(_as_coeffs(u, spec), lam), spec.params)
-
-
-def jacobian(u: SpectralFunction, lam: float, spec: ProblemSpec) -> np.ndarray:
-    """State Jacobian: diag(-i(i+a)) - lambda * M[1 - q u^(q-1)]."""
-    disc = discretization(spec)
-    return disc.jacobian(_as_coeffs(u, spec), lam)
+    return discretization(spec).jacobian(c, lam)
 
 
 def boundary_residual(u: SpectralFunction, lam: float, spec: ProblemSpec) -> tuple[float, float]:
@@ -356,7 +338,7 @@ def boundary_residual(u: SpectralFunction, lam: float, spec: ProblemSpec) -> tup
     uv = u(ends)
     if not uv.min() > 0.0:
         raise NonpositiveStateError("state nonpositive at an endpoint")
-    du = u.derivative_values(ends)
+    du = jacobi_series(*derivative_series(u.params, u.coeffs), ends)
     g = uv - uv**spec.q
     b_minus = (2.0 * p.beta + 2.0) * du[0] - lam * g[0]
     b_plus = -(2.0 * p.alpha + 2.0) * du[1] - lam * g[1]
@@ -544,8 +526,11 @@ def _sigma_min(jac: np.ndarray) -> float:
     return float(np.linalg.svd(jac, compute_uv=False)[-1])
 
 
-def _make_point(c: np.ndarray, lam: float, s: float, spec: ProblemSpec, smin: float) -> BranchPoint:
-    """The point (c, lam) with its diagnostics; ``smin`` is sigma_min of J there."""
+def _make_point(
+    c: np.ndarray, lam: float, s: float, spec: ProblemSpec, smin: float, tangent: tuple
+) -> BranchPoint:
+    """The point (c, lam) with its diagnostics; ``smin`` is sigma_min of J
+    there and ``tangent`` its unit tangent (tau_c, tau_lam)."""
     disc = discretization(spec)
     u = SpectralFunction(c, spec.params)
     return BranchPoint(
@@ -556,6 +541,7 @@ def _make_point(c: np.ndarray, lam: float, s: float, spec: ProblemSpec, smin: fl
         sigma_min=smin,
         crossings=count_crossings(u),
         critical=critical_point_list(u),
+        tangent=tangent,
     )
 
 
@@ -620,6 +606,8 @@ def solve_at_phase(
     of the Newton kernel.  Seeded from the tangent predictor
     u = 1 + sigma * P_k / ||P_k||_w unless a guess is supplied.
     """
+    if not 1 <= k < spec.N:
+        raise ParameterError(f"k={k} must lie in [1, N) = [1, {spec.N})")
     disc = discretization(spec)
     sqh = math.sqrt(disc.h[k])
     ck = sigma / sqh
@@ -654,7 +642,15 @@ def branch_switch(
         raise ParameterError(f"k={k} must lie in [1, N/2] = [1, {spec.N // 2}]")
     sigma = direction * s0
     c, lam = solve_at_phase(k, spec, sigma)
-    bp = _make_point(c, lam, sigma, spec, _sigma_min(jacobian(c, lam, spec)))
+    disc = discretization(spec)
+    # the tangent is oriented along direction * (P_k / ||P_k||_w, lambda'(0))
+    sqh = math.sqrt(disc.h[k])
+    guess_c = np.zeros(spec.N)
+    guess_c[k] = direction / sqh
+    guess_lam = direction * lambda_prime_zero(k, spec) / sqh
+    jac = disc.jacobian(c, lam)  # serves sigma_min and the tangent
+    tangent = _tangent(disc, jac, c, guess_c, guess_lam)
+    bp = _make_point(c, lam, sigma, spec, _sigma_min(jac), tangent)
     if bp.crossings != k:
         raise StructureViolationError(
             f"first branch point has {bp.crossings} crossings, expected {k}; "
@@ -685,10 +681,10 @@ def _tangent(
     return tc, tl
 
 
-def _fold_bracket(tangents: list[tuple[np.ndarray, float]]) -> int | None:
-    """First i where tau_lam changes sign between tangents i and i + 1, or None."""
-    for i in range(len(tangents) - 1):
-        if tangents[i][1] * tangents[i + 1][1] <= 0.0:
+def _fold_bracket(points: list[BranchPoint]) -> int | None:
+    """First i where tau_lam changes sign between points i and i + 1, or None."""
+    for i in range(len(points) - 1):
+        if points[i].tangent[1] * points[i + 1].tangent[1] <= 0.0:
             return i
     return None
 
@@ -705,23 +701,15 @@ def continue_branch(
     diagnostic set.  Terminates on step budget, lambda leaving
     (lambda_floor, lambda_ceiling), amplitude cap, a return to the trivial
     solution u = 1 (that state is not appended), or (optionally) FOLD_TRAIL
-    points after the first fold bracket (_fold_bracket on Branch.tangents).
+    points after the first fold bracket (_fold_bracket on the point tangents).
     """
     settings = settings or ContinuationSettings()
     disc = discretization(spec)
-    n = spec.N
-    k = start.crossings
     direction = 1 if start.s >= 0.0 else -1
-    branch = Branch(spec=spec, k=k, direction=direction, points=[start])
+    branch = Branch(spec=spec, k=start.crossings, direction=direction, points=[start])
 
     c = np.array(start.u.coeffs, dtype=float)
     lam = start.lam
-    sqh = math.sqrt(disc.h[k])
-    guess_c = np.zeros(n)
-    guess_c[k] = direction / sqh
-    guess_lam = direction * lambda_prime_zero(k, spec) / sqh
-    branch.tangents.append(_tangent(disc, disc.jacobian(c, lam), c, guess_c, guess_lam))
-
     s_abs = abs(start.s)
     ds = min(max(settings.ds0, settings.ds_min), settings.ds_max)
     steps_after_bracket = 0
@@ -729,7 +717,7 @@ def continue_branch(
     while len(branch.points) < settings.max_steps:
         while True:
             try:
-                accepted = _correct(disc, c, lam, *branch.tangents[-1], ds)
+                accepted = _correct(disc, c, lam, *branch.points[-1].tangent, ds)
                 break
             except (NewtonDivergenceError, NonpositiveStateError, np.linalg.LinAlgError):
                 if 0.5 * ds < settings.ds_min:
@@ -752,12 +740,12 @@ def continue_branch(
             branch.termination = "trivial-branch"
             return branch
         s_abs += ds
-        # one Jacobian serves sigma_min and the next tangent
+        # one Jacobian serves sigma_min and the tangent
         jac = disc.jacobian(c_new, lam_new)
-        point = _make_point(c_new, lam_new, direction * s_abs, spec, _sigma_min(jac))
+        tangent = _tangent(disc, jac, c_new, *branch.points[-1].tangent)
+        point = _make_point(c_new, lam_new, direction * s_abs, spec, _sigma_min(jac), tangent)
         branch.points.append(point)
         c, lam = c_new, lam_new
-        branch.tangents.append(_tangent(disc, jac, c, *branch.tangents[-1]))
 
         if not (settings.lambda_floor < lam < settings.lambda_ceiling):
             branch.termination = "lambda-window"
@@ -766,7 +754,7 @@ def continue_branch(
             branch.termination = "amplitude-cap"
             return branch
         if settings.stop_on_fold and (
-            steps_after_bracket or _fold_bracket(branch.tangents[-2:]) is not None
+            steps_after_bracket or _fold_bracket(branch.points[-2:]) is not None
         ):
             steps_after_bracket += 1
             if steps_after_bracket > FOLD_TRAIL:
@@ -810,27 +798,28 @@ def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
 
     The fold test function is tau_lam, the lambda component of the unit
     tangent, which changes sign at a regular fold.  Its first sign change
-    between Branch.tangents i and i + 1 (_fold_bracket) brackets the fold,
-    and its root in arclength is found by the Illinois method from points[i]
-    along tangents[i], each evaluation being one corrector step and one
-    tangent.  At the root the tangent is (v, 0) with J v = 0, and v is the
-    kernel direction, scaled to ||v||_w = 1 with its largest weighted
-    component positive.  The fold is certified a posteriori: the Moore-Spence
-    residual ||(F, J v, ||v||_w^2 - 1)|| must be below CERTIFICATE_TOL and
+    between the tangents of points i and i + 1 (_fold_bracket) brackets the
+    fold, and its root in arclength is found by the Illinois method from
+    points[i] along its tangent, each evaluation being one corrector step and
+    one tangent.  The fold point keeps the last of these tangents.  At the
+    root the tangent is (v, 0) with J v = 0, and v is the kernel direction,
+    scaled to ||v||_w = 1 with its largest weighted component positive.  The
+    fold is certified a posteriori: the Moore-Spence residual
+    ||(F, J v, ||v||_w^2 - 1)|| must be below CERTIFICATE_TOL and
     sigma_min/sigma_max of J below DEGENERATE_TOL.
     """
     disc = discretization(spec)
-    pts, taus = branch.points, branch.tangents
-    i = _fold_bracket(taus)
+    pts = branch.points
+    i = _fold_bracket(pts)
     if i is None:
         why = " (the branch returned to u = 1)" if branch.termination == "trivial-branch" else ""
         raise NoFoldBracketError(f"tau_lambda keeps its sign on the traced branch{why}")
     start = pts[i]
-    tau_c, tau_lam = taus[i]
+    tau_c, tau_lam = start.tangent
     # regula falsi on tau_lam(ds) with the Illinois rule: the root stays
     # between a and the latest iterate b, and the value kept at a is halved
     # whenever a survives a step
-    a, fa, b, fb = 0.0, tau_lam, abs(pts[i + 1].s - start.s), taus[i + 1][1]
+    a, fa, b, fb = 0.0, tau_lam, abs(pts[i + 1].s - start.s), pts[i + 1].tangent[1]
     xtol = NEWTON_TOL * b
     for _ in range(MAX_ITER):
         ds = b - fb * (b - a) / (fb - fa)
@@ -846,6 +835,7 @@ def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
             break
     else:
         raise NewtonDivergenceError(f"fold not located to {xtol:.1e} in arclength")
+    tangent = (v, f)
     v = v / disc.w_norm(v)
     ms_res = math.sqrt(
         disc.w_norm(disc.residual_coeffs(c, lam)) ** 2
@@ -864,7 +854,7 @@ def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
     idx = int(np.argmax(np.abs(v) * np.sqrt(disc.h)))
     if v[idx] < 0.0:
         v = -v
-    point = _make_point(c, lam, start.s + branch.direction * ds, spec, float(svals[-1]))
+    point = _make_point(c, lam, start.s + branch.direction * ds, spec, float(svals[-1]), tangent)
     return FoldRecord(
         point=point,
         lambda_star=float(lam),

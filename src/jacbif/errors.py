@@ -37,9 +37,9 @@ class NonpositiveStateError(NumericalError):
 
 
 class NoFoldBracketError(NumericalError):
-    """The lambda component tau_lam of the unit tangents stored along the
-    traced branch (Branch.tangents) never changes sign, so no fold is
-    bracketed and there is nothing to localize."""
+    """The lambda component tau_lam of the unit tangents stored on the points
+    of the traced branch (BranchPoint.tangent) never changes sign, so no fold
+    is bracketed and there is nothing to localize."""
 
 
 class TangencyError(NumericalError):

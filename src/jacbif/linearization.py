@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, StructureViolationError
+from .errors import NumericalError, ParameterError, StructureViolationError
 from .jacobi import (
     JacobiParams,
     gauss_jacobi_rule,
@@ -137,11 +137,20 @@ class SignReport:
 
 def classify(values, band=0) -> tuple[str, ...]:
     """The sign label ("zero", "positive" or "negative") of each value; values
-    within band * max|values| of 0 count as zero.  Exact values use band = 0."""
+    within band * max|values| of 0 count as zero.  Exact values use band = 0.
+    A NaN has no sign: the first one is a NumericalError naming its index."""
     tol = band * max(abs(v) for v in values)
-    return tuple(
-        "zero" if abs(v) <= tol else ("positive" if v > 0 else "negative") for v in values
-    )
+    labels = []
+    for i, v in enumerate(values):
+        if abs(v) <= tol:
+            labels.append("zero")
+        elif v > 0:
+            labels.append("positive")
+        elif v < 0:
+            labels.append("negative")
+        else:  # NaN; tol is NaN only when values[0] is, so no NaN is passed over
+            raise NumericalError(f"value {i} is NaN and has no sign")
+    return tuple(labels)
 
 
 def require_theorem_scope(params: JacobiParams) -> None:

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from jacbif import jacobi_params, lambda_prime_zero, verification
+from jacbif import jacobi_params, lambda_prime_zero, linearization, verification
 from jacbif.verification import (
     PRODUCT_SIGN_GRID,
     SLOPE_PARAMS,
@@ -98,6 +98,24 @@ def test_nan_norm_fails_zero_cube_integrals(monkeypatch):
     # h_k enters only the bound on the cube integrals that must vanish
     monkeypatch.setattr(verification, "norm_sq_closed_form", lambda k, params: math.nan)
     assert [r.passed for r in run_theorem21()] == [not p.is_symmetric for p in PRODUCT_SIGN_GRID]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_nan_float_coefficient_fails_product_signs(index, monkeypatch):
+    # the grid is rational, so only the float-against-exact check reads coeffs
+    table_of = linearization.linearization_coeffs
+
+    def with_nan(k, params):
+        table = table_of(k, params)
+        coeffs = table.coeffs.copy()
+        coeffs[index] = math.nan
+        return dataclasses.replace(table, coeffs=coeffs)
+
+    monkeypatch.setattr(linearization, "linearization_coeffs", with_nan)
+    results = run_theorem21()
+    assert len(results) == len(PRODUCT_SIGN_GRID)
+    assert not any(r.passed for r in results)
+    assert all(r.detail == f"k=1: value {index} is NaN and has no sign" for r in results)
 
 
 def test_nan_quartic_fails_identity(monkeypatch):

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jacbif
-from jacbif.cli import main
+from jacbif import ContinuationSettings, ProblemSpec, cli, jacobi_params
+from jacbif.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -97,6 +100,28 @@ class TestLinearize:
         assert code == 0
         assert json.loads(out)["classification"] == ["positive"] * 5
 
+    def test_no_exact_matches_the_exact_run(self, capsys):
+        argv = ["linearize", "--k", "5", "--alpha", "3/2", "--beta", "1/2"]
+        code, out, err = run_cli([*argv, "--no-exact"], capsys)
+        assert code == 0 and err == ""
+        floats = json.loads(out)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        exact = json.loads(out)
+        assert floats["alpha"] == 1.5 and floats["beta"] == 0.5
+        assert len(floats["coeffs"]) == len(exact["coeffs"]) == 11
+        assert np.allclose(floats["coeffs"], exact["coeffs"], rtol=1e-13, atol=0.0)
+        assert floats["classification"] == exact["classification"] == ["positive"] * 11
+
+    def test_no_exact_symmetric_odd_entries_are_zero(self, capsys):
+        code, out, _ = run_cli(
+            ["linearize", "--k", "4", "--alpha", "1/2", "--beta", "1/2", "--no-exact"], capsys
+        )
+        assert code == 0
+        signs = json.loads(out)["classification"]
+        assert len(signs) == 9
+        assert signs[1::2] == ["zero"] * 4 and signs[0::2] == ["positive"] * 5
+
     def test_outside_sign_hypotheses_still_emits(self, capsys):
         code, out, _ = run_cli(["linearize", "--k", "2", "--alpha", "0", "--beta", "1"], capsys)
         assert code == 0
@@ -125,6 +150,39 @@ def test_negative_rational_exponent_after_a_space(head, alpha, beta, tail, capsy
 
 
 class TestTrace:
+    def test_defaults_come_from_the_dataclasses(self, monkeypatch):
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def switch(k, spec, s0, direction):
+            seen["spec"] = spec
+
+        def trace(start, spec, settings):
+            seen["settings"] = settings
+            raise Stop
+
+        monkeypatch.setattr(cli, "branch_switch", switch)
+        monkeypatch.setattr(cli, "continue_branch", trace)
+        with pytest.raises(Stop):
+            main(["trace", "--k", "1", "--alpha", "1", "--beta", "0", "--q", "2"])
+        assert seen["settings"] == ContinuationSettings()
+        assert seen["spec"] == ProblemSpec(jacobi_params(1, 0), 2.0)
+        assert (seen["spec"].N, seen["spec"].M) == (64, 192)
+
+    def test_every_setting_has_a_flag(self):
+        parser = build_parser()
+        head = ["trace", "--k", "1", "--alpha", "1", "--beta", "0", "--q", "2"]
+        defaults = vars(parser.parse_args(head))
+        for f in dataclasses.fields(ContinuationSettings):
+            assert defaults[f.name] == f.default
+            flag = "--" + f.name.replace("_", "-")
+            value = [] if isinstance(f.default, bool) else ["7"]
+            args = vars(parser.parse_args([*head, flag, *value]))
+            assert args[f.name] == (True if not value else type(f.default)(7)), f.name
+            assert type(args[f.name]) is type(f.default), f.name
+
     def test_json_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "branch.json"
         code, _, _ = run_cli(

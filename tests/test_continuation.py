@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from jacbif import (
     jacobi_zeros,
     lambda_prime_zero,
     linearization_coeffs,
-    residual,
 )
 from jacbif import NumericalError, continuation, jacobi_params
 from jacbif.continuation import (
@@ -117,7 +117,7 @@ class TestProblemSpec:
 class TestResidual:
     def test_trivial_state_is_exact_zero(self):
         one = SpectralFunction.constant_one(P10)
-        assert np.all(residual(one, 5.0, P10).coeffs == 0.0)
+        assert np.all(discretization(P10).residual_coeffs(one.coeffs, 5.0) == 0.0)
 
     def test_quadratic_remainder_at_bifurcation_point(self):
         # u = 1 + eps P_k at lambda_k: the linear terms cancel exactly
@@ -125,16 +125,16 @@ class TestResidual:
         disc = discretization(P10)
         norms = []
         for eps in (1e-4, 1e-5):
-            r = residual(_mode_state(P10, 1, eps), lam1, P10)
-            norms.append(disc.w_norm(r.coeffs))
+            r = disc.residual_coeffs(_mode_state(P10, 1, eps).coeffs, lam1)
+            norms.append(disc.w_norm(r))
         assert norms[1] < 1e-8
         assert norms[0] / norms[1] == pytest.approx(100.0, rel=0.05)
 
     def test_lambda_zero_leaves_diagonal_term(self):
         eps = 1e-5
-        r = residual(_mode_state(P10, 1, eps), 0.0, P10)
-        assert r.coeffs[1] == pytest.approx(-(P10.params.a + 1.0) * eps, rel=1e-12)
-        assert np.max(np.abs(np.delete(r.coeffs, 1))) < 1e-16
+        r = discretization(P10).residual_coeffs(_mode_state(P10, 1, eps).coeffs, 0.0)
+        assert r[1] == pytest.approx(-(P10.params.a + 1.0) * eps, rel=1e-12)
+        assert np.max(np.abs(np.delete(r, 1))) < 1e-16
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
     def test_nonfinite_state_is_not_positive(self, bad):
@@ -142,7 +142,7 @@ class TestResidual:
         c[0], c[3] = 1.0, bad
         u = SpectralFunction(c, P10.params)
         with pytest.raises(NonpositiveStateError, match="at a quadrature node"):
-            residual(u, 1.0, P10)
+            discretization(P10).residual_coeffs(u.coeffs, 1.0)
         with pytest.raises(NonpositiveStateError, match="at an endpoint"):
             boundary_residual(u, 1.0, P10)
 
@@ -160,7 +160,7 @@ class TestResidual:
         c[0] = 1.0
         c[1] = 2.0  # drives u below zero near t = -1
         with pytest.raises(Exception) as err:
-            residual(SpectralFunction(c, P10.params), 1.0, P10)
+            discretization(P10).residual_coeffs(c, 1.0)
         assert "nonpositive" in str(err.value).lower() or "min" in str(err.value)
 
 
@@ -241,7 +241,7 @@ class TestBifurcationData:
             lambda_prime_zero(1, swapped)
         # raw residual evaluation remains available outside the hypotheses
         one = SpectralFunction.constant_one(swapped)
-        assert np.all(residual(one, 2.0, swapped).coeffs == 0.0)
+        assert np.all(discretization(swapped).residual_coeffs(one.coeffs, 2.0) == 0.0)
 
 
 class TestCounting:
@@ -364,7 +364,7 @@ def test_jacobian_matches_central_differences(alpha, beta, q, lam, seed):
     decay = (1.0 + np.arange(spec.N)) ** 3
     c = 0.3 * rng.standard_normal(spec.N) / decay
     c[0] = 1.0
-    c[0] += max(0.0, 0.5 - np.min(disc.values(c)))  # u >= 0.5 at the nodes
+    c[0] += max(0.0, 0.5 - np.min(disc.basis @ c))  # u >= 0.5 at the nodes
     v = rng.standard_normal(spec.N) / decay
     v /= disc.w_norm(v)
     # h_0 ~ 1/(alpha+1) weighs the roundoff of c_0 up near -1: over 300 such
@@ -534,6 +534,17 @@ class TestBranchSwitch:
             devs.append(disc.w_norm(d - ref))
         assert devs[0] < 2e-2 and devs[1] < 2e-3
 
+    @pytest.mark.parametrize("direction", [+1, -1])
+    def test_start_tangent_follows_the_mode(self, direction):
+        bp = branch_switch(1, P10, 1e-3, direction)
+        tc, tl = bp.tangent
+        disc = discretization(P10)
+        assert disc.w_norm(tc) ** 2 + tl * tl == pytest.approx(1.0, rel=1e-12)
+        # near lambda_1 the tangent is close to direction * (P_1, lambda'(0)) / ||.||
+        slope = lambda_prime_zero(1, P10) / math.sqrt(disc.h[1])
+        assert direction * tc[1] * math.sqrt(disc.h[1]) > 0.5
+        assert tl == pytest.approx(direction * slope / math.hypot(1.0, slope), abs=1e-2)
+
     def test_preconditions(self):
         with pytest.raises(ParameterError):
             branch_switch(1, P10, 0.2, +1)
@@ -597,11 +608,12 @@ class TestContinueBranch:
         settings = ContinuationSettings(max_steps=12, ds_max=0.05)
         start = branch_switch(2, PHALF, 1e-3, +1)
         branch = continue_branch(start, PHALF, settings)
-        assert len(branch.tangents) == len(branch.points) == 12
+        tangents = [p.tangent for p in branch.points]
+        assert len(tangents) == len(branch.points) == 12
         h = discretization(PHALF).h
-        for tc, tl in branch.tangents:
+        for tc, tl in tangents:
             assert abs(float(h @ (tc * tc)) + tl * tl - 1.0) <= 1e-12
-        for (tc0, tl0), (tc1, tl1) in zip(branch.tangents, branch.tangents[1:]):
+        for (tc0, tl0), (tc1, tl1) in zip(tangents, tangents[1:]):
             assert float(h @ (tc0 * tc1)) + tl0 * tl1 > 0.0
 
     def test_descending_branch(self):
@@ -676,10 +688,13 @@ class TestFolds:
             detect_fold(branch, P10)
 
     def test_bracket_is_the_first_sign_change_of_tau_lambda(self):
-        taus = [(None, 0.3), (None, 0.1), (None, -0.2), (None, 0.4)]
+        def points(*tau_lams):
+            return [SimpleNamespace(tangent=(None, tl)) for tl in tau_lams]
+
+        taus = points(0.3, 0.1, -0.2, 0.4)
         assert _fold_bracket(taus) == 1
         assert _fold_bracket(taus[:2]) is None
-        assert _fold_bracket([(None, -0.1), (None, 0.0)]) == 0
+        assert _fold_bracket(points(-0.1, 0.0)) == 0
         assert _fold_bracket(taus[:1]) is None and _fold_bracket([]) is None
 
     @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
@@ -687,11 +702,22 @@ class TestFolds:
         rec = fold_records[case]
         branch = rec.branch
         assert branch.termination == "fold-bracketed"
-        assert len(branch.tangents) == len(branch.points)
-        i = _fold_bracket(branch.tangents)
+        assert all(len(p.tangent) == 2 for p in branch.points)
+        i = _fold_bracket(branch.points)
         assert i is not None
         assert len(branch.points) == i + 2 + FOLD_TRAIL
         assert branch.points[i].s < rec.point.s < branch.points[i + 1].s
+
+    @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
+    def test_fold_point_keeps_the_kernel_tangent(self, fold_records, case):
+        rec = fold_records[case]
+        v, tau_lam = rec.point.tangent
+        disc = discretization(rec.branch.spec)
+        # the last Illinois tangent, before v is rescaled to ||v||_w = 1
+        assert disc.w_norm(v) ** 2 + tau_lam * tau_lam == pytest.approx(1.0, rel=1e-12)
+        assert abs(tau_lam) < 1e-8
+        cos = float(disc.h @ (v * rec.null_direction.coeffs)) / disc.w_norm(v)
+        assert abs(cos) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
     def test_fold_localization_builds_one_tangent_per_corrector(
@@ -762,6 +788,16 @@ class TestPhaseSolve:
         guess[: P10.N] = p.u.coeffs
         _, lam2 = solve_at_phase(1, fine, sigma, guess=(guess, p.lam * (1 + 1e-6)))
         assert abs(lam2 - p.lam) / p.lam < 1e-8
+
+
+    @pytest.mark.parametrize("guess", [False, True], ids=["no-guess", "guess"])
+    @pytest.mark.parametrize("k", [-1, 0, 16])
+    def test_k_outside_one_to_n_is_rejected(self, k, guess):
+        # k = -1 once pinned c_15 and k = 0 pinned c_0; k = N raised IndexError
+        spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=16)
+        seed = (SpectralFunction.constant_one(spec).coeffs, 3.0) if guess else None
+        with pytest.raises(ParameterError, match=rf"k={k} must lie in \[1, N\) = \[1, 16\)"):
+            solve_at_phase(k, spec, 1e-3, guess=seed)
 
 
 class TestSpectralFunction:

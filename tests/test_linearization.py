@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacbif import (
+    NumericalError,
     ParameterError,
     StructureViolationError,
     cube_integral,
@@ -18,6 +20,7 @@ from jacbif import (
     sign_classification,
 )
 from jacbif.jacobi import exact_coeffs, integrate_relative, weight_mass_exact
+from jacbif.linearization import classify
 
 SIGN_GRID = [
     jacobi_params(F(-2, 5), F(-2, 5)),
@@ -148,6 +151,20 @@ class TestSignClassification:
         report = sign_classification(2, jacobi_params(0.5, 0.5))
         assert report.table.exact is None
         assert report.ok
+
+    @pytest.mark.parametrize(
+        "values, index",
+        [([1.0, math.nan, 1e-20], 1), ([math.nan, 1.0, 1e-20], 0), ([1.0, 2.0, math.nan], 2)],
+        ids=["nan-second", "nan-first", "nan-last"],
+    )
+    @pytest.mark.parametrize("band", [0, 1e-12])
+    def test_nan_has_no_sign(self, values, index, band):
+        # a NaN read as "negative" once, and as the zero band once it came first
+        with pytest.raises(NumericalError, match=f"^value {index} is NaN and has no sign$"):
+            classify(values, band)
+        with pytest.raises(NumericalError, match=f"^value {index} is NaN"):
+            classify(np.array(values), band)
+        assert classify([1.0, -2.0, 1e-20], 1e-12) == ("positive", "negative", "zero")
 
 
 class TestQuartic:
