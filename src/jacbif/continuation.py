@@ -82,9 +82,10 @@ def default_quadrature_order(n_modes: int) -> int:
     return max(2 * n_modes + 16, 3 * n_modes)
 
 
-# The largest quadrature order M.  A discretization builds Gauss rules of M and
-# 2M points, and Golub-Welsch holds every eigenvector of the second: a 2M x 2M
-# float matrix, 512 MiB at this bound (and 2.9 TB at N = 100000, M = 3N).
+# The largest quadrature order M.  A discretization builds the M-point Gauss
+# rule, and also a 2M-point one where the M-point projection can be inexact
+# (_projection_is_exact); Golub-Welsch holds every eigenvector of that rule: a
+# 2M x 2M float matrix, 512 MiB at this bound (and 2.9 TB at N = 100000, M = 3N).
 MAX_QUADRATURE_ORDER = 4096
 
 
@@ -123,9 +124,10 @@ class ProblemSpec:
             raise ParameterError(f"M={self.M} must be >= 2N={2 * self.N}")
         if self.M > MAX_QUADRATURE_ORDER:
             raise ParameterError(
-                f"N={self.N}, M={self.M}: the {2 * self.M} x {2 * self.M} Golub-Welsch "
-                f"eigenvector matrix would take {8 * (2 * self.M) ** 2:,} bytes; "
-                f"M must be <= {MAX_QUADRATURE_ORDER}"
+                f"N={self.N}, M={self.M}: where the M-point projection can be inexact "
+                f"a 2M-point rule is built, and its {2 * self.M} x {2 * self.M} "
+                f"Golub-Welsch eigenvector matrix would take {8 * (2 * self.M) ** 2:,} "
+                f"bytes; M must be <= {MAX_QUADRATURE_ORDER}"
             )
 
 
@@ -218,7 +220,7 @@ NEWTON_TOL = 1e-11  # bordered Newton: ||F||_w and the border equation, relative
 MAX_ITER = 25  # Newton iterations per solve, and Illinois steps per fold
 DEGENERATE_TOL = 1e-8  # a fold needs sigma_min/sigma_max of J below this
 CERTIFICATE_TOL = 1e-10  # a fold needs its Moore-Spence residual below this
-QUAD_CHECK_TOL = 1e-10  # largest relative change of the projection when M doubles
+QUAD_CHECK_TOL = 1e-10  # largest relative change of an inexact projection when M doubles
 TRANSVERSALITY_REL = 1e-8  # a root needs |f'| above this times max |f'| on the scan grid
 FOLD_TRAIL = 3  # points traced past a bracketed fold with stop_on_fold
 
@@ -254,22 +256,39 @@ class ContinuationSettings:
 # discretization
 
 
+def _projection_is_exact(spec: ProblemSpec) -> bool:
+    """True when the M-point Gauss rule integrates every product that
+    residual_coeffs and jacobian project, so the projection is the exact
+    Galerkin one.  For integer q, P_i (u - u^q) and P_i (1 - q u^(q-1)) P_j
+    are polynomials of degree at most (q + 1)(N - 1), and the rule is exact
+    up to degree 2M - 1.  The default M covers every integer q <= 5."""
+    return spec.q.is_integer() and (spec.q + 1.0) * (spec.N - 1) <= 2 * spec.M - 1
+
+
 class Discretization:
     """Precomputed quadrature rule, basis tables and projection operators for
-    one ProblemSpec.  Immutable after construction and shared freely."""
+    one ProblemSpec.  Immutable after construction and shared freely.
+
+    ``exact`` is _projection_is_exact(spec).  Where it is False, so the
+    M-point projection can be inexact (fractional q, or integer q above what
+    M covers), the discretization also holds the 2M-point rule, basis table
+    and projection of the quad_gap check, as ``rule2``, ``basis2`` and
+    ``proj2``."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         p = spec.params
         self.rule = gauss_jacobi_rule(p, spec.M)
-        self.rule2 = gauss_jacobi_rule(p, 2 * spec.M)
         self.basis = jacobi_table(p, spec.N - 1, self.rule.nodes)
-        self.basis2 = jacobi_table(p, spec.N - 1, self.rule2.nodes)
         self.h = _h_vector(p, spec.N)
         i = np.arange(spec.N, dtype=float)
         self.lin = -i * (i + p.a)
         self.proj = (self.basis * self.rule.weights[:, None]).T / self.h[:, None]
-        self.proj2 = (self.basis2 * self.rule2.weights[:, None]).T / self.h[:, None]
+        self.exact = _projection_is_exact(spec)
+        if not self.exact:
+            self.rule2 = gauss_jacobi_rule(p, 2 * spec.M)
+            self.basis2 = jacobi_table(p, spec.N - 1, self.rule2.nodes)
+            self.proj2 = (self.basis2 * self.rule2.weights[:, None]).T / self.h[:, None]
 
     def w_norm(self, c: np.ndarray) -> float:
         return math.sqrt(float(self.h @ (c * c)))
@@ -298,8 +317,21 @@ class Discretization:
         return -(self.proj @ (vals - vals**self.spec.q))
 
     def quad_gap(self, c: np.ndarray) -> float:
-        """Relative change of the nonlinear projection when M doubles."""
+        """Relative change of the nonlinear projection when M doubles, after
+        checking u > 0 on a grid finer than the M nodes.
+
+        Where the projection is exact, integer q with (q + 1)(N - 1) <= 2M - 1
+        (_projection_is_exact: every projected product is a polynomial of at
+        most that degree), doubling M changes it by roundoff only, so the gap
+        is 0.0 and no 2M-point rule exists; u > 0 is then checked on the
+        8N+2 scan grid (_scan_values), which holds t = +-1.  Otherwise u > 0
+        is checked at the 2M nodes."""
         vals = self.positive_values(c)
+        if self.exact:
+            scan = _scan_values(self.spec.params, c, self.spec.N)
+            if not scan.min() > 0.0:
+                raise NonpositiveStateError("state nonpositive on the scan grid")
+            return 0.0
         v2 = self.basis2 @ c
         if not v2.min() > 0.0:
             raise NonpositiveStateError("state nonpositive on refined grid")
@@ -358,6 +390,7 @@ def bifurcation_points(spec: ProblemSpec, kmax: int) -> list[tuple[int, float]]:
     return [(k, bifurcation_lambda(k, spec.params.a, spec.q)) for k in range(1, kmax + 1)]
 
 
+@lru_cache(maxsize=None)
 def lambda_prime_zero(k: int, spec: ProblemSpec) -> float:
     """Branch slope at the bifurcation point:
 
@@ -365,7 +398,8 @@ def lambda_prime_zero(k: int, spec: ProblemSpec) -> float:
 
     with C_k^k the middle coefficient of P_k^2 = sum_i C_k^i P_i, exact when
     the parameters are rational.  Zero exactly when alpha == beta and k is
-    odd; negative in the other in-scope cases.
+    odd; negative in the other in-scope cases.  Cached: find_degenerate,
+    solve_at_phase and branch_switch each read it for the same (k, spec).
     """
     if k < 1:
         raise ParameterError("k must be >= 1")

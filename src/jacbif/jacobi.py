@@ -380,7 +380,8 @@ def jacobi_series(params: JacobiParams, coeffs, t):
     x = t.ravel()
     inner = np.abs(x) != 1.0
     vals = np.empty(x.size)
-    vals[inner] = _series_banded(params, c, x[inner])
+    if inner.any():
+        vals[inner] = _series_banded(params, c, x[inner])
     for side in (-1, 1):
         at = x == side
         if at.any():

@@ -40,21 +40,26 @@ from jacbif.continuation import (
     NEWTON_TOL,
     _fold_bracket,
     _scan_grid,
+    _scan_values,
     discretization,
     solve_at_phase,
 )
 from jacbif.jacobi import (
     _series_banded,
+    exact_coeffs,
+    exact_poly,
     gauss_jacobi_rule,
+    integrate_relative,
     jacobi_table,
     derivative_series,
     norm_sq_closed_form,
 )
-from jacbif.verification import FOLD_CASES
+from jacbif.verification import FOLD_CASES, PARAM_GRID
 
 P10 = ProblemSpec(jacobi_params(1, 0), 2.0)
 PHALF = ProblemSpec(jacobi_params(F(1, 2), F(1, 2)), 3.0)
 PLEG = ProblemSpec(jacobi_params(0, 0), 2.0)
+PFRAC = ProblemSpec(jacobi_params(1, 0), 1.5)
 
 
 def _mode_state(spec, k, eps):
@@ -147,12 +152,25 @@ class TestResidual:
             boundary_residual(u, 1.0, P10)
 
     def test_nan_on_refined_grid_is_not_positive(self):
-        # a private discretization whose refined table yields NaN at one node
-        disc = continuation.Discretization(P10)
+        # a private fractional-q discretization whose refined table yields NaN
+        # at one node
+        disc = continuation.Discretization(PFRAC)
         disc.basis2 = disc.basis2.copy()
         disc.basis2[5, 0] = math.nan
-        c = _mode_state(P10, 1, 0.01).coeffs
+        c = _mode_state(PFRAC, 1, 0.01).coeffs
         with pytest.raises(NonpositiveStateError, match="refined grid"):
+            disc.quad_gap(c)
+
+    def test_integer_q_checks_positivity_on_the_scan_grid(self):
+        # u = 1 + (1 + 1e-6) P_1 with P_1(t) = (3t + 1) / 2 for (alpha, beta) =
+        # (1, 0): u(-1) = -1e-6, but u is positive at every Gauss node
+        disc = discretization(P10)
+        assert disc.exact
+        c = _mode_state(P10, 1, 1.0 + 1e-6).coeffs
+        assert disc.positive_values(c).min() > 0.0
+        disc.residual_coeffs(c, 1.0)
+        assert _scan_values(P10.params, c, P10.N)[0] < 0.0
+        with pytest.raises(NonpositiveStateError, match="scan grid"):
             disc.quad_gap(c)
 
     def test_nonpositive_state_rejected(self):
@@ -209,6 +227,98 @@ class TestJacobian:
         weighted = disc.h[:, None] * mat
         scale = np.max(np.abs(weighted))
         assert np.max(np.abs(weighted - weighted.T)) < 1e-10 * scale
+
+
+class TestQuadratureExactness:
+    @pytest.mark.parametrize("q", [2.0, 3.0, 5.0])
+    def test_integer_q_within_the_bound_builds_no_2m_rule(self, q):
+        # (q + 1)(N - 1) <= 6 * 63 = 378 <= 2M - 1 = 383
+        spec = ProblemSpec(jacobi_params(1, 0), q)
+        disc = continuation.Discretization(spec)
+        assert disc.exact
+        assert not any(hasattr(disc, name) for name in ("rule2", "basis2", "proj2"))
+        assert disc.quad_gap(_mode_state(spec, 1, 0.01).coeffs) == 0.0
+
+    @pytest.mark.parametrize("q", [1.5, 6.0])
+    def test_fractional_or_large_q_builds_the_2m_rule(self, q):
+        # q = 6 at N = 64: 7 * 63 = 441 > 2M - 1 = 383
+        spec = ProblemSpec(jacobi_params(1, 0), q)
+        disc = continuation.Discretization(spec)
+        assert not disc.exact
+        assert disc.rule2.nodes.size == 2 * spec.M
+        assert disc.basis2.shape == (2 * spec.M, spec.N)
+        assert disc.proj2.shape == (spec.N, 2 * spec.M)
+        assert disc.quad_gap(_mode_state(spec, 1, 0.01).coeffs) < 1e-13
+
+    def test_exactness_boundary_is_degree_2m_minus_1(self):
+        # q = 6, N = 64: degree 7 * 63 = 441 needs 2M - 1 >= 441, so M >= 221
+        params = jacobi_params(1, 0)
+        assert not continuation.Discretization(ProblemSpec(params, 6.0, M=220)).exact
+        assert continuation.Discretization(ProblemSpec(params, 6.0, M=221)).exact
+
+
+def _combine(terms):
+    """sum of scalar * ExactPolynomial over (scalar, polynomial) terms."""
+    out = []
+    for scalar, poly in terms:
+        out += [F(0)] * (len(poly.coeffs) - len(out))
+        for m, x in enumerate(poly.coeffs):
+            out[m] += scalar * x
+    return exact_poly(out)
+
+
+def _exact_series(params, coeffs):
+    """sum_i coeffs_i P_i exactly: a float is an exact binary rational."""
+    return _combine((F(float(x)), exact_coeffs(i, params)) for i, x in enumerate(coeffs))
+
+
+def _exact_galerkin(params, lin, lam, state, g):
+    """lin * state - lam <g, P_i>_w / h_i in floats, rounded once from the
+    exact values; integrate_relative divides both inner products by m_0."""
+    out = []
+    for i, x in enumerate(state):
+        p_i = exact_coeffs(i, params)
+        proj = integrate_relative(g * p_i, params) / integrate_relative(p_i * p_i, params)
+        out.append(float(lin[i] * F(float(x)) - lam * proj))
+    return np.array(out)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    params=st.sampled_from(PARAM_GRID),
+    q=st.sampled_from([2, 3]),
+    n=st.integers(8, 24),
+    lam=st.floats(0.1, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integer_q_projection_is_the_exact_galerkin_one(params, q, n, lam, seed):
+    # for integer q the M-point rule integrates every projected product, so
+    # residual_coeffs and jacobian equal the exact Galerkin ones to roundoff
+    spec = ProblemSpec(params, float(q), N=n)
+    disc = discretization(spec)
+    assert disc.exact
+    rng = np.random.default_rng(seed)
+    c = np.zeros(n)
+    c[1:] = rng.standard_normal(n - 1) / np.arange(2, n + 1)
+    c[1:] *= 0.5 / np.max(np.abs(disc.basis @ c))  # |u - 1| <= 1/2 at the nodes
+    c[0] = 1.0
+    v = rng.standard_normal(n) / np.arange(1, n + 1)
+    u, dv = _exact_series(params, c), _exact_series(params, v)
+    u_pow = u
+    for _ in range(q - 2):
+        u_pow = u_pow * u  # u^(q-1)
+    al, be = params.exact
+    lin = [-i * (i + al + be + 1) for i in range(n)]
+    lam_x = F(lam)
+    # F(c, lambda) = lin c - lambda P[u - u^q], J v = lin v - lambda P[(1 - q u^(q-1)) v]
+    res = _exact_galerkin(params, lin, lam_x, c, _combine([(1, u), (-1, u_pow * u)]))
+    jv = _exact_galerkin(params, lin, lam_x, v, _combine([(1, dv), (-q, u_pow * dv)]))
+    got_res = disc.residual_coeffs(c, lam)
+    got_jv = disc.jacobian(c, lam) @ v
+    res_scale = disc.w_norm(disc.lin * c) + disc.w_norm(disc.lin * c - res)
+    jv_scale = disc.w_norm(disc.lin * v) + disc.w_norm(disc.lin * v - jv)
+    assert disc.w_norm(got_res - res) <= 1e-12 * res_scale
+    assert disc.w_norm(got_jv - jv) <= 1e-12 * jv_scale
 
 
 class TestBifurcationData:
@@ -741,6 +851,36 @@ class TestFolds:
         assert calls["_correct"] >= 2
         assert calls["_tangent"] == calls["_correct"]
         assert again.lambda_star == rec.lambda_star
+
+    @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
+    def test_doubling_m_moves_the_projection_by_roundoff(self, fold_records, case):
+        # the M -> 2M gap that quad_gap reports as 0.0 for integer q, computed
+        # at every point of the traced branch
+        branch = fold_records[case].branch
+        spec = branch.spec
+        disc = discretization(spec)
+        disc2 = discretization(ProblemSpec(spec.params, spec.q, N=spec.N, M=2 * spec.M))
+        assert disc.exact
+        gaps = []
+        for p in branch.points:
+            c = p.u.coeffs
+            diff = disc.residual_coeffs(c, p.lam) - disc2.residual_coeffs(c, p.lam)
+            p2 = disc2.dresidual_dlambda(c)  # -P_2M[u - u^q]
+            gaps.append(disc.w_norm(diff) / (p.lam * (1.0 + disc2.w_norm(p2))))
+        assert max(gaps) <= 1e-13
+
+    def test_find_degenerate_builds_one_p_k_squared_table(self, monkeypatch):
+        calls = []
+
+        def counting(k, params):
+            calls.append((k, params))
+            return linearization_coeffs(k, params)
+
+        spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=16)
+        lambda_prime_zero.cache_clear()
+        monkeypatch.setattr(continuation, "linearization_coeffs", counting)
+        find_degenerate(1, spec)
+        assert calls == [(1, spec.params)]
 
     def test_monotone_fold_case(self):
         rec = find_degenerate(1, P10)
