@@ -125,10 +125,7 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    if args.no_exact:
-        params = jacobi_params(float(args.alpha), float(args.beta))
-    else:
-        params = jacobi_params(args.alpha, args.beta)
+    params = jacobi_params(args.alpha, args.beta)
     try:
         report = sign_classification(args.k, params)
     except ParameterError:
@@ -148,7 +145,7 @@ def cmd_trace(args) -> int:
     branch = continue_branch(start, spec, settings)
     if not args.no_fold_detect:
         try:
-            branch.folds.append(detect_fold(branch, spec))
+            branch.folds.append(detect_fold(branch))
         except NoFoldBracketError:
             pass  # no turning point in the traced window
     text = branch_to_json(branch) if args.format == "json" else branch_to_csv(branch)
@@ -188,11 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lin.add_argument("--k", type=int, required=True)
     p_lin.add_argument("--alpha", type=_fraction, required=True)
     p_lin.add_argument("--beta", type=_fraction, required=True)
-    p_lin.add_argument(
-        "--no-exact",
-        action="store_true",
-        help="drop the exact-rational mirror (floating point only)",
-    )
     p_lin.add_argument("-o", "--output", help="write to file instead of stdout")
     p_lin.set_defaults(func=cmd_linearize)
 

@@ -396,17 +396,16 @@ def lambda_prime_zero(k: int, spec: ProblemSpec) -> float:
 
         dlambda/ds(0) = -q lambda_k (int P_k^3 w) / (2 int P_k^2 w) = -q lambda_k C_k^k / 2,
 
-    with C_k^k the middle coefficient of P_k^2 = sum_i C_k^i P_i, exact when
-    the parameters are rational.  Zero exactly when alpha == beta and k is
-    odd; negative in the other in-scope cases.  Cached: find_degenerate,
-    solve_at_phase and branch_switch each read it for the same (k, spec).
+    with C_k^k the exact middle coefficient of P_k^2 = sum_i C_k^i P_i.  Zero
+    exactly when alpha == beta and k is odd; negative in the other in-scope
+    cases.  Cached: find_degenerate, solve_at_phase and branch_switch each
+    read it for the same (k, spec).
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
     require_theorem_scope(spec.params)
     lam_k = bifurcation_lambda(k, spec.params.a, spec.q)
-    table = linearization_coeffs(k, spec.params)
-    c_kk = table.exact[k] if table.exact is not None else table.coeffs[k]
+    c_kk = linearization_coeffs(k, spec.params).exact[k]
     return -spec.q * lam_k * float(c_kk) / 2.0
 
 
@@ -736,14 +735,25 @@ def continue_branch(
     (lambda_floor, lambda_ceiling), amplitude cap, a return to the trivial
     solution u = 1 (that state is not appended), or (optionally) FOLD_TRAIL
     points after the first fold bracket (_fold_bracket on the point tangents).
+
+    A start that is not a state of ``spec`` (spec.N coefficients, spec.params,
+    and a residual that passes the Newton test of _bordered_newton, as every
+    converged point does) is a ParameterError.
     """
     settings = settings or ContinuationSettings()
+    c = np.array(start.u.coeffs, dtype=float)
+    lam = start.lam
+    if c.size != spec.N:
+        raise ParameterError(f"start has {c.size} coefficients, spec wants {spec.N}")
+    if start.u.params != spec.params:
+        raise ParameterError(f"start has parameters {start.u.params}, spec has {spec.params}")
     disc = discretization(spec)
+    res = disc.w_norm(disc.residual_coeffs(c, lam))
+    if not res < NEWTON_TOL * (1.0 + disc.w_norm(c)):
+        raise ParameterError(f"start does not solve the spec: residual {res:.2e}")
     direction = 1 if start.s >= 0.0 else -1
     branch = Branch(spec=spec, k=start.crossings, direction=direction, points=[start])
 
-    c = np.array(start.u.coeffs, dtype=float)
-    lam = start.lam
     s_abs = abs(start.s)
     ds = min(max(settings.ds0, settings.ds_min), settings.ds_max)
     steps_after_bracket = 0
@@ -827,8 +837,8 @@ def _correct(
 # fold localization
 
 
-def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
-    """Localize the first turning point bracketed by the branch.
+def detect_fold(branch: Branch) -> FoldRecord:
+    """Localize the first turning point bracketed by the branch, on branch.spec.
 
     The fold test function is tau_lam, the lambda component of the unit
     tangent, which changes sign at a regular fold.  Its first sign change
@@ -842,6 +852,7 @@ def detect_fold(branch: Branch, spec: ProblemSpec) -> FoldRecord:
     ||(F, J v, ||v||_w^2 - 1)|| must be below CERTIFICATE_TOL and
     sigma_min/sigma_max of J below DEGENERATE_TOL.
     """
+    spec = branch.spec
     disc = discretization(spec)
     pts = branch.points
     i = _fold_bracket(pts)
@@ -930,7 +941,7 @@ def find_degenerate(k: int, spec: ProblemSpec, s0: float = 1e-3) -> FoldRecord:
         )
     start = branch_switch(k, spec, s0, +1)
     branch = continue_branch(start, spec, ContinuationSettings(stop_on_fold=True, max_steps=3000))
-    record = detect_fold(branch, spec)
+    record = detect_fold(branch)
     record.branch = branch
     branch.folds.append(record)
 

@@ -1,7 +1,7 @@
 """Jacobi polynomials for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
 
 The three-term recurrence is written once, as the multiplication-by-t
-operator (jacobi_operator: float arrays, or for rational exponents
+operator (jacobi_operator: float arrays, or for the exact exponents
 ExactVectors, Python-int numerators over one shared denominator); the basis
 tables, the Gauss rules, the Clenshaw series sums, the Jacobi-to-Chebyshev
 connection matrices and the P_k^2 expansion of ``linearization`` all run from
@@ -20,6 +20,7 @@ one common denominator and form each reduced Fraction once, at the end.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,7 @@ from .errors import NumericalBreakdownError, ParameterError
 __all__ = [
     "JacobiParams",
     "jacobi_params",
+    "exact_value",
     "ExactPolynomial",
     "exact_poly",
     "QuadratureRule",
@@ -57,56 +59,52 @@ __all__ = [
     "derivative_series",
 ]
 
-ExactPair = tuple[Fraction, Fraction]
-
-
 @dataclass(frozen=True)
 class JacobiParams:
     """Weight exponents (alpha, beta), both > -1, with the derived sum
     a = alpha + beta + 1.
 
-    ``exact`` mirrors (alpha, beta) as rationals when the parameters were
-    supplied as int/Fraction; it enables the exact-arithmetic code paths.
+    ``exact`` holds (alpha, beta) as Fractions, which the exact oracles and
+    the sign checks read; the floats alpha, beta and a, which the numerics
+    read, are rounded from them.
     """
 
     alpha: float
     beta: float
     a: float
-    exact: ExactPair | None = None
-
-    @property
-    def scalars(self) -> tuple:
-        """(alpha, beta) as Fractions when rational, else as floats."""
-        return self.exact if self.exact is not None else (self.alpha, self.beta)
+    exact: tuple[Fraction, Fraction]
 
     @property
     def is_symmetric(self) -> bool:
         """True when alpha == beta (Gegenbauer case)."""
-        al, be = self.scalars
-        return al == be
+        return self.exact[0] == self.exact[1]
 
     def __repr__(self) -> str:  # keep reprs short in test output
-        if self.exact is not None:
-            return f"JacobiParams({self.exact[0]}, {self.exact[1]})"
-        return f"JacobiParams({self.alpha!r}, {self.beta!r})"
+        return f"JacobiParams({self.exact[0]}, {self.exact[1]})"
+
+
+def exact_value(x, name: str) -> Fraction:
+    """x as a Fraction: a numbers.Rational as given, any other number at the
+    exact binary value of float(x), which must be finite (``name`` labels x
+    in the error)."""
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    xf = float(x)
+    if not math.isfinite(xf):
+        raise ParameterError(f"{name}={x} must be finite")
+    return Fraction(xf)
 
 
 def jacobi_params(alpha, beta) -> JacobiParams:
-    """Build JacobiParams; int/Fraction inputs keep an exact rational mirror.
+    """Build JacobiParams, keeping (alpha, beta) exactly (exact_value).
 
-    Floats are accepted but get no exact mirror (pass Fraction("0.3") instead
-    of 0.3 when the decimal is meant exactly).
+    A float keeps its binary value, so 0.1 is 3602879701896397 / 2^55: pass
+    Fraction("0.1") when the decimal is meant.
     """
-    exact: ExactPair | None = None
-    if isinstance(alpha, (int, Fraction)) and isinstance(beta, (int, Fraction)):
-        exact = (Fraction(alpha), Fraction(beta))
-        if exact[0] <= -1 or exact[1] <= -1:
-            raise ParameterError(f"weight not integrable: alpha={alpha}, beta={beta}")
-    af, bf = float(alpha), float(beta)
-    if not (af > -1.0 and bf > -1.0):
+    exact = (exact_value(alpha, "alpha"), exact_value(beta, "beta"))
+    af, bf = float(exact[0]), float(exact[1])
+    if not (af > -1.0 and bf > -1.0):  # also when an exponent rounds to -1
         raise ParameterError(f"weight not integrable: alpha={alpha}, beta={beta}")
-    if not (math.isfinite(af) and math.isfinite(bf)):
-        raise ParameterError(f"exponents must be finite: alpha={alpha}, beta={beta}")
     return JacobiParams(af, bf, af + bf + 1.0, exact)
 
 
@@ -450,17 +448,12 @@ def eval_jacobi(k: int, params: JacobiParams, t):
     return _shaped(jacobi_table(params, k, t)[:, k], t)
 
 
-def _endpoint_values(params: JacobiParams, n: int, side: int) -> list:
+def _endpoint_values(params: JacobiParams, n: int, side: int) -> list[tuple[int, int]]:
     """P_0 .. P_{n-1} at side in {-1, +1}, by the running product
-    P_k(1) = (alpha+1)_k / k!  and  P_k(-1) = (-1)^k (beta+1)_k / k!: floats
-    for float parameters, else unreduced (numerator, denominator) int pairs,
-    prod_{j<=k} side (p + j q) / (j q) for the exponent p / q."""
-    base = params.scalars[0 if side == 1 else 1]
-    if params.exact is None:
-        vals = [1.0]
-        for j in range(1, n):
-            vals.append(vals[-1] * ((base + j) / j))
-        return vals if side == 1 else [-v if k % 2 else v for k, v in enumerate(vals)]
+    P_k(1) = (alpha+1)_k / k!  and  P_k(-1) = (-1)^k (beta+1)_k / k!, as
+    unreduced (numerator, denominator) int pairs, prod_{j<=k} side (p + j q)
+    / (j q) for the exponent p / q."""
+    base = params.exact[0 if side == 1 else 1]
     p, q = base.numerator, base.denominator
     pairs = [(1, 1)]
     for j in range(1, n):
@@ -472,25 +465,18 @@ def _endpoint_values(params: JacobiParams, n: int, side: int) -> list:
 @lru_cache(maxsize=None)
 def _endpoint_vector(params: JacobiParams, n: int, side: int) -> np.ndarray:
     """_endpoint_values as a read-only float vector (int / int rounds once)."""
-    vals = _endpoint_values(params, n, side)
-    if params.exact is not None:
-        vals = [num / den for num, den in vals]
-    vec = np.array(vals, dtype=float)
+    vec = np.array([num / den for num, den in _endpoint_values(params, n, side)], dtype=float)
     vec.setflags(write=False)
     return vec
 
 
-def endpoint_value(k: int, params: JacobiParams, side: int):
-    """Closed-form P_k(side) for side in {-1, +1} (see _endpoint_values).
-
-    Returns a Fraction when exact parameters are available, else a float.
-    """
+def endpoint_value(k: int, params: JacobiParams, side: int) -> Fraction:
+    """Closed-form P_k(side) for side in {-1, +1} (see _endpoint_values), exactly."""
     if k < 0:
         raise ParameterError("negative degree")
     if side not in (-1, 1):
         raise ParameterError("side must be -1 or +1")
-    val = _endpoint_values(params, k + 1, int(side))[k]  # 1.0 passes the check
-    return val if params.exact is None else Fraction(*val)
+    return Fraction(*_endpoint_values(params, k + 1, int(side))[k])
 
 
 # ---------------------------------------------------------------------------
@@ -539,20 +525,11 @@ def exact_poly(coeffs) -> ExactPolynomial:
     return ExactPolynomial(tuple(cs))
 
 
-def _require_exact(params: JacobiParams) -> ExactPair:
-    if params.exact is None:
-        raise ParameterError(
-            "operation needs rational (alpha, beta); construct the parameters "
-            "from int/Fraction values"
-        )
-    return params.exact
-
-
 def apply_L(p: ExactPolynomial, params: JacobiParams) -> ExactPolynomial:
     """Exact image of p under L(y) = (1-t^2) y'' + (beta-alpha-(alpha+beta+2)t) y':
     its t^j coefficient is (j+2)(j+1) c_{j+2} + (j+1)(beta-alpha) c_{j+1}
     - j(j+alpha+beta+1) c_j."""
-    al, be = _require_exact(params)
+    al, be = params.exact
     c = p.coeffs + (0, 0)
     return exact_poly(
         (j + 2) * (j + 1) * c[j + 2] + (j + 1) * (be - al) * c[j + 1] - j * (j + al + be + 1) * c[j]
@@ -575,7 +552,7 @@ def exact_coeffs(k: int, params: JacobiParams) -> ExactPolynomial:
     """
     if k < 0:
         raise ParameterError("negative degree")
-    v = ExactVector.from_rationals(_require_exact(params))
+    v = ExactVector.from_rationals(params.exact)
     (A, B), L = v.num, v.den
     d = [(k - m) * ((k + m + 1) * L + A + B) for m in range(k)]
     n = [0] * k + [math.prod(d), 0]  # N_0 .. N_{k+1}
@@ -595,12 +572,12 @@ def exact_coeffs(k: int, params: JacobiParams) -> ExactPolynomial:
 def rel_weight_moments(params: JacobiParams, jmax: int) -> tuple[Fraction, ...]:
     """Moments m_j / m_0 of the weight, m_j = int t^j (1-t)^a (1+t)^b dt.
 
-    The ratios are rational for rational (alpha, beta) and follow from
-    integrating d/dt [ t^j (1-t)^(alpha+1) (1+t)^(beta+1) ] over [-1, 1].
+    The ratios are rational and follow from integrating
+    d/dt [ t^j (1-t)^(alpha+1) (1+t)^(beta+1) ] over [-1, 1].
     On ints, with alpha = A / L, beta = B / L and E_j = (j + 2) L + A + B,
     r_j = s_j / (E_0 .. E_{j-1}) and s_{j+1} = (B - A) s_j + j L E_{j-1} s_{j-1}.
     """
-    v = ExactVector.from_rationals(_require_exact(params))
+    v = ExactVector.from_rationals(params.exact)
     (A, B), L = v.num, v.den
     r = [Fraction(1)]
     s_prev, s, den = 0, 1, 1
@@ -624,8 +601,6 @@ def weight_mass(params: JacobiParams) -> float:
 
 def weight_mass_exact(params: JacobiParams) -> Fraction | None:
     """Exact m_0 when it is rational (integer alpha, beta >= 0), else None."""
-    if params.exact is None:
-        return None
     al, be = params.exact
     if al.denominator != 1 or be.denominator != 1 or al < 0 or be < 0:
         return None
@@ -715,13 +690,13 @@ def jacobi_zeros(k: int, params: JacobiParams) -> np.ndarray:
 
 
 def derivative_series(params: JacobiParams, coeffs: np.ndarray):
-    """Coefficients of d/dt of sum c_i P_i, in the (alpha+1, beta+1) basis
-    (exact when params are), by the degree/parameter shift identity
+    """Coefficients of d/dt of sum c_i P_i, in the (alpha+1, beta+1) basis, by
+    the degree/parameter shift identity
 
     d/dt P_i = (i + alpha + beta + 1)/2 * P_{i-1}^{(alpha+1, beta+1)}.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    al, be = params.scalars
+    al, be = params.exact
     sp = jacobi_params(al + 1, be + 1)
     if coeffs.size <= 1:
         return sp, np.zeros(1)

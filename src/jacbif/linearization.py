@@ -6,7 +6,7 @@ Multiplication by t is tridiagonal in the Jacobi basis, so P_k^2 = P_k(T) e_k
 follows from the three-term recurrence on coefficient vectors (Olver and
 Townsend 2013), with T the operator ``jacobi.jacobi_operator`` that also
 builds the basis tables and the Gauss rules.  The one algorithm runs on float
-arrays and, for rational (alpha, beta), on ``jacobi.ExactVector``s (Python-int
+arrays and, with the exact (alpha, beta), on ``jacobi.ExactVector``s (Python-int
 numerators over one shared denominator, reduced once per divide).  Gauss
 cube integrals remain as an independent floating check; the monomial oracles
 of ``jacobi`` check the exact path from the tests and ``verification``.
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError, StructureViolationError
 from .jacobi import (
     JacobiParams,
+    exact_value,
     gauss_jacobi_rule,
     jacobi_operator,
     jacobi_table,
@@ -52,16 +53,16 @@ QUARTIC_SAMPLES = 50  # sign checks of the Gasper quartic on each side of its ro
 class LinearizationTable:
     """Coefficients C_k^i of P_k^2 = sum_i C_k^i P_i, i = 0 .. 2k.
 
-    ``coeffs`` are floats; ``exact`` holds the same coefficients as Fractions
-    when (alpha, beta) are rational.  ``h_k`` is the closed-form squared
-    weighted norm of P_k, and ``i3`` = C_k^k * h_k is the cube integral
-    int P_k^3 w dt, to which orthogonality collapses it.
+    ``coeffs`` are floats; ``exact`` holds the same coefficients as
+    Fractions.  ``h_k`` is the closed-form squared weighted norm of P_k, and
+    ``i3`` = C_k^k * h_k is the cube integral int P_k^3 w dt, to which
+    orthogonality collapses it.
     """
 
     k: int
     params: JacobiParams
     coeffs: np.ndarray
-    exact: tuple[Fraction, ...] | None
+    exact: tuple[Fraction, ...]
     h_k: float
     i3: float
 
@@ -94,17 +95,16 @@ def _square_coeffs(k: int, alpha, beta):
 
 
 def linearization_coeffs(k: int, params: JacobiParams) -> LinearizationTable:
-    """The C_k^i of P_k^2 in floats and, for rational parameters, exactly."""
+    """The C_k^i of P_k^2 in floats and exactly."""
     if k < 0:
         raise ParameterError("negative degree")
     coeffs = _square_coeffs(k, params.alpha, params.beta)
-    exact = tuple(_square_coeffs(k, *params.exact)) if params.exact is not None else None
     h_k = norm_sq_closed_form(k, params)
     return LinearizationTable(
         k=k,
         params=params,
         coeffs=coeffs,
-        exact=exact,
+        exact=tuple(_square_coeffs(k, *params.exact)),
         h_k=h_k,
         i3=float(coeffs[k] * h_k),
     )
@@ -155,8 +155,8 @@ def classify(values, band=0) -> tuple[str, ...]:
 
 def require_theorem_scope(params: JacobiParams) -> None:
     """Raise ParameterError unless alpha >= beta and alpha + beta + 1 > 0, the
-    hypotheses of the sign and bifurcation theorems; exact when rational."""
-    al, be = params.scalars
+    hypotheses of the sign and bifurcation theorems, checked exactly."""
+    al, be = params.exact
     if al < be or al + be + 1 <= 0:
         raise ParameterError(
             f"hypothesis violation: need alpha >= beta and alpha+beta+1 > 0, "
@@ -168,15 +168,14 @@ def supercritical_threshold(params: JacobiParams):
     """q_f = (alpha + 2) / alpha, or infinity for alpha <= 0.
 
     The focal submanifold at t = +1 has codimension m = 2 alpha + 2, and
-    q_f = (m + 2) / (m - 2).  Exact (a Fraction) when the parameters are
-    rational.
+    q_f = (m + 2) / (m - 2), a Fraction when finite.
     """
-    al = params.scalars[0]
+    al = params.exact[0]
     return (al + 2) / al if al > 0 else math.inf
 
 
 def sign_classification(k: int, params: JacobiParams) -> SignReport:
-    """Classify each C_k^i and compare with the expected pattern.
+    """Classify each exact C_k^i and compare with the expected pattern.
 
     Under alpha >= beta and alpha + beta + 1 > 0 the expected pattern is:
     alpha == beta  ->  zero for odd i, positive for even i;
@@ -187,10 +186,7 @@ def sign_classification(k: int, params: JacobiParams) -> SignReport:
         raise ParameterError("degree must be >= 1")
     require_theorem_scope(params)
     table = linearization_coeffs(k, params)
-    if table.exact is not None:
-        signs = classify(table.exact)
-    else:
-        signs = classify(table.coeffs, ZERO_BAND)
+    signs = classify(table.exact)
     if params.is_symmetric:
         expected = tuple(
             "zero" if i % 2 == 1 else "positive" for i in range(2 * k + 1)
@@ -216,13 +212,12 @@ class GasperQuartic:
     """Q(J), the quartic controlling the sign of the middle recurrence
     coefficient; stored both as the factored difference and expanded
     monomial coefficients (ascending).  ``a`` and the coefficients are
-    Fractions when ``a`` is rational, else floats; either form is exact at an
-    int or Fraction J with a rational ``a``, and a float wherever a float
-    enters (Fraction + float is a float)."""
+    Fractions; either form is exact at an int or Fraction J, and a float at a
+    float J (Fraction + float is a float)."""
 
     k: int
-    a: Fraction | float
-    coeffs: tuple          # (c0, c1, c2, c3, c4), Fraction or float
+    a: Fraction
+    coeffs: tuple[Fraction, ...]  # (c0, c1, c2, c3, c4)
 
     def factored(self, J):
         """(J+2)^2 (J+2k+2a+1)(2k-J-1)(2J+a+1) - (J+1)^2 (J+2k+2a)(2k-J)(2J+a+3)."""
@@ -239,7 +234,8 @@ class GasperQuartic:
 
 
 def gasper_quartic(k: int, a) -> GasperQuartic:
-    """Construct Q(J) for fixed k >= 2 and a = alpha + beta + 1 > 0.
+    """Construct Q(J) for fixed k >= 2 and a = alpha + beta + 1 > 0, with a
+    kept exactly (jacobi.exact_value).
 
     The expanded coefficients are
         c4 = -6,  c3 = -12(a+2),
@@ -251,10 +247,10 @@ def gasper_quartic(k: int, a) -> GasperQuartic:
     """
     if k < 2:
         raise ParameterError("k too small: the quartic analysis needs k >= 2")
-    av = Fraction(a) if isinstance(a, (int, Fraction)) else float(a)
+    av = exact_value(a, "a")
     if not av > 0:
         raise ParameterError("need a > 0")
-    c4 = -6 * (av**0)  # keeps Fraction type when exact
+    c4 = Fraction(-6)
     c3 = -12 * (av + 2)
     c2 = 8 * k * (k + av) - 6 * av**2 - 38 * av - 34
     c1 = 8 * k * (k + av) * (av + 2) - 14 * av**2 - 38 * av - 20

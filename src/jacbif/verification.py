@@ -110,8 +110,7 @@ def _worst(values) -> float:
 
 
 def _fmt(params: JacobiParams) -> str:
-    al, be = params.scalars
-    return f"({al},{be})"
+    return "({},{})".format(*params.exact)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import jacbif
@@ -100,27 +99,12 @@ class TestLinearize:
         assert code == 0
         assert json.loads(out)["classification"] == ["positive"] * 5
 
-    def test_no_exact_matches_the_exact_run(self, capsys):
-        argv = ["linearize", "--k", "5", "--alpha", "3/2", "--beta", "1/2"]
-        code, out, err = run_cli([*argv, "--no-exact"], capsys)
-        assert code == 0 and err == ""
-        floats = json.loads(out)
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        exact = json.loads(out)
-        assert floats["alpha"] == 1.5 and floats["beta"] == 0.5
-        assert len(floats["coeffs"]) == len(exact["coeffs"]) == 11
-        assert np.allclose(floats["coeffs"], exact["coeffs"], rtol=1e-13, atol=0.0)
-        assert floats["classification"] == exact["classification"] == ["positive"] * 11
-
-    def test_no_exact_symmetric_odd_entries_are_zero(self, capsys):
-        code, out, _ = run_cli(
-            ["linearize", "--k", "4", "--alpha", "1/2", "--beta", "1/2", "--no-exact"], capsys
-        )
-        assert code == 0
-        signs = json.loads(out)["classification"]
-        assert len(signs) == 9
-        assert signs[1::2] == ["zero"] * 4 and signs[0::2] == ["positive"] * 5
+    def test_no_exact_is_refused(self, capsys):
+        # every parameter set classifies exactly; there is no float-only mode
+        with pytest.raises(SystemExit) as exc:
+            main(["linearize", "--k", "5", "--alpha", "3/2", "--beta", "1/2", "--no-exact"])
+        assert exc.value.code == 2
+        assert "--no-exact" in capsys.readouterr().err
 
     def test_outside_sign_hypotheses_still_emits(self, capsys):
         code, out, _ = run_cli(["linearize", "--k", "2", "--alpha", "0", "--beta", "1"], capsys)

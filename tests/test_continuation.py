@@ -700,6 +700,26 @@ class TestContinueBranch:
     def test_numpy_integer_max_steps_becomes_int(self):
         assert type(ContinuationSettings(max_steps=np.int64(7)).max_steps) is int
 
+    P32 = ProblemSpec(jacobi_params(1, 0), 2.0, N=32)
+
+    def test_start_with_another_mode_count_refused(self):
+        start = branch_switch(1, self.P32, 1e-3, +1)
+        with pytest.raises(ParameterError, match="32 coefficients, spec wants 64"):
+            continue_branch(start, ProblemSpec(jacobi_params(1, 0), 2.0, N=64))
+
+    def test_start_with_other_parameters_refused(self):
+        start = branch_switch(1, self.P32, 1e-3, +1)
+        with pytest.raises(ParameterError, match="parameters"):
+            continue_branch(start, ProblemSpec(jacobi_params(F(1, 2), F(1, 2)), 2.0, N=32))
+
+    def test_start_that_does_not_solve_the_spec_refused(self):
+        start = branch_switch(1, self.P32, 1e-3, +1)
+        with pytest.raises(ParameterError, match="does not solve the spec"):
+            continue_branch(start, ProblemSpec(jacobi_params(1, 0), 3.0, N=32))
+        # the spec it was built for takes it
+        branch = continue_branch(start, self.P32, ContinuationSettings(max_steps=2))
+        assert branch.points[0] is start and len(branch.points) == 2
+
     def test_step_failure_below_ds_min_carries_its_numbers(self, monkeypatch):
         def failing_corrector(*args):
             raise NewtonDivergenceError("no convergence")
@@ -795,7 +815,7 @@ class TestFolds:
         start = branch_switch(1, P10, 1e-3, +1)
         branch = continue_branch(start, P10, settings)
         with pytest.raises(NoFoldBracketError, match="keeps its sign"):
-            detect_fold(branch, P10)
+            detect_fold(branch)
 
     def test_bracket_is_the_first_sign_change_of_tau_lambda(self):
         def points(*tau_lams):
@@ -847,7 +867,7 @@ class TestFolds:
 
         for name in calls:
             monkeypatch.setattr(continuation, name, counting(name))
-        again = detect_fold(rec.branch, rec.branch.spec)
+        again = detect_fold(rec.branch)
         assert calls["_correct"] >= 2
         assert calls["_tangent"] == calls["_correct"]
         assert again.lambda_star == rec.lambda_star
@@ -881,6 +901,13 @@ class TestFolds:
         monkeypatch.setattr(continuation, "linearization_coeffs", counting)
         find_degenerate(1, spec)
         assert calls == [(1, spec.params)]
+
+    def test_fold_is_localized_on_the_branch_spec(self):
+        spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=32)
+        rec = find_degenerate(1, spec)
+        assert repr(detect_fold(rec.branch).lambda_star) == "2.7319282930146076"
+        with pytest.raises(TypeError):
+            detect_fold(rec.branch, ProblemSpec(spec.params, 2.0, N=32, M=200))
 
     def test_monotone_fold_case(self):
         rec = find_degenerate(1, P10)

@@ -84,16 +84,29 @@ class TestParams:
         assert p.exact == (F(3, 2), F(1, 2))
         assert p.a == 3.0
 
-    def test_float_inputs_have_no_mirror(self):
-        assert jacobi_params(0.5, 0.5).exact is None
+    def test_float_inputs_keep_their_binary_value(self):
+        assert jacobi_params(0.1, 0).exact[0] == F(0.1) != F(1, 10)
+        assert jacobi_params(0.5, 0.5).exact == (F(1, 2), F(1, 2))
+
+    @pytest.mark.parametrize(
+        "x", [np.float32(0.5), np.float64(-0.25), np.int64(2), True, 3, F(3, 10)], ids=repr
+    )
+    def test_number_types_accepted(self, x):
+        p = jacobi_params(x, x)
+        assert p.alpha == p.beta == float(x)
+        assert p.a == 2.0 * float(x) + 1.0
 
     @pytest.mark.parametrize("al,be", [(-1, 0), (0, -1), (-1.5, 0.0)])
     def test_nonintegrable_weight_rejected(self, al, be):
         with pytest.raises(ParameterError):
             jacobi_params(al, be)
 
-    @pytest.mark.parametrize("al,be", [(math.inf, 0.0), (0.0, math.inf)])
-    def test_infinite_exponent_rejected(self, al, be):
+    @pytest.mark.parametrize(
+        "al,be",
+        [(math.inf, 0.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0),
+         (0.0, math.nan)],
+    )
+    def test_nonfinite_exponent_rejected(self, al, be):
         with pytest.raises(ParameterError, match="finite"):
             jacobi_params(al, be)
 
@@ -181,7 +194,7 @@ class TestSeries:
     """jacobi_series (banded Clenshaw solves inside (-1, 1), the closed form
     at +-1) against the table product, mpmath and edge cases."""
 
-    PAIRS = [*(p.scalars for p in PARAM_GRID), (F(-9, 10), F(-19, 20)), (F(-999, 1000), F(-9, 10))]
+    PAIRS = [*(p.exact for p in PARAM_GRID), (F(-9, 10), F(-19, 20)), (F(-999, 1000), F(-9, 10))]
     PTS = np.concatenate(([-1.0, 1.0], np.cos(np.linspace(0.0, np.pi, 301))))
 
     @staticmethod
@@ -464,7 +477,7 @@ class TestEndpoints:
 
     def test_degree_zero_type(self):
         assert type(endpoint_value(0, jacobi_params(1, 0), -1)) is F
-        assert type(endpoint_value(0, jacobi_params(1.0, 0.0), +1)) is float
+        assert type(endpoint_value(0, jacobi_params(1.0, 0.0), +1)) is F
 
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_sign_pattern(self, params):
@@ -479,9 +492,9 @@ class TestExactCoefficients:
         assert exact_coeffs(1, jacobi_params(1, 0)).coeffs == (F(1, 2), F(3, 2))
         assert exact_coeffs(2, jacobi_params(0, 0)).coeffs == (F(-1, 2), F(0), F(3, 2))
 
-    def test_requires_rational_params(self):
-        with pytest.raises(ParameterError):
-            exact_coeffs(3, jacobi_params(0.5, 0.5))
+    def test_float_params_give_the_coefficients_of_their_value(self):
+        ref = exact_coeffs(3, jacobi_params(F(1, 2), F(1, 2))).coeffs
+        assert exact_coeffs(3, jacobi_params(0.5, 0.5)).coeffs == ref
 
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_eigen_identity(self, params):
@@ -635,6 +648,7 @@ class TestMoments:
         assert weight_mass_exact(jacobi_params(0, 0)) == F(2)
         assert weight_mass_exact(jacobi_params(1, 0)) == F(2)
         assert weight_mass_exact(jacobi_params(F(1, 2), F(1, 2))) is None
+        assert weight_mass_exact(jacobi_params(1.0, 0.0)) == F(2)
         assert weight_mass(jacobi_params(0, 0)) == pytest.approx(2.0, rel=1e-14)
         # half-integer case: mass is pi/2
         assert weight_mass(jacobi_params(F(1, 2), F(1, 2))) == pytest.approx(

@@ -58,6 +58,18 @@ class TestCoefficients:
             scale = np.max(np.abs(exact))
             assert np.max(np.abs(table.coeffs - exact)) < 1e-10 * scale
 
+    def test_float_matches_exact_entrywise(self):
+        table = linearization_coeffs(5, jacobi_params(F(3, 2), F(1, 2)))
+        exact = [float(c) for c in table.exact]
+        assert len(table.coeffs) == 11
+        assert np.allclose(table.coeffs, exact, rtol=1e-13, atol=0.0)
+
+    def test_symmetric_odd_entries_are_zero_in_floats(self):
+        # mid_j = 0 when alpha == beta, so no odd entry is ever rounded into
+        table = linearization_coeffs(4, jacobi_params(F(1, 2), F(1, 2)))
+        assert np.all(table.coeffs[1::2] == 0.0) and np.all(table.coeffs[0::2] > 0.0)
+        assert all(c == 0 for c in table.exact[1::2])
+
     @pytest.mark.parametrize("params", SIGN_GRID, ids=str)
     def test_reconstruction(self, params):
         # sum_i C_k^i P_i reproduces P_k^2 in the weighted norm
@@ -147,10 +159,19 @@ class TestSignClassification:
         with pytest.raises(ParameterError):
             sign_classification(2, jacobi_params(F(-3, 5), F(-3, 5)))
 
-    def test_float_path_classification(self):
+    def test_float_params_classify_exactly(self):
         report = sign_classification(2, jacobi_params(0.5, 0.5))
-        assert report.table.exact is None
-        assert report.ok
+        ref = sign_classification(2, jacobi_params(F(1, 2), F(1, 2)))
+        assert report.table.exact == ref.table.exact
+        assert report.signs == ref.signs and report.ok
+
+    def test_near_symmetric_float_params_classify_exactly(self):
+        # alpha - beta = 2^-50: the float odd entries sit inside the 1e-12
+        # band, but alpha > beta, so every exact C_k^i is positive
+        al = 0.5 + 2.0**-50
+        report = sign_classification(2, jacobi_params(al, 0.5))
+        assert report.ok and report.signs == ("positive",) * 5
+        assert report.signs == sign_classification(2, jacobi_params(F(al), F(1, 2))).signs
 
     @pytest.mark.parametrize(
         "values, index",
@@ -165,6 +186,27 @@ class TestSignClassification:
         with pytest.raises(NumericalError, match=f"^value {index} is NaN"):
             classify(np.array(values), band)
         assert classify([1.0, -2.0, 1e-20], 1e-12) == ("positive", "negative", "zero")
+
+
+FLOAT_EXPONENTS = st.floats(min_value=-1.0, max_value=3.0, exclude_min=True)
+
+
+def _sign_outcome(k, params):
+    try:
+        report = sign_classification(k, params)
+    except ParameterError as exc:
+        return str(exc)
+    return report.signs, report.discrepancies, report.table.exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=FLOAT_EXPONENTS, y=FLOAT_EXPONENTS, k=st.integers(1, 4))
+def test_float_exponents_are_their_binary_values(x, y, k):
+    p, ref = jacobi_params(x, y), jacobi_params(F(x), F(y))
+    assert p == ref and hash(p) == hash(ref)
+    for got, want in ((p.alpha, ref.alpha), (p.beta, ref.beta), (p.a, ref.a)):
+        assert got.hex() == want.hex()
+    assert _sign_outcome(k, p) == _sign_outcome(k, ref)
 
 
 class TestQuartic:
@@ -192,6 +234,11 @@ class TestQuartic:
             gasper_quartic(1, 2)
         with pytest.raises(ParameterError):
             gasper_quartic(3, 0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf], ids=str)
+    def test_nonfinite_a_rejected(self, a):
+        with pytest.raises(ParameterError, match="finite"):
+            gasper_quartic(3, a)
 
     @pytest.mark.parametrize("a", [F(1, 2), F(2), 0.37])
     def test_sign_structure(self, a):
