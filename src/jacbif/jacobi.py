@@ -34,7 +34,6 @@ from .errors import NumericalBreakdownError, ParameterError
 __all__ = [
     "JacobiParams",
     "jacobi_params",
-    "exact_value",
     "ExactPolynomial",
     "exact_poly",
     "QuadratureRule",
@@ -83,12 +82,12 @@ class JacobiParams:
         return f"JacobiParams({self.exact[0]}, {self.exact[1]})"
 
 
-def exact_value(x, name: str) -> Fraction:
-    """x as a Fraction: a numbers.Rational as given, any other number at the
-    exact binary value of float(x), which must be finite (``name`` labels x
-    in the error)."""
+def _exact_value(x, name: str) -> Fraction:
+    """x as a Fraction of Python ints: a numbers.Rational (np.integer too) at
+    its value, any other number at the exact binary value of float(x), which
+    must be finite (``name`` labels x in the error)."""
     if isinstance(x, numbers.Rational):
-        return Fraction(x)
+        return Fraction(int(x.numerator), int(x.denominator))
     xf = float(x)
     if not math.isfinite(xf):
         raise ParameterError(f"{name}={x} must be finite")
@@ -96,12 +95,12 @@ def exact_value(x, name: str) -> Fraction:
 
 
 def jacobi_params(alpha, beta) -> JacobiParams:
-    """Build JacobiParams, keeping (alpha, beta) exactly (exact_value).
+    """Build JacobiParams, keeping (alpha, beta) exactly (_exact_value).
 
     A float keeps its binary value, so 0.1 is 3602879701896397 / 2^55: pass
     Fraction("0.1") when the decimal is meant.
     """
-    exact = (exact_value(alpha, "alpha"), exact_value(beta, "beta"))
+    exact = (_exact_value(alpha, "alpha"), _exact_value(beta, "beta"))
     af, bf = float(exact[0]), float(exact[1])
     if not (af > -1.0 and bf > -1.0):  # also when an exponent rounds to -1
         raise ParameterError(f"weight not integrable: alpha={alpha}, beta={beta}")

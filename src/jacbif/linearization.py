@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError, StructureViolationError
 from .jacobi import (
     JacobiParams,
-    exact_value,
+    _exact_value,
     gauss_jacobi_rule,
     jacobi_operator,
     jacobi_table,
@@ -235,7 +235,7 @@ class GasperQuartic:
 
 def gasper_quartic(k: int, a) -> GasperQuartic:
     """Construct Q(J) for fixed k >= 2 and a = alpha + beta + 1 > 0, with a
-    kept exactly (jacobi.exact_value).
+    kept exactly (jacobi._exact_value).
 
     The expanded coefficients are
         c4 = -6,  c3 = -12(a+2),
@@ -247,7 +247,7 @@ def gasper_quartic(k: int, a) -> GasperQuartic:
     """
     if k < 2:
         raise ParameterError("k too small: the quartic analysis needs k >= 2")
-    av = exact_value(a, "a")
+    av = _exact_value(a, "a")
     if not av > 0:
         raise ParameterError("need a > 0")
     c4 = Fraction(-6)

@@ -22,6 +22,7 @@ from jacbif import (
     jacobi_series,
     jacobi_table,
     jacobi_zeros,
+    sign_classification,
     weighted_norm_sq,
 )
 from jacbif import jacobi
@@ -95,6 +96,18 @@ class TestParams:
         p = jacobi_params(x, x)
         assert p.alpha == p.beta == float(x)
         assert p.a == 2.0 * float(x) + 1.0
+        assert type(p.alpha) is type(p.beta) is type(p.a) is float
+
+    def test_numpy_integer_runs_in_python_ints(self):
+        # an int64 numerator would overflow in (k+2)!/2 = P_k(1) from k = 19 on
+        p, ref = jacobi_params(np.int64(2), 0), jacobi_params(2, 0)
+        assert all(type(e.numerator) is type(e.denominator) is int for e in p.exact)
+        assert endpoint_value(30, p, 1) == endpoint_value(30, ref, 1) == F(math.factorial(32), 2 * math.factorial(30))
+        rep, rep_ref = sign_classification(8, p), sign_classification(8, ref)
+        assert (rep.signs, rep.discrepancies) == (rep_ref.signs, rep_ref.discrepancies)
+        assert rep.table.exact == rep_ref.table.exact
+        assert all(type(c.numerator) is int for c in rep.table.exact)
+        assert rep.table.coeffs.tobytes() == rep_ref.table.coeffs.tobytes()
 
     @pytest.mark.parametrize("al,be", [(-1, 0), (0, -1), (-1.5, 0.0)])
     def test_nonintegrable_weight_rejected(self, al, be):
