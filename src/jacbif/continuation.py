@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,9 +167,11 @@ class SpectralFunction:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One accepted continuation state with its diagnostics; ``critical`` is
-    critical_point_list(u), not serialized beyond its length, and ``tangent``
-    the unit tangent (tau_c, tau_lam) oriented along the tracing, not serialized."""
+    """One accepted continuation state with its diagnostics; ``sigma_min`` is
+    min |eigenvalue| of J there, its smallest singular value in L2_w, where J
+    is self-adjoint; ``critical`` is critical_point_list(u), not serialized
+    beyond its length, and ``tangent`` the unit tangent (tau_c, tau_lam)
+    oriented along the tracing, not serialized."""
 
     u: SpectralFunction
     lam: float
@@ -205,7 +207,8 @@ class FoldRecord:
     rescaled to ||v||_w = 1.  ``moore_spence_residual`` is the norm of
     (F(c, lambda), J v, ||v||_w^2 - 1) there.  No iteration minimizes it, so
     it certifies the fold point and its kernel direction independently, as
-    does ``sigma_ratio`` = sigma_min/sigma_max of J at the fold.
+    does ``sigma_ratio`` = min|eig|/max|eig| of J at the fold: the ratio of
+    its extreme singular values in L2_w, where J is self-adjoint.
     """
 
     point: BranchPoint
@@ -218,7 +221,7 @@ class FoldRecord:
 
 NEWTON_TOL = 1e-11  # bordered Newton: ||F||_w and the border equation, relative
 MAX_ITER = 25  # Newton iterations per solve, and Illinois steps per fold
-DEGENERATE_TOL = 1e-8  # a fold needs sigma_min/sigma_max of J below this
+DEGENERATE_TOL = 1e-8  # a fold needs min|eig|/max|eig| of J (self-adjoint in L2_w) below this
 CERTIFICATE_TOL = 1e-10  # a fold needs its Moore-Spence residual below this
 QUAD_CHECK_TOL = 1e-10  # largest relative change of an inexact projection when M doubles
 TRANSVERSALITY_REL = 1e-8  # a root needs |f'| above this times max |f'| on the scan grid
@@ -302,19 +305,13 @@ class Discretization:
         return vals
 
     def residual_coeffs(self, c: np.ndarray, lam: float) -> np.ndarray:
-        vals = self.positive_values(c)
-        return self.lin * c - lam * (self.proj @ (vals - vals**self.spec.q))
+        return _StateEvaluation(self, c).residual(lam)
 
     def jacobian(self, c: np.ndarray, lam: float) -> np.ndarray:
-        vals = self.positive_values(c)
-        phi = 1.0 - self.spec.q * vals ** (self.spec.q - 1.0)
-        mat = -lam * (self.proj @ (self.basis * phi[:, None]))
-        mat[np.diag_indices_from(mat)] += self.lin
-        return mat
+        return _StateEvaluation(self, c).jacobian(lam)
 
     def dresidual_dlambda(self, c: np.ndarray) -> np.ndarray:
-        vals = self.positive_values(c)
-        return -(self.proj @ (vals - vals**self.spec.q))
+        return _StateEvaluation(self, c).dresidual_dlambda()
 
     def quad_gap(self, c: np.ndarray) -> float:
         """Relative change of the nonlinear projection when M doubles, after
@@ -338,6 +335,37 @@ class Discretization:
         p1 = self.proj @ (vals - vals**self.spec.q)
         p2 = self.proj2 @ (v2 - v2**self.spec.q)
         return self.w_norm(p1 - p2) / (1.0 + self.w_norm(p2))
+
+
+class _StateEvaluation:
+    """The nonlinear term at one state c, evaluated once and shared by the
+    residual, its lambda derivative and the Jacobian there.  ``vals`` is u at
+    the M nodes, checked > 0 on construction, and ``projection`` P = proj @
+    (u - u^q), formed on first use: the residual is lin c - lambda P and
+    F_lambda is -P."""
+
+    def __init__(self, disc: Discretization, c: np.ndarray):
+        self.disc = disc
+        self.c = c
+        self.vals = disc.positive_values(c)
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        return self.disc.proj @ (self.vals - self.vals**self.disc.spec.q)
+
+    def residual(self, lam: float) -> np.ndarray:
+        return self.disc.lin * self.c - lam * self.projection
+
+    def dresidual_dlambda(self) -> np.ndarray:
+        return -self.projection
+
+    def jacobian(self, lam: float) -> np.ndarray:
+        """diag(lin) - lambda * proj @ diag(1 - q u^(q-1)) @ basis."""
+        disc, q = self.disc, self.disc.spec.q
+        phi = 1.0 - q * self.vals ** (q - 1.0)
+        mat = -lam * (disc.proj @ (disc.basis * phi[:, None]))
+        mat[np.diag_indices_from(mat)] += disc.lin
+        return mat
 
 
 @lru_cache(maxsize=None)
@@ -555,22 +583,28 @@ def endpoint_label(u: SpectralFunction, side: int) -> str:
 # branch construction
 
 
-def _sigma_min(jac: np.ndarray) -> float:
-    return float(np.linalg.svd(jac, compute_uv=False)[-1])
+def _sigma_range(disc: Discretization, jac: np.ndarray) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of J as an operator on L2_w.  J is self-adjoint
+    there (H J is symmetric, H = diag(h)), so these are min and max |eigenvalue|
+    of J, read from one eigvalsh of the symmetric S = H^(1/2) J H^(-1/2)."""
+    sqh = np.sqrt(disc.h)
+    eig = np.abs(np.linalg.eigvalsh(jac * (sqh[:, None] / sqh[None, :])))
+    return float(eig.min()), float(eig.max())
 
 
 def _make_point(
-    c: np.ndarray, lam: float, s: float, spec: ProblemSpec, smin: float, tangent: tuple
+    ev: _StateEvaluation, lam: float, s: float, smin: float, tangent: tuple
 ) -> BranchPoint:
-    """The point (c, lam) with its diagnostics; ``smin`` is sigma_min of J
-    there and ``tangent`` its unit tangent (tau_c, tau_lam)."""
-    disc = discretization(spec)
-    u = SpectralFunction(c, spec.params)
+    """The point (c, lam) of the evaluation ``ev`` with its diagnostics;
+    ``smin`` is sigma_min of J there (_sigma_range) and ``tangent`` its unit
+    tangent (tau_c, tau_lam)."""
+    disc = ev.disc
+    u = SpectralFunction(ev.c, disc.spec.params)
     return BranchPoint(
         u=u,
         lam=float(lam),
         s=float(s),
-        residual_norm=disc.w_norm(disc.residual_coeffs(c, lam)),
+        residual_norm=disc.w_norm(ev.residual(lam)),
         sigma_min=smin,
         crossings=count_crossings(u),
         critical=critical_point_list(u),
@@ -579,17 +613,13 @@ def _make_point(
 
 
 def _bordered_matrix(
-    disc: Discretization,
-    jac: np.ndarray,
-    c: np.ndarray,
-    border: np.ndarray,
-    border_lam: float,
+    jac: np.ndarray, f_lam: np.ndarray, border: np.ndarray, border_lam: float
 ) -> np.ndarray:
-    """[[J, F_lambda], [border, border_lam]] at (c, lambda), J = ``jac`` there."""
-    n = c.size
+    """[[J, F_lambda], [border, border_lam]] with J = ``jac``, F_lambda = ``f_lam``."""
+    n = f_lam.size
     a_mat = np.empty((n + 1, n + 1))
     a_mat[:n, :n] = jac
-    a_mat[:n, n] = disc.dresidual_dlambda(c)
+    a_mat[:n, n] = f_lam
     a_mat[n, :n] = border
     a_mat[n, n] = border_lam
     return a_mat
@@ -603,24 +633,26 @@ def _bordered_newton(
     border_lam: float,
     target: float,
     origin: tuple[np.ndarray, float] = (0.0, 0.0),
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[_StateEvaluation, float, int]:
     """Newton iteration for {F(c, lambda) = 0, <border, c - c0> +
     border_lam (lambda - lam0) = target} from the guess (c, lambda), where
     (c0, lam0) is ``origin``.
 
     Converged when ||F||_w < NEWTON_TOL (1 + ||c||_w) and the border equation
-    holds to NEWTON_TOL (1 + |target|).  Returns (c, lambda, iterations), the
+    holds to NEWTON_TOL (1 + |target|).  Returns (evaluation, lambda,
+    iterations): the evaluation of the converged c (its ``c``), and the
     iterations counting the residual checks including the converged one.
     """
     n = c.size
     c0, lam0 = origin
     for it in range(1, MAX_ITER + 1):
-        r = disc.residual_coeffs(c, lam)
+        ev = _StateEvaluation(disc, c)
+        r = ev.residual(lam)
         g = float(border @ (c - c0)) + border_lam * (lam - lam0) - target
         converged = disc.w_norm(r) < NEWTON_TOL * (1.0 + disc.w_norm(c))
         if converged and abs(g) < NEWTON_TOL * (1.0 + abs(target)):
-            return c, lam, it
-        a_mat = _bordered_matrix(disc, disc.jacobian(c, lam), c, border, border_lam)
+            return ev, lam, it
+        a_mat = _bordered_matrix(ev.jacobian(lam), ev.dresidual_dlambda(), border, border_lam)
         delta = np.linalg.solve(a_mat, np.append(-r, -g))
         c = c + delta[:n]
         lam = lam + delta[n]
@@ -655,7 +687,8 @@ def solve_at_phase(
         ) / sqh
     c[k] = ck
     e_k = np.eye(spec.N)[k]
-    return _bordered_newton(disc, c, lam, e_k, 0.0, ck)[:2]
+    ev, lam, _ = _bordered_newton(disc, c, lam, e_k, 0.0, ck)
+    return ev.c, lam
 
 
 def branch_switch(
@@ -681,9 +714,10 @@ def branch_switch(
     guess_c = np.zeros(spec.N)
     guess_c[k] = direction / sqh
     guess_lam = direction * lambda_prime_zero(k, spec) / sqh
-    jac = disc.jacobian(c, lam)  # serves sigma_min and the tangent
-    tangent = _tangent(disc, jac, c, guess_c, guess_lam)
-    bp = _make_point(c, lam, sigma, spec, _sigma_min(jac), tangent)
+    ev = _StateEvaluation(disc, c)
+    jac = ev.jacobian(lam)  # serves sigma_min and the tangent
+    tangent = _tangent(ev, jac, guess_c, guess_lam)
+    bp = _make_point(ev, lam, sigma, _sigma_range(disc, jac)[0], tangent)
     if bp.crossings != k:
         raise StructureViolationError(
             f"first branch point has {bp.crossings} crossings, expected {k}; "
@@ -693,19 +727,20 @@ def branch_switch(
 
 
 def _tangent(
-    disc: Discretization,
+    ev: _StateEvaluation,
     jac: np.ndarray,
-    c: np.ndarray,
     guess_c: np.ndarray,
     guess_lam: float,
 ) -> tuple[np.ndarray, float]:
-    """Unit tangent of the solution curve at (c, lambda), where J = ``jac``,
-    oriented along the guess direction; computed from a bordered solve so it
-    stays well-defined at folds."""
-    n = c.size
+    """Unit tangent of the solution curve at the state of ``ev`` and lambda,
+    where J = ``jac``, oriented along the guess direction; computed from a
+    bordered solve so it stays well-defined at folds."""
+    disc = ev.disc
+    n = ev.c.size
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    sol = np.linalg.solve(_bordered_matrix(disc, jac, c, disc.h * guess_c, guess_lam), rhs)
+    a_mat = _bordered_matrix(jac, ev.dresidual_dlambda(), disc.h * guess_c, guess_lam)
+    sol = np.linalg.solve(a_mat, rhs)
     tc, tl = sol[:n], sol[n]
     nrm = math.sqrt(float(disc.h @ (tc * tc)) + tl * tl)
     tc, tl = tc / nrm, tl / nrm
@@ -773,7 +808,8 @@ def continue_branch(
                         ds=ds,
                     ) from None
                 ds *= 0.5
-        c_new, lam_new, iters = accepted
+        ev, lam_new, iters = accepted
+        c_new = ev.c
         gap = disc.quad_gap(c_new)
         if gap > QUAD_CHECK_TOL:
             raise NumericalBreakdownError(
@@ -784,10 +820,11 @@ def continue_branch(
             branch.termination = "trivial-branch"
             return branch
         s_abs += ds
-        # one Jacobian serves sigma_min and the tangent
-        jac = disc.jacobian(c_new, lam_new)
-        tangent = _tangent(disc, jac, c_new, *branch.points[-1].tangent)
-        point = _make_point(c_new, lam_new, direction * s_abs, spec, _sigma_min(jac), tangent)
+        # the corrector's last evaluation and one Jacobian serve sigma_min,
+        # the tangent and the residual norm
+        jac = ev.jacobian(lam_new)
+        tangent = _tangent(ev, jac, *branch.points[-1].tangent)
+        point = _make_point(ev, lam_new, direction * s_abs, _sigma_range(disc, jac)[0], tangent)
         branch.points.append(point)
         c, lam = c_new, lam_new
 
@@ -819,7 +856,7 @@ def _correct(
     tau_c: np.ndarray,
     tau_lam: float,
     ds: float,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[_StateEvaluation, float, int]:
     """One predictor step of arclength ds along (tau_c, tau_lam), then the
     bordered Newton corrector on {F = 0, <x - x_prev, tau>_metric = ds}."""
     return _bordered_newton(
@@ -850,7 +887,8 @@ def detect_fold(branch: Branch) -> FoldRecord:
     scaled to ||v||_w = 1 with its largest weighted component positive.  The
     fold is certified a posteriori: the Moore-Spence residual
     ||(F, J v, ||v||_w^2 - 1)|| must be below CERTIFICATE_TOL and
-    sigma_min/sigma_max of J below DEGENERATE_TOL.
+    min|eig|/max|eig| of J (self-adjoint in L2_w; _sigma_range) below
+    DEGENERATE_TOL.
     """
     spec = branch.spec
     disc = discretization(spec)
@@ -868,9 +906,9 @@ def detect_fold(branch: Branch) -> FoldRecord:
     xtol = NEWTON_TOL * b
     for _ in range(MAX_ITER):
         ds = b - fb * (b - a) / (fb - fa)
-        c, lam, _ = _correct(disc, start.u.coeffs, start.lam, tau_c, tau_lam, ds)
-        jac = disc.jacobian(c, lam)  # J at the last iterate serves the certificate
-        v, f = _tangent(disc, jac, c, tau_c, tau_lam)
+        ev, lam, _ = _correct(disc, start.u.coeffs, start.lam, tau_c, tau_lam, ds)
+        jac = ev.jacobian(lam)  # J at the last iterate serves the certificate
+        v, f = _tangent(ev, jac, tau_c, tau_lam)
         if f * fb < 0.0:
             a, fa = b, fb
         else:
@@ -883,29 +921,28 @@ def detect_fold(branch: Branch) -> FoldRecord:
     tangent = (v, f)
     v = v / disc.w_norm(v)
     ms_res = math.sqrt(
-        disc.w_norm(disc.residual_coeffs(c, lam)) ** 2
+        disc.w_norm(ev.residual(lam)) ** 2
         + disc.w_norm(jac @ v) ** 2
         + (float(disc.h @ (v * v)) - 1.0) ** 2
     )
     if not ms_res < CERTIFICATE_TOL:
         raise NewtonDivergenceError(f"fold certificate failed: residual {ms_res:.2e}")
-    svals = np.linalg.svd(jac, compute_uv=False)
-    if not svals[-1] < DEGENERATE_TOL * svals[0]:
+    smin, smax = _sigma_range(disc, jac)
+    if not smin < DEGENERATE_TOL * smax:
         raise NumericalError(
-            f"fold candidate is not degenerate: sigma_min/sigma_max = "
-            f"{svals[-1] / svals[0]:.2e}"
+            f"fold candidate is not degenerate: sigma_min/sigma_max = {smin / smax:.2e}"
         )
     # deterministic sign: largest weighted component positive
     idx = int(np.argmax(np.abs(v) * np.sqrt(disc.h)))
     if v[idx] < 0.0:
         v = -v
-    point = _make_point(c, lam, start.s + branch.direction * ds, spec, float(svals[-1]), tangent)
+    point = _make_point(ev, lam, start.s + branch.direction * ds, smin, tangent)
     return FoldRecord(
         point=point,
         lambda_star=float(lam),
         null_direction=SpectralFunction(v, spec.params),
         moore_spence_residual=float(ms_res),
-        sigma_ratio=float(svals[-1] / svals[0]),
+        sigma_ratio=smin / smax,
     )
 
 

@@ -84,14 +84,18 @@ class JacobiParams:
 
 def _exact_value(x, name: str) -> Fraction:
     """x as a Fraction of Python ints: a numbers.Rational (np.integer too) at
-    its value, any other number at the exact binary value of float(x), which
-    must be finite (``name`` labels x in the error)."""
-    if isinstance(x, numbers.Rational):
-        return Fraction(int(x.numerator), int(x.denominator))
-    xf = float(x)
+    its value, any other number at the exact binary value of float(x).  Its
+    float must be finite (``name`` labels x in the error), so a rational
+    beyond the float range is refused as inf is."""
+    rational = isinstance(x, numbers.Rational)
+    value = Fraction(int(x.numerator), int(x.denominator)) if rational else x
+    try:
+        xf = float(value)
+    except OverflowError:  # float(Fraction) past the largest float
+        xf = math.inf if value > 0 else -math.inf
     if not math.isfinite(xf):
-        raise ParameterError(f"{name}={x} must be finite")
-    return Fraction(xf)
+        raise ParameterError(f"{name}={xf} must be finite")
+    return value if rational else Fraction(xf)
 
 
 def jacobi_params(alpha, beta) -> JacobiParams:

@@ -106,6 +106,14 @@ class TestLinearize:
         assert exc.value.code == 2
         assert "--no-exact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha, beta", [("1e400", "0"), ("0", "-1e400")])
+    def test_exponent_whose_float_overflows_exits_2(self, alpha, beta, capsys):
+        code, out, err = run_cli(
+            ["linearize", "--k", "2", f"--alpha={alpha}", f"--beta={beta}"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "must be finite" in err
+
     def test_outside_sign_hypotheses_still_emits(self, capsys):
         code, out, _ = run_cli(["linearize", "--k", "2", "--alpha", "0", "--beta", "1"], capsys)
         assert code == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from jacbif import (
     ContinuationSettings,
@@ -227,6 +228,112 @@ class TestJacobian:
         weighted = disc.h[:, None] * mat
         scale = np.max(np.abs(weighted))
         assert np.max(np.abs(weighted - weighted.T)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("ab", [(1, 0), (F(1, 3), F(1, 4))], ids=str)
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_weighted_jacobian_is_symmetric_to_roundoff(self, ab, q):
+        # H J symmetric, H = diag(h), is what lets one eigvalsh of
+        # S = H^(1/2) J H^(-1/2) give sigma_min; it holds for any quadrature,
+        # so for the inexact q = 3/2 projection too
+        spec = ProblemSpec(jacobi_params(*ab), q, N=32)
+        disc = discretization(spec)
+        rng = np.random.default_rng(11)
+        c = np.zeros(spec.N)
+        c[0] = 1.0
+        c[1:] = 0.1 * rng.standard_normal(spec.N - 1) / (1.0 + np.arange(1, spec.N)) ** 3
+        weighted = disc.h[:, None] * disc.jacobian(c, 2.3)
+        scale = np.max(np.abs(weighted))
+        assert np.max(np.abs(weighted - weighted.T)) <= 1e-14 * scale
+
+
+class TestSharedEvaluation:
+    """One evaluation of the nonlinearity per state serves the residual,
+    F_lambda and the Jacobian, with the bits of the formulas written out."""
+
+    @staticmethod
+    def _written_out(disc, c, lam):
+        q = disc.spec.q
+        vals = disc.basis @ c
+        residual = disc.lin * c - lam * (disc.proj @ (vals - vals**q))
+        phi = 1.0 - q * vals ** (q - 1.0)
+        jac = -lam * (disc.proj @ (disc.basis * phi[:, None]))
+        jac[np.diag_indices_from(jac)] += disc.lin
+        f_lam = -(disc.proj @ (vals - vals**q))
+        return residual, jac, f_lam
+
+    @pytest.mark.parametrize("spec", [P10, PHALF, PFRAC], ids=["q=2", "q=3", "q=3/2"])
+    def test_wrappers_match_the_formulas_bit_for_bit(self, spec):
+        disc = discretization(spec)
+        rng = np.random.default_rng(5)
+        c = np.zeros(spec.N)
+        c[0] = 1.1
+        c[1:] = 0.1 * rng.standard_normal(spec.N - 1) / (1.0 + np.arange(1, spec.N)) ** 3
+        lam = 1.9
+        residual, jac, f_lam = self._written_out(disc, c, lam)
+        assert disc.residual_coeffs(c, lam).tobytes() == residual.tobytes()
+        assert disc.jacobian(c, lam).tobytes() == jac.tobytes()
+        assert disc.dresidual_dlambda(c).tobytes() == f_lam.tobytes()
+
+    def test_traced_points_reuse_the_corrector_evaluation(self):
+        spec = ProblemSpec(jacobi_params(1, 0), 1.5, N=32)
+        disc = discretization(spec)
+        start = branch_switch(1, spec, 1e-3, +1)
+        branch = continue_branch(start, spec, ContinuationSettings(max_steps=6))
+        for p in branch.points:
+            residual, _, _ = self._written_out(disc, p.u.coeffs, p.lam)
+            assert p.residual_norm == disc.w_norm(residual)
+
+    def test_newton_hands_back_the_evaluation_of_its_result(self):
+        disc = discretization(P10)
+        c = np.zeros(P10.N)
+        c[0], c[1] = 1.0, 1e-3
+        e_1 = np.eye(P10.N)[1]
+        ev, lam, _ = continuation._bordered_newton(disc, c, 3.0, e_1, 0.0, 1e-3)
+        residual, jac, f_lam = self._written_out(disc, ev.c, lam)
+        assert ev.residual(lam).tobytes() == residual.tobytes()
+        assert ev.jacobian(lam).tobytes() == jac.tobytes()
+        assert ev.dresidual_dlambda().tobytes() == f_lam.tobytes()
+
+
+SIGMA_BRANCHES = [
+    (1, (1, 0), 2.0),
+    (2, (F(1, 2), F(1, 2)), 3.0),
+    (1, (1, 0), 1.5),
+]
+
+
+@pytest.mark.parametrize("k, ab, q", SIGMA_BRANCHES, ids=["k1-(1,0)-q2", "k2-(1/2,1/2)-q3", "k1-(1,0)-q3/2"])
+def test_sigma_min_is_the_smallest_eigenvalue_modulus(k, ab, q, monkeypatch):
+    # the oracle is a general dgeev on the unscaled J, with no H.  dgeev is
+    # backward stable for J, so near the bifurcation point, where sigma_min
+    # ~ s0, its own error reaches about eps ||J||_2 (1.1e-10 relative at
+    # the first k=1 (1,0) q=3/2 point); the bound allows that term
+    spec = ProblemSpec(jacobi_params(*ab), q, N=32)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", None)  # no SVD on the traced path
+        start = branch_switch(k, spec, 1e-3, +1)
+        branch = continue_branch(
+            start, spec, ContinuationSettings(stop_on_fold=True, max_steps=40)
+        )
+    assert len(branch.points) > 5
+    eps = np.finfo(float).eps
+    for p in branch.points:
+        jac = jacobian(p.u, p.lam, spec)
+        ref = float(np.min(np.abs(np.linalg.eigvals(jac))))
+        bound = 1e-10 * ref + eps * np.linalg.norm(jac, 2)
+        assert abs(p.sigma_min - ref) <= bound
+
+
+def test_sigma_min_near_the_bifurcation_point_matches_30_digits():
+    # where dgeev is coarsest, the eigvalsh value is checked against the
+    # eigenvalues of the same float J in 30-digit arithmetic
+    spec = ProblemSpec(jacobi_params(1, 0), 1.5, N=32)
+    p = branch_switch(1, spec, 1e-3, +1)
+    jac = jacobian(p.u, p.lam, spec)
+    with mp.workdps(30):
+        eig = mp.eig(mp.matrix(jac.tolist()), left=False, right=False)
+        true = float(min(abs(e) for e in eig))
+    assert abs(p.sigma_min - true) <= 1e-12 * true
 
 
 class TestQuadratureExactness:
@@ -934,6 +1041,15 @@ class TestFolds:
         assert all(p.crossings == 4 for p in branch.points)
         with pytest.raises(NoFoldBracketError, match="returned to u = 1"):
             find_degenerate(4, spec)
+
+    def test_fold_that_is_not_degenerate_raises(self, monkeypatch):
+        # DEGENERATE_TOL = 0 makes every fold fail the sigma ratio test
+        monkeypatch.setattr(continuation, "DEGENERATE_TOL", 0.0)
+        spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=32)
+        with pytest.raises(
+            NumericalError, match=r"fold candidate is not degenerate: sigma_min/sigma_max = \d"
+        ):
+            find_degenerate(1, spec)
 
     def test_parity_violation(self):
         with pytest.raises(ParameterError):

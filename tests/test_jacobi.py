@@ -123,6 +123,16 @@ class TestParams:
         with pytest.raises(ParameterError, match="finite"):
             jacobi_params(al, be)
 
+    @pytest.mark.parametrize(
+        "al,be", [(10**400, 0), (0, -(10**400)), (F(10**400, 3), F(1, 2)), (10**5000, 0)],
+        ids=["int", "negative-int", "fraction", "int-past-str-limit"],
+    )
+    def test_exponent_whose_float_overflows_rejected(self, al, be):
+        # an exact exponent past the float range is refused as inf is, not
+        # let through as an OverflowError from float(Fraction)
+        with pytest.raises(ParameterError, match="finite"):
+            jacobi_params(al, be)
+
 
 class TestEvaluation:
     def test_degree_zero_is_one(self):

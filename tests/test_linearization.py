@@ -240,6 +240,11 @@ class TestQuartic:
         with pytest.raises(ParameterError, match="finite"):
             gasper_quartic(3, a)
 
+    @pytest.mark.parametrize("a", [10**400, F(10**401, 7)], ids=["int", "fraction"])
+    def test_a_whose_float_overflows_rejected(self, a):
+        with pytest.raises(ParameterError, match="finite"):
+            gasper_quartic(2, a)
+
     @pytest.mark.parametrize("a", [F(1, 2), F(2), 0.37])
     def test_sign_structure(self, a):
         gq = gasper_quartic(2, a)
