@@ -216,32 +216,21 @@ class TestJacobian:
         ) / (2.0 * eps)
         assert disc.w_norm(fd - jv) < 1e-6
 
-    def test_weighted_symmetry(self):
-        # h_i J_ij == h_j J_ji up to roundoff (self-adjointness in the
-        # weighted inner product)
-        rng = np.random.default_rng(3)
-        disc = discretization(PHALF)
-        c = np.zeros(PHALF.N)
-        c[0] = 1.2
-        c[1:] = 0.1 * rng.standard_normal(PHALF.N - 1) / (1.0 + np.arange(1, PHALF.N)) ** 2
-        mat = jacobian(SpectralFunction(c, PHALF.params), 1.7, PHALF)
-        weighted = disc.h[:, None] * mat
-        scale = np.max(np.abs(weighted))
-        assert np.max(np.abs(weighted - weighted.T)) < 1e-10 * scale
-
-    @pytest.mark.parametrize("ab", [(1, 0), (F(1, 3), F(1, 4))], ids=str)
+    @pytest.mark.parametrize("ab", [(F(1, 2), F(1, 2)), (F(1, 3), F(1, 4))], ids=str)
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
-    def test_weighted_jacobian_is_symmetric_to_roundoff(self, ab, q):
-        # H J symmetric, H = diag(h), is what lets one eigvalsh of
-        # S = H^(1/2) J H^(-1/2) give sigma_min; it holds for any quadrature,
-        # so for the inexact q = 3/2 projection too
-        spec = ProblemSpec(jacobi_params(*ab), q, N=32)
+    def test_weighted_symmetry(self, ab, q):
+        # h_i J_ij == h_j J_ji up to roundoff (self-adjointness in the
+        # weighted inner product).  It lets one eigvalsh of S = H^(1/2) J
+        # H^(-1/2) give sigma_min, and holds for any quadrature, so for the
+        # inexact q = 3/2 projection too
+        spec = ProblemSpec(jacobi_params(*ab), q)
+        rng = np.random.default_rng(3)
         disc = discretization(spec)
-        rng = np.random.default_rng(11)
         c = np.zeros(spec.N)
-        c[0] = 1.0
-        c[1:] = 0.1 * rng.standard_normal(spec.N - 1) / (1.0 + np.arange(1, spec.N)) ** 3
-        weighted = disc.h[:, None] * disc.jacobian(c, 2.3)
+        c[0] = 1.2
+        c[1:] = 0.1 * rng.standard_normal(spec.N - 1) / (1.0 + np.arange(1, spec.N)) ** 2
+        mat = jacobian(SpectralFunction(c, spec.params), 1.7, spec)
+        weighted = disc.h[:, None] * mat
         scale = np.max(np.abs(weighted))
         assert np.max(np.abs(weighted - weighted.T)) <= 1e-14 * scale
 
@@ -295,14 +284,11 @@ class TestSharedEvaluation:
         assert ev.dresidual_dlambda().tobytes() == f_lam.tobytes()
 
 
-SIGMA_BRANCHES = [
-    (1, (1, 0), 2.0),
-    (2, (F(1, 2), F(1, 2)), 3.0),
-    (1, (1, 0), 1.5),
-]
-
-
-@pytest.mark.parametrize("k, ab, q", SIGMA_BRANCHES, ids=["k1-(1,0)-q2", "k2-(1/2,1/2)-q3", "k1-(1,0)-q3/2"])
+@pytest.mark.parametrize(
+    "k, ab, q",
+    [(1, (1, 0), 2.0), (2, (F(1, 2), F(1, 2)), 3.0), (1, (1, 0), 1.5)],
+    ids=["k1-(1,0)-q2", "k2-(1/2,1/2)-q3", "k1-(1,0)-q3/2"],
+)
 def test_sigma_min_is_the_smallest_eigenvalue_modulus(k, ab, q, monkeypatch):
     # the oracle is a general dgeev on the unscaled J, with no H.  dgeev is
     # backward stable for J, so near the bifurcation point, where sigma_min
