@@ -24,7 +24,6 @@ certifies it a posteriori.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -42,6 +41,7 @@ from .errors import (
 )
 from .jacobi import (
     JacobiParams,
+    _count,
     chebyshev_series,
     derivative_series,
     gauss_jacobi_rule,
@@ -89,17 +89,6 @@ def default_quadrature_order(n_modes: int) -> int:
 MAX_QUADRATURE_ORDER = 4096
 
 
-def _count(name: str, value) -> int:
-    """value as an int (numpy integers included); a ParameterError for a bool
-    or a non-integral value."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ParameterError(f"{name}={value!r} must be an integer")
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Discretization of the interval problem: weight parameters, exponent
@@ -113,10 +102,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not 1.0 < self.q < math.inf:
             raise ParameterError(f"q={self.q} must be finite and > 1")
-        object.__setattr__(self, "N", _count("N", self.N))
+        object.__setattr__(self, "N", _count("N", self.N, 8))
         object.__setattr__(self, "M", _count("M", self.M))
-        if self.N < 8:
-            raise ParameterError(f"N={self.N} must be >= 8")
         object.__setattr__(self, "q", float(self.q))
         if self.M == 0:
             object.__setattr__(self, "M", default_quadrature_order(self.N))
@@ -240,15 +227,13 @@ class ContinuationSettings:
     stop_on_fold: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "max_steps", _count("max_steps", self.max_steps))
+        object.__setattr__(self, "max_steps", _count("max_steps", self.max_steps, 1))
         if math.isnan(self.ds0):
             raise ParameterError("ds0 is NaN")
         if not 0.0 < self.ds_min <= self.ds_max:
             raise ParameterError(f"need 0 < ds_min <= ds_max, got {self.ds_min} and {self.ds_max}")
         if not math.isfinite(self.ds_max):
             raise ParameterError(f"ds_max={self.ds_max} must be finite")
-        if self.max_steps < 1:
-            raise ParameterError(f"max_steps={self.max_steps} must be >= 1")
         if not self.lambda_floor < self.lambda_ceiling:
             raise ParameterError(f"empty lambda window ({self.lambda_floor}, {self.lambda_ceiling})")
         if not self.amplitude_cap > 0.0:
@@ -296,14 +281,6 @@ class Discretization:
     def w_norm(self, c: np.ndarray) -> float:
         return math.sqrt(float(self.h @ (c * c)))
 
-    def positive_values(self, c: np.ndarray) -> np.ndarray:
-        vals = self.basis @ c
-        if not vals.min() > 0.0:
-            raise NonpositiveStateError(
-                f"state reaches min {vals.min():.3e} at a quadrature node"
-            )
-        return vals
-
     def residual_coeffs(self, c: np.ndarray, lam: float) -> np.ndarray:
         return _StateEvaluation(self, c).residual(lam)
 
@@ -313,9 +290,10 @@ class Discretization:
     def dresidual_dlambda(self, c: np.ndarray) -> np.ndarray:
         return _StateEvaluation(self, c).dresidual_dlambda()
 
-    def quad_gap(self, c: np.ndarray) -> float:
-        """Relative change of the nonlinear projection when M doubles, after
-        checking u > 0 on a grid finer than the M nodes.
+    def quad_gap(self, ev: _StateEvaluation) -> float:
+        """Relative change of the nonlinear projection of the evaluation
+        ``ev`` when M doubles, after checking u > 0 on a grid finer than the
+        M nodes (``ev`` has checked those).
 
         Where the projection is exact, integer q with (q + 1)(N - 1) <= 2M - 1
         (_projection_is_exact: every projected product is a polynomial of at
@@ -323,18 +301,16 @@ class Discretization:
         is 0.0 and no 2M-point rule exists; u > 0 is then checked on the
         8N+2 scan grid (_scan_values), which holds t = +-1.  Otherwise u > 0
         is checked at the 2M nodes."""
-        vals = self.positive_values(c)
         if self.exact:
-            scan = _scan_values(self.spec.params, c, self.spec.N)
+            scan = _scan_values(self.spec.params, ev.c, self.spec.N)
             if not scan.min() > 0.0:
                 raise NonpositiveStateError("state nonpositive on the scan grid")
             return 0.0
-        v2 = self.basis2 @ c
+        v2 = self.basis2 @ ev.c
         if not v2.min() > 0.0:
             raise NonpositiveStateError("state nonpositive on refined grid")
-        p1 = self.proj @ (vals - vals**self.spec.q)
         p2 = self.proj2 @ (v2 - v2**self.spec.q)
-        return self.w_norm(p1 - p2) / (1.0 + self.w_norm(p2))
+        return self.w_norm(ev.projection - p2) / (1.0 + self.w_norm(p2))
 
 
 class _StateEvaluation:
@@ -347,7 +323,11 @@ class _StateEvaluation:
     def __init__(self, disc: Discretization, c: np.ndarray):
         self.disc = disc
         self.c = c
-        self.vals = disc.positive_values(c)
+        self.vals = disc.basis @ c
+        if not self.vals.min() > 0.0:
+            raise NonpositiveStateError(
+                f"state reaches min {self.vals.min():.3e} at a quadrature node"
+            )
 
     @cached_property
     def projection(self) -> np.ndarray:
@@ -413,12 +393,11 @@ def bifurcation_lambda(k, a, q):
 
 def bifurcation_points(spec: ProblemSpec, kmax: int) -> list[tuple[int, float]]:
     """(k, lambda_k) with lambda_k = k(k + alpha + beta + 1) / (q - 1)."""
-    if kmax < 1:
-        raise ParameterError("kmax must be >= 1")
+    kmax = _count("kmax", kmax, 1)
     return [(k, bifurcation_lambda(k, spec.params.a, spec.q)) for k in range(1, kmax + 1)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def lambda_prime_zero(k: int, spec: ProblemSpec) -> float:
     """Branch slope at the bifurcation point:
 
@@ -427,10 +406,10 @@ def lambda_prime_zero(k: int, spec: ProblemSpec) -> float:
     with C_k^k the exact middle coefficient of P_k^2 = sum_i C_k^i P_i.  Zero
     exactly when alpha == beta and k is odd; negative in the other in-scope
     cases.  Cached: find_degenerate, solve_at_phase and branch_switch each
-    read it for the same (k, spec).
+    read it for the same (k, spec).  The cache is typed, so a float or bool k
+    never reads the entry of its int twin and always reaches the check.
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    k = _count("k", k, 1)
     require_theorem_scope(spec.params)
     lam_k = bifurcation_lambda(k, spec.params.a, spec.q)
     c_kk = linearization_coeffs(k, spec.params).exact[k]
@@ -669,16 +648,25 @@ def solve_at_phase(
 
     The phase condition pins c_k = sigma / sqrt(h_k) through the border e_k
     of the Newton kernel.  Seeded from the tangent predictor
-    u = 1 + sigma * P_k / ||P_k||_w unless a guess is supplied.
+    u = 1 + sigma * P_k / ||P_k||_w unless a guess (c, lambda) is supplied.
+    A non-finite sigma, or a guess that is not N finite coefficients and a
+    finite lambda, is a ParameterError.
     """
+    k = _count("k", k)
     if not 1 <= k < spec.N:
         raise ParameterError(f"k={k} must lie in [1, N) = [1, {spec.N})")
+    if not math.isfinite(sigma):
+        raise ParameterError(f"sigma={sigma} must be finite")
     disc = discretization(spec)
     sqh = math.sqrt(disc.h[k])
     ck = sigma / sqh
     if guess is not None:
         c = np.array(guess[0], dtype=float)
         lam = float(guess[1])
+        if c.shape != (spec.N,):
+            raise ParameterError(f"guess coefficients have shape {c.shape}, spec wants ({spec.N},)")
+        if not (np.all(np.isfinite(c)) and math.isfinite(lam)):
+            raise ParameterError("guess coefficients and lambda must be finite")
     else:
         c = np.zeros(spec.N)
         c[0] = 1.0
@@ -704,6 +692,7 @@ def branch_switch(
         raise ParameterError("direction must be +1 or -1")
     if not 0.0 < s0 <= 0.05:
         raise ParameterError("s0 must lie in (0, 0.05]")
+    k = _count("k", k)
     if not 1 <= k <= spec.N // 2:
         raise ParameterError(f"k={k} must lie in [1, N/2] = [1, {spec.N // 2}]")
     sigma = direction * s0
@@ -776,62 +765,57 @@ def continue_branch(
     converged point does) is a ParameterError.
     """
     settings = settings or ContinuationSettings()
-    c = np.array(start.u.coeffs, dtype=float)
-    lam = start.lam
+    c = start.u.coeffs
     if c.size != spec.N:
         raise ParameterError(f"start has {c.size} coefficients, spec wants {spec.N}")
     if start.u.params != spec.params:
         raise ParameterError(f"start has parameters {start.u.params}, spec has {spec.params}")
     disc = discretization(spec)
-    res = disc.w_norm(disc.residual_coeffs(c, lam))
+    res = disc.w_norm(disc.residual_coeffs(c, start.lam))
     if not res < NEWTON_TOL * (1.0 + disc.w_norm(c)):
         raise ParameterError(f"start does not solve the spec: residual {res:.2e}")
     direction = 1 if start.s >= 0.0 else -1
     branch = Branch(spec=spec, k=start.crossings, direction=direction, points=[start])
 
-    s_abs = abs(start.s)
     ds = min(max(settings.ds0, settings.ds_min), settings.ds_max)
     steps_after_bracket = 0
 
     while len(branch.points) < settings.max_steps:
+        last = branch.points[-1]
         while True:
             try:
-                accepted = _correct(disc, c, lam, *branch.points[-1].tangent, ds)
+                ev, lam, iters = _correct(disc, last.u.coeffs, last.lam, *last.tangent, ds)
                 break
             except (NewtonDivergenceError, NonpositiveStateError, np.linalg.LinAlgError):
                 if 0.5 * ds < settings.ds_min:
                     raise NewtonDivergenceError(
-                        f"corrector failed below ds_min at s={s_abs:.4f}, "
-                        f"lambda={lam:.6f}",
-                        s=s_abs,
-                        lam=float(lam),
+                        f"corrector failed below ds_min at s={abs(last.s):.4f}, "
+                        f"lambda={last.lam:.6f}",
+                        s=abs(last.s),
+                        lam=float(last.lam),
                         ds=ds,
                     ) from None
                 ds *= 0.5
-        ev, lam_new, iters = accepted
-        c_new = ev.c
-        gap = disc.quad_gap(c_new)
+        gap = disc.quad_gap(ev)
         if gap > QUAD_CHECK_TOL:
             raise NumericalBreakdownError(
                 f"quadrature convergence check failed (gap={gap:.2e}); increase M"
             )
-        if _is_constant(c_new):
+        if _is_constant(ev.c):
             # the branch has come back to u = 1, where no count is defined
             branch.termination = "trivial-branch"
             return branch
-        s_abs += ds
         # the corrector's last evaluation and one Jacobian serve sigma_min,
         # the tangent and the residual norm
-        jac = ev.jacobian(lam_new)
-        tangent = _tangent(ev, jac, *branch.points[-1].tangent)
-        point = _make_point(ev, lam_new, direction * s_abs, _sigma_range(disc, jac)[0], tangent)
+        jac = ev.jacobian(lam)
+        tangent = _tangent(ev, jac, *last.tangent)
+        point = _make_point(ev, lam, last.s + direction * ds, _sigma_range(disc, jac)[0], tangent)
         branch.points.append(point)
-        c, lam = c_new, lam_new
 
         if not (settings.lambda_floor < lam < settings.lambda_ceiling):
             branch.termination = "lambda-window"
             return branch
-        if point.u.w_norm() > settings.amplitude_cap:
+        if disc.w_norm(ev.c) > settings.amplitude_cap:
             branch.termination = "amplitude-cap"
             return branch
         if settings.stop_on_fold and (
@@ -954,6 +938,13 @@ def _alternating(labels: list[str]) -> bool:
     return all(a != b for a, b in zip(labels, labels[1:]))
 
 
+def _extremum_labels(point: BranchPoint) -> list[str]:
+    """The extremum types of u along [-1, 1]: endpoint_label at -1, the
+    critical-point labels in order, endpoint_label at +1."""
+    u = point.u
+    return [endpoint_label(u, -1)] + [kind for _, kind in point.critical] + [endpoint_label(u, +1)]
+
+
 def find_degenerate(k: int, spec: ProblemSpec, s0: float = 1e-3) -> FoldRecord:
     """Trace the branch rooted at (1, lambda_k) in the direction of
     decreasing lambda until a fold is bracketed, then localize it.
@@ -964,8 +955,7 @@ def find_degenerate(k: int, spec: ProblemSpec, s0: float = 1e-3) -> FoldRecord:
     some folds there are resolved at N and some are not.
     """
     require_theorem_scope(spec.params)
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    k = _count("k", k, 1)
     if spec.params.is_symmetric and k % 2 == 1:
         raise ParameterError(
             "parity violation: for alpha == beta the slope vanishes for odd k "
@@ -993,11 +983,7 @@ def find_degenerate(k: int, spec: ProblemSpec, s0: float = 1e-3) -> FoldRecord:
         raise NumericalError(
             f"fold lambda_star={record.lambda_star:.6f} outside (0, {lam_k:.6f})"
         )
-    labels = (
-        [endpoint_label(point.u, -1)]
-        + [kind for _, kind in point.critical]
-        + [endpoint_label(point.u, +1)]
-    )
+    labels = _extremum_labels(point)
     if not _alternating(labels):
         raise StructureViolationError(f"extremum labels do not alternate: {labels}")
     return record

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,6 +97,24 @@ def _exact_value(x, name: str) -> Fraction:
     if not math.isfinite(xf):
         raise ParameterError(f"{name}={xf} must be finite")
     return value if rational else Fraction(xf)
+
+
+def _count(name: str, value, least: int | None = None) -> int:
+    """value as a Python int (numpy integers included), at least ``least``
+    when that is given; a ParameterError, naming value as ``name``, for a
+    bool, a non-integral value (2.0 too) or one below ``least``.  The one
+    check of every degree, mode index and count in jacobi, linearization and
+    continuation."""
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if least is not None and n < least:
+                raise ParameterError(f"{name}={n} must be >= {least}")
+            return n
+    raise ParameterError(f"{name}={value!r} must be an integer")
 
 
 def jacobi_params(alpha, beta) -> JacobiParams:
@@ -271,8 +290,7 @@ def jacobi_table(params: JacobiParams, kmax: int, t) -> np.ndarray:
     written once into its column.  A degree-major (kmax+1, t.size) build with
     a transposed copy is faster still, but holds the table twice at its peak.
     """
-    if kmax < 0:
-        raise ParameterError("kmax must be >= 0")
+    kmax = _count("kmax", kmax, 0)
     t = np.asarray(t, dtype=float).ravel()
     up, mid, down = jacobi_operator(kmax, params.alpha, params.beta)
     out = np.empty((t.size, kmax + 1))
@@ -394,7 +412,7 @@ def jacobi_series(params: JacobiParams, coeffs, t):
 # their own bases), 1.5 MB at N = 256.  Keeping only those bounds the memory
 # when one process traces several parameter sets: over the two fold-n256
 # cases, peak RSS read 1.8 MB higher with an unbounded cache.
-@lru_cache(maxsize=3)
+@lru_cache(maxsize=3, typed=True)
 def chebyshev_connection(params: JacobiParams, n: int) -> np.ndarray:
     """The (n, n) matrix C with sum_i c_i P_i = sum_k (C c)_k T_k for n
     coefficients c (read-only): column i holds the Chebyshev coefficients of
@@ -403,9 +421,9 @@ def chebyshev_connection(params: JacobiParams, n: int) -> np.ndarray:
     run on Chebyshev coefficient vectors, where multiplication by t is
     t T_0 = T_1 and t T_k = (T_{k+1} + T_{k-1}) / 2; no values at rounded
     nodes enter.  P_j is built as row j and the result is the transpose.
+    Cached by argument type, as exact_coeffs is.
     """
-    if n < 1:
-        raise ParameterError("a connection matrix needs n >= 1")
+    n = _count("n", n, 1)
     up, mid, down = jacobi_operator(n - 1, params.alpha, params.beta)
     rows = np.zeros((n, n))
     rows[0, 0] = 1.0
@@ -433,6 +451,7 @@ def chebyshev_series(params: JacobiParams, coeffs, m: int) -> np.ndarray:
     inverse FFT of length 2m of z_k = m (-1)^k a_k e^{i pi k / 2m}
     (z_0 = 2m a_0), whose first m entries are f.
     """
+    m = _count("m", m, 1)
     c = np.asarray(coeffs, dtype=float).ravel()
     if not 0 < c.size <= m:
         raise ParameterError(f"{c.size} coefficients cannot be summed at {m} Chebyshev points")
@@ -446,8 +465,7 @@ def chebyshev_series(params: JacobiParams, coeffs, m: int) -> np.ndarray:
 
 def eval_jacobi(k: int, params: JacobiParams, t):
     """P_k at t (scalar or array), normalized so P_k(1) = (alpha+1)_k / k!."""
-    if k < 0:
-        raise ParameterError("negative degree")
+    k = _count("k", k, 0)
     return _shaped(jacobi_table(params, k, t)[:, k], t)
 
 
@@ -475,8 +493,7 @@ def _endpoint_vector(params: JacobiParams, n: int, side: int) -> np.ndarray:
 
 def endpoint_value(k: int, params: JacobiParams, side: int) -> Fraction:
     """Closed-form P_k(side) for side in {-1, +1} (see _endpoint_values), exactly."""
-    if k < 0:
-        raise ParameterError("negative degree")
+    k = _count("k", k, 0)
     if side not in (-1, 1):
         raise ParameterError("side must be -1 or +1")
     return Fraction(*_endpoint_values(params, k + 1, int(side))[k])
@@ -540,7 +557,7 @@ def apply_L(p: ExactPolynomial, params: JacobiParams) -> ExactPolynomial:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def exact_coeffs(k: int, params: JacobiParams) -> ExactPolynomial:
     """Exact monomial coefficients of P_k.
 
@@ -552,9 +569,10 @@ def exact_coeffs(k: int, params: JacobiParams) -> ExactPolynomial:
     D_m / L, D_m = (k - m)((k + m + 1) L + A + B) > 0, and over the common
     denominator D_0 .. D_{k-1} the monic numerators are N_k = D_0 .. D_{k-1},
     N_m = -((m + 1)(B - A) N_{m+1} + (m + 2)(m + 1) L N_{m+2}) / D_m, exactly.
+    Cached by argument type (typed), so a float or bool k never reads the
+    entry of its int twin and always reaches the degree check.
     """
-    if k < 0:
-        raise ParameterError("negative degree")
+    k = _count("k", k, 0)
     v = ExactVector.from_rationals(params.exact)
     (A, B), L = v.num, v.den
     d = [(k - m) * ((k + m + 1) * L + A + B) for m in range(k)]
@@ -630,16 +648,16 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     """m-point Gauss-Jacobi rule by Golub-Welsch.
 
     The symmetric Jacobi matrix has the diagonal mid and the off-diagonal
     sqrt(up_j down_{j+1}) of jacobi_operator; nodes are its eigenvalues,
-    weights are m_0 times the squared first eigenvector components.
+    weights are m_0 times the squared first eigenvector components.  Cached
+    by argument type, as exact_coeffs is.
     """
-    if m < 1:
-        raise ParameterError("rule order must be >= 1")
+    m = _count("m", m, 1)
     up, mid, down = jacobi_operator(m, params.alpha, params.beta)
     try:
         nodes, vecs = eigh_tridiagonal(mid, np.sqrt(up[:-1] * down[1:]))
@@ -660,8 +678,7 @@ def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
 
 def weighted_norm_sq(k: int, params: JacobiParams) -> float:
     """h_k = int P_k^2 w dt, computed with a (k+1)-point Gauss rule."""
-    if k < 0:
-        raise ParameterError("negative degree")
+    k = _count("k", k, 0)
     rule = gauss_jacobi_rule(params, k + 1)
     vals = jacobi_table(params, k, rule.nodes)[:, k]
     return float(rule.weights @ (vals * vals))
@@ -669,6 +686,7 @@ def weighted_norm_sq(k: int, params: JacobiParams) -> float:
 
 def norm_sq_closed_form(k: int, params: JacobiParams) -> float:
     """The standard closed form for h_k, via log-gamma."""
+    k = _count("k", k, 0)
     al, be = params.alpha, params.beta
     if k == 0 and al + be + 1.0 <= 0.0:  # log-gamma form singular or wrong-signed
         return weight_mass(params)
@@ -683,8 +701,7 @@ def norm_sq_closed_form(k: int, params: JacobiParams) -> float:
 
 def jacobi_zeros(k: int, params: JacobiParams) -> np.ndarray:
     """The k increasing zeros of P_k in (-1, 1): Gauss nodes + one Newton polish."""
-    if k < 1:
-        raise ParameterError("degree must be >= 1")
+    k = _count("k", k, 1)
     x = np.array(gauss_jacobi_rule(params, k).nodes)
     f = jacobi_table(params, k, x)[:, k]
     sp, dc = derivative_series(params, np.arange(k + 1) == k)  # d/dt P_k = dc[k-1] P_{k-1}^sp

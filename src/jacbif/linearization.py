@@ -23,6 +23,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError, StructureViolationError
 from .jacobi import (
     JacobiParams,
+    _count,
     _exact_value,
     gauss_jacobi_rule,
     jacobi_operator,
@@ -41,7 +42,6 @@ __all__ = [
     "sign_classification",
     "GasperQuartic",
     "gasper_quartic",
-    "QuarticStructure",
     "quartic_sign_structure",
 ]
 
@@ -96,8 +96,7 @@ def _square_coeffs(k: int, alpha, beta):
 
 def linearization_coeffs(k: int, params: JacobiParams) -> LinearizationTable:
     """The C_k^i of P_k^2 in floats and exactly."""
-    if k < 0:
-        raise ParameterError("negative degree")
+    k = _count("k", k, 0)
     coeffs = _square_coeffs(k, params.alpha, params.beta)
     h_k = norm_sq_closed_form(k, params)
     return LinearizationTable(
@@ -112,8 +111,7 @@ def linearization_coeffs(k: int, params: JacobiParams) -> LinearizationTable:
 
 def cube_integral(k: int, params: JacobiParams) -> float:
     """int P_k^3 w dt by Gauss quadrature of sufficient order."""
-    if k < 0:
-        raise ParameterError("negative degree")
+    k = _count("k", k, 0)
     # the integrand has degree 3k: ceil((3k+1)/2) points plus 2 guard points
     rule = gauss_jacobi_rule(params, (3 * k + 1 + 1) // 2 + 2)
     vals = jacobi_table(params, k, rule.nodes)[:, k]
@@ -182,8 +180,7 @@ def sign_classification(k: int, params: JacobiParams) -> SignReport:
     alpha > beta   ->  positive for every i.
     Violations are reported, not raised.
     """
-    if k < 1:
-        raise ParameterError("degree must be >= 1")
+    k = _count("k", k, 1)
     require_theorem_scope(params)
     table = linearization_coeffs(k, params)
     signs = classify(table.exact)
@@ -245,8 +242,7 @@ def gasper_quartic(k: int, a) -> GasperQuartic:
     k = 1 is excluded: the recurrence boundary equations settle that case
     directly without the quartic.
     """
-    if k < 2:
-        raise ParameterError("k too small: the quartic analysis needs k >= 2")
+    k = _count("k", k, 2)
     av = _exact_value(a, "a")
     if not av > 0:
         raise ParameterError("need a > 0")
@@ -263,20 +259,11 @@ def gasper_quartic(k: int, a) -> GasperQuartic:
     return gq
 
 
-@dataclass(frozen=True)
-class QuarticStructure:
-    """Verified sign structure of Q: one coefficient sign change, Q(0) > 0,
-    positive on (0, x0), negative beyond."""
-
-    x0: float
-    q_at_zero: float
-    coefficient_sign_changes: int
-
-
-def quartic_sign_structure(gq: GasperQuartic) -> tuple[float, QuarticStructure]:
-    """Locate the unique positive root x0 by bracketing + bisection and verify
-    the sign pattern at QUARTIC_SAMPLES points on each side of x0; raises
-    StructureViolationError on any failed check."""
+def quartic_sign_structure(gq: GasperQuartic) -> float:
+    """The unique positive root x0 of Q, located by bracketing + bisection,
+    after verifying the sign structure: one coefficient sign change, Q(0) > 0,
+    and Q positive on (0, x0) and negative beyond it at QUARTIC_SAMPLES points
+    on each side; raises StructureViolationError on any failed check."""
     q0 = float(gq.expanded(0.0))
     if not q0 > 0.0:
         raise StructureViolationError(f"Q(0) = {q0} is not positive")
@@ -305,4 +292,4 @@ def quartic_sign_structure(gq: GasperQuartic) -> tuple[float, QuarticStructure]:
     for i in range(1, QUARTIC_SAMPLES + 1):
         if not gq.expanded(x0 + span * i / QUARTIC_SAMPLES) < 0.0:
             raise StructureViolationError(f"Q not negative beyond x0 at sample {i}")
-    return x0, QuarticStructure(x0=x0, q_at_zero=q0, coefficient_sign_changes=changes)
+    return x0

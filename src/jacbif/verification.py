@@ -21,6 +21,8 @@ from .continuation import (
     ContinuationSettings,
     ProblemSpec,
     SpectralFunction,
+    _alternating,
+    _extremum_labels,
     bifurcation_lambda,
     branch_switch,
     continue_branch,
@@ -416,6 +418,7 @@ def run_folds(seed: int = 0) -> list[CheckResult]:
 
 def _branch_invariants(branch: Branch, k: int, params: JacobiParams, q: float) -> CheckResult:
     crossings_ok = all(p.crossings == k for p in branch.points)
+    labels_ok = all(_alternating(_extremum_labels(p)) for p in branch.points)
     ends = np.array([-1.0, 1.0])
     sgn_minus = set()
     sgn_plus = set()
@@ -431,6 +434,7 @@ def _branch_invariants(branch: Branch, k: int, params: JacobiParams, q: float) -
             lam_ok = False
     ok = (
         crossings_ok
+        and labels_ok
         and len(sgn_minus) == 1
         and len(sgn_plus) == 1
         and plus_above
@@ -439,7 +443,8 @@ def _branch_invariants(branch: Branch, k: int, params: JacobiParams, q: float) -
     return CheckResult(
         f"branch invariants: k={k} {_fmt(params)} q={q:g}",
         ok,
-        f"crossings constant={crossings_ok}, endpoint signs constant="
+        f"crossings constant={crossings_ok}, extremum labels alternate={labels_ok}, "
+        f"endpoint signs constant="
         f"{len(sgn_minus) == 1 and len(sgn_plus) == 1}, u(+1)>1={plus_above}, "
         f"lambda>1e-4={lam_ok} over {len(branch.points)} points",
     )

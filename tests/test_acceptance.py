@@ -143,7 +143,8 @@ def test_nan_slope_or_fit_fails_theorem31(nan_in, monkeypatch):
 
 @pytest.mark.parametrize("lam, u_plus", [(math.nan, 2.0), (2.0, math.nan)], ids=["lam", "u(+1)"])
 def test_nan_point_fails_branch_invariants(lam, u_plus):
-    point = SimpleNamespace(crossings=1, lam=lam, u=lambda t: np.array([0.5, u_plus]))
+    u = lambda t: np.where(np.asarray(t) > 0.0, u_plus, 0.5)  # u(-1) = 0.5, u(+1) = u_plus
+    point = SimpleNamespace(crossings=1, lam=lam, u=u, critical=[])
     res = verification._branch_invariants(
         SimpleNamespace(points=[point]), 1, jacobi_params(1, 0), 2.0
     )

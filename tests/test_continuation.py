@@ -39,6 +39,8 @@ from jacbif.continuation import (
     FOLD_TRAIL,
     MAX_QUADRATURE_ORDER,
     NEWTON_TOL,
+    _alternating,
+    _extremum_labels,
     _fold_bracket,
     _scan_grid,
     _scan_values,
@@ -47,6 +49,9 @@ from jacbif.continuation import (
 )
 from jacbif.jacobi import (
     _series_banded,
+    chebyshev_connection,
+    chebyshev_series,
+    endpoint_value,
     exact_coeffs,
     exact_poly,
     gauss_jacobi_rule,
@@ -54,7 +59,9 @@ from jacbif.jacobi import (
     jacobi_table,
     derivative_series,
     norm_sq_closed_form,
+    weighted_norm_sq,
 )
+from jacbif.linearization import cube_integral, gasper_quartic, sign_classification
 from jacbif.verification import FOLD_CASES, PARAM_GRID
 
 P10 = ProblemSpec(jacobi_params(1, 0), 2.0)
@@ -158,9 +165,9 @@ class TestResidual:
         disc = continuation.Discretization(PFRAC)
         disc.basis2 = disc.basis2.copy()
         disc.basis2[5, 0] = math.nan
-        c = _mode_state(PFRAC, 1, 0.01).coeffs
+        ev = continuation._StateEvaluation(disc, _mode_state(PFRAC, 1, 0.01).coeffs)
         with pytest.raises(NonpositiveStateError, match="refined grid"):
-            disc.quad_gap(c)
+            disc.quad_gap(ev)
 
     def test_integer_q_checks_positivity_on_the_scan_grid(self):
         # u = 1 + (1 + 1e-6) P_1 with P_1(t) = (3t + 1) / 2 for (alpha, beta) =
@@ -168,11 +175,12 @@ class TestResidual:
         disc = discretization(P10)
         assert disc.exact
         c = _mode_state(P10, 1, 1.0 + 1e-6).coeffs
-        assert disc.positive_values(c).min() > 0.0
+        ev = continuation._StateEvaluation(disc, c)  # checks u > 0 at the M nodes
+        assert ev.vals.min() > 0.0
         disc.residual_coeffs(c, 1.0)
         assert _scan_values(P10.params, c, P10.N)[0] < 0.0
         with pytest.raises(NonpositiveStateError, match="scan grid"):
-            disc.quad_gap(c)
+            disc.quad_gap(ev)
 
     def test_nonpositive_state_rejected(self):
         c = np.zeros(P10.N)
@@ -283,6 +291,20 @@ class TestSharedEvaluation:
         assert ev.jacobian(lam).tobytes() == jac.tobytes()
         assert ev.dresidual_dlambda().tobytes() == f_lam.tobytes()
 
+    def test_quad_gap_reads_the_projection_of_the_evaluation(self):
+        # the M -> 2M gap written out from c alone equals quad_gap of the
+        # evaluation, whose projection the residual has already formed
+        disc = discretization(PFRAC)
+        c = _mode_state(PFRAC, 1, 0.01).coeffs
+        q = PFRAC.q
+        vals, v2 = disc.basis @ c, disc.basis2 @ c
+        p1 = disc.proj @ (vals - vals**q)
+        p2 = disc.proj2 @ (v2 - v2**q)
+        gap = disc.w_norm(p1 - p2) / (1.0 + disc.w_norm(p2))
+        ev = continuation._StateEvaluation(disc, c)
+        ev.residual(1.0)
+        assert disc.quad_gap(ev) == gap > 0.0
+
 
 @pytest.mark.parametrize(
     "k, ab, q",
@@ -330,7 +352,8 @@ class TestQuadratureExactness:
         disc = continuation.Discretization(spec)
         assert disc.exact
         assert not any(hasattr(disc, name) for name in ("rule2", "basis2", "proj2"))
-        assert disc.quad_gap(_mode_state(spec, 1, 0.01).coeffs) == 0.0
+        ev = continuation._StateEvaluation(disc, _mode_state(spec, 1, 0.01).coeffs)
+        assert disc.quad_gap(ev) == 0.0
 
     @pytest.mark.parametrize("q", [1.5, 6.0])
     def test_fractional_or_large_q_builds_the_2m_rule(self, q):
@@ -341,7 +364,8 @@ class TestQuadratureExactness:
         assert disc.rule2.nodes.size == 2 * spec.M
         assert disc.basis2.shape == (2 * spec.M, spec.N)
         assert disc.proj2.shape == (spec.N, 2 * spec.M)
-        assert disc.quad_gap(_mode_state(spec, 1, 0.01).coeffs) < 1e-13
+        ev = continuation._StateEvaluation(disc, _mode_state(spec, 1, 0.01).coeffs)
+        assert disc.quad_gap(ev) < 1e-13
 
     def test_exactness_boundary_is_degree_2m_minus_1(self):
         # q = 6, N = 64: degree 7 * 63 = 441 needs 2M - 1 >= 441, so M >= 221
@@ -903,6 +927,21 @@ def fold_records():
 
 
 class TestFolds:
+    @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
+    def test_extremum_labels_alternate_at_every_point(self, fold_records, case):
+        points = fold_records[case].branch.points + [fold_records[case].point]
+        assert all(_alternating(_extremum_labels(p)) for p in points)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="k=1 (1,0) q=3 is unresolved at N=64: points 37-40, just past the fold "
+        "bracket (36), carry 2, 2, 4 and 6 critical points near t = -0.99, all labelled "
+        "'min'; find_degenerate checks the labels at the fold point only",
+    )
+    def test_extremum_labels_alternate_on_the_unresolved_k1_q3_branch(self):
+        branch = find_degenerate(1, ProblemSpec(jacobi_params(1, 0), 3.0)).branch
+        assert all(_alternating(_extremum_labels(p)) for p in branch.points)
+
     def test_no_bracket_raises(self):
         settings = ContinuationSettings(max_steps=6, ds_max=0.01)
         start = branch_switch(1, P10, 1e-3, +1)
@@ -1067,6 +1106,97 @@ class TestPhaseSolve:
         seed = (SpectralFunction.constant_one(spec).coeffs, 3.0) if guess else None
         with pytest.raises(ParameterError, match=rf"k={k} must lie in \[1, N\) = \[1, 16\)"):
             solve_at_phase(k, spec, 1e-3, guess=seed)
+
+    @pytest.mark.parametrize("shape", [(8,), (32,), (16, 1)], ids=str)
+    def test_guess_of_another_shape_is_refused(self, shape):
+        # lengths 8 and 32 ended in numpy's ValueError, (16, 1) in a TypeError
+        spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=16)
+        coeffs = np.zeros(shape)
+        coeffs.flat[0] = 1.0
+        with pytest.raises(ParameterError, match=r"shape .* spec wants \(16,\)"):
+            solve_at_phase(1, spec, 1e-3, guess=(coeffs, 3.0))
+
+    @pytest.mark.parametrize(
+        "bad_c, bad_lam",
+        [(False, math.nan), (False, math.inf), (True, 3.0)],
+        ids=["lambda-nan", "lambda-inf", "coefficient-nan"],
+    )
+    def test_nonfinite_guess_is_refused(self, bad_c, bad_lam):
+        # a NaN lambda ended in numpy's LinAlgError (singular matrix)
+        spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=16)
+        coeffs = SpectralFunction.constant_one(spec).coeffs.copy()
+        if bad_c:
+            coeffs[3] = math.nan
+        with pytest.raises(ParameterError, match="must be finite"):
+            solve_at_phase(1, spec, 1e-3, guess=(coeffs, bad_lam))
+
+    @pytest.mark.parametrize("guess", [False, True], ids=["no-guess", "guess"])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf], ids=str)
+    def test_nonfinite_amplitude_is_refused(self, sigma, guess):
+        # it ended in a NonpositiveStateError, as if the state had left u > 0
+        spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=16)
+        seed = (SpectralFunction.constant_one(spec).coeffs, 3.0) if guess else None
+        with pytest.raises(ParameterError, match=rf"sigma={sigma} must be finite"):
+            solve_at_phase(1, spec, sigma, guess=seed)
+
+
+_P = P10.params
+# every function that takes a degree, a mode index or a count, called at it
+INTEGER_ARGUMENTS = {
+    "find_degenerate": lambda k: find_degenerate(k, P10),
+    "branch_switch": lambda k: branch_switch(k, P10, 1e-3, +1),
+    "solve_at_phase": lambda k: solve_at_phase(k, P10, 1e-3),
+    "lambda_prime_zero": lambda k: lambda_prime_zero(k, P10),
+    "bifurcation_points": lambda k: bifurcation_points(P10, k),
+    "sign_classification": lambda k: sign_classification(k, _P),
+    "linearization_coeffs": lambda k: linearization_coeffs(k, _P),
+    "cube_integral": lambda k: cube_integral(k, _P),
+    "gasper_quartic": lambda k: gasper_quartic(k, 1),
+    "eval_jacobi": lambda k: eval_jacobi(k, _P, 0.3),
+    "endpoint_value": lambda k: endpoint_value(k, _P, 1),
+    "exact_coeffs": lambda k: exact_coeffs(k, _P),
+    "jacobi_zeros": lambda k: jacobi_zeros(k, _P),
+    "jacobi_table": lambda k: jacobi_table(_P, k, 0.3),
+    "weighted_norm_sq": lambda k: weighted_norm_sq(k, _P),
+    "norm_sq_closed_form": lambda k: norm_sq_closed_form(k, _P),
+    "gauss_jacobi_rule": lambda m: gauss_jacobi_rule(_P, m),
+    "chebyshev_connection": lambda n: chebyshev_connection(_P, n),
+    "chebyshev_series": lambda m: chebyshev_series(_P, np.ones(2), m),
+}
+
+
+CACHED = {"lambda_prime_zero", "exact_coeffs", "gauss_jacobi_rule", "chebyshev_connection"}
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True, -1], ids=repr)
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_anything_but_an_integer_in_range(name, bad):
+    # 2.5 ended in an IndexError or TypeError, or a result for a degree that
+    # does not exist (gasper_quartic); a cached result for the int twin of a
+    # float or bool must not answer for it, so the twin is cached first
+    call = INTEGER_ARGUMENTS[name]
+    if name in CACHED and isinstance(bad, (bool, float)) and bad == int(bad):
+        call(int(bad))
+    with pytest.raises(ParameterError, match="must be an integer|must be >= |must lie in"):
+        call(bad)
+
+
+# what a result is compared by, for functions that take a degree or count
+COMPARED_BY = {
+    "lambda_prime_zero": float,
+    "sign_classification": lambda r: (r.signs, r.table.exact, r.table.coeffs.tobytes()),
+    "gasper_quartic": lambda r: (r.k, r.coeffs),
+    "exact_coeffs": lambda r: r.coeffs,
+    "jacobi_table": lambda r: r.tobytes(),
+    "gauss_jacobi_rule": lambda r: (r.nodes.tobytes(), r.weights.tobytes()),
+    "bifurcation_points": list,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARED_BY))
+def test_numpy_integer_is_its_int(name):
+    call, key = INTEGER_ARGUMENTS[name], COMPARED_BY[name]
+    assert key(call(np.int64(2))) == key(call(2))
 
 
 class TestSpectralFunction:

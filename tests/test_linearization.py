@@ -248,10 +248,9 @@ class TestQuartic:
     @pytest.mark.parametrize("a", [F(1, 2), F(2), 0.37])
     def test_sign_structure(self, a):
         gq = gasper_quartic(2, a)
-        x0, verdict = quartic_sign_structure(gq)
+        x0 = quartic_sign_structure(gq)
         assert x0 > 0
-        assert verdict.coefficient_sign_changes == 1
-        assert verdict.q_at_zero > 0
+        assert gq.expanded(0.0) > 0
         # the root is genuine: the quartic changes sign across x0
         assert gq.expanded(x0 * (1 - 1e-6)) > 0 > gq.expanded(x0 * (1 + 1e-6))
 
