@@ -291,16 +291,19 @@ class Discretization:
         return _StateEvaluation(self, c).dresidual_dlambda()
 
     def quad_gap(self, ev: _StateEvaluation) -> float:
-        """Relative change of the nonlinear projection of the evaluation
-        ``ev`` when M doubles, after checking u > 0 on a grid finer than the
-        M nodes (``ev`` has checked those).
+        """Relative change of the nonlinear projection of ``ev``, an evaluation
+        of this discretization, when M doubles, after checking u > 0 on a grid
+        finer than the M nodes (``ev`` has checked those).  It is a method of
+        Discretization, not of the evaluation, because perfbench traces it here.
 
-        Where the projection is exact, integer q with (q + 1)(N - 1) <= 2M - 1
-        (_projection_is_exact: every projected product is a polynomial of at
-        most that degree), doubling M changes it by roundoff only, so the gap
-        is 0.0 and no 2M-point rule exists; u > 0 is then checked on the
-        8N+2 scan grid (_scan_values), which holds t = +-1.  Otherwise u > 0
-        is checked at the 2M nodes."""
+        Where the projection is exact (_projection_is_exact: integer q with
+        (q + 1)(N - 1) <= 2M - 1, so every projected product is a polynomial of
+        at most that degree), doubling M changes it by roundoff only, so the
+        gap is 0.0 and no 2M-point rule exists; u > 0 is then checked on the
+        8N+2 scan grid (_scan_values), which holds t = +-1.  Otherwise u > 0 is
+        checked at the 2M nodes."""
+        if ev.disc is not self:
+            raise ParameterError("quad_gap: the evaluation belongs to another discretization")
         if self.exact:
             scan = _scan_values(self.spec.params, ev.c, self.spec.N)
             if not scan.min() > 0.0:

@@ -141,14 +141,27 @@ def test_nan_slope_or_fit_fails_theorem31(nan_in, monkeypatch):
     assert passed == expected
 
 
-@pytest.mark.parametrize("lam, u_plus", [(math.nan, 2.0), (2.0, math.nan)], ids=["lam", "u(+1)"])
-def test_nan_point_fails_branch_invariants(lam, u_plus):
+@pytest.mark.parametrize(
+    "lam, u_plus, critical, flags",
+    [
+        (math.nan, 2.0, [], "u(+1)>1=True, lambda>1e-4=False"),
+        # NaN > 1 is False, so u(+1) = NaN reads as a min after the max at 0
+        (2.0, math.nan, [(0.0, "max")], "u(+1)>1=False, lambda>1e-4=True"),
+    ],
+    ids=["lam", "u(+1)"],
+)
+def test_nan_point_fails_branch_invariants(lam, u_plus, critical, flags):
+    # the labels alternate, so the NaN guard alone fails the check
     u = lambda t: np.where(np.asarray(t) > 0.0, u_plus, 0.5)  # u(-1) = 0.5, u(+1) = u_plus
-    point = SimpleNamespace(crossings=1, lam=lam, u=u, critical=[])
+    point = SimpleNamespace(crossings=1, lam=lam, u=u, critical=critical)
     res = verification._branch_invariants(
         SimpleNamespace(points=[point]), 1, jacobi_params(1, 0), 2.0
     )
     assert not res.passed
+    assert res.detail == (
+        "crossings constant=True, extremum labels alternate=True, endpoint signs "
+        f"constant=True, {flags} over 1 points"
+    )
 
 
 def test_nan_refined_lambda_fails_hygiene(monkeypatch):

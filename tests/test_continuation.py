@@ -305,6 +305,13 @@ class TestSharedEvaluation:
         ev.residual(1.0)
         assert disc.quad_gap(ev) == gap > 0.0
 
+    def test_quad_gap_refuses_an_evaluation_of_another_discretization(self):
+        # a private copy of the same spec is still another discretization
+        c = _mode_state(PFRAC, 1, 0.01).coeffs
+        ev = continuation._StateEvaluation(continuation.Discretization(PFRAC), c)
+        with pytest.raises(ParameterError, match="another discretization"):
+            discretization(PFRAC).quad_gap(ev)
+
 
 @pytest.mark.parametrize(
     "k, ab, q",
@@ -927,11 +934,6 @@ def fold_records():
 
 
 class TestFolds:
-    @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
-    def test_extremum_labels_alternate_at_every_point(self, fold_records, case):
-        points = fold_records[case].branch.points + [fold_records[case].point]
-        assert all(_alternating(_extremum_labels(p)) for p in points)
-
     @pytest.mark.xfail(
         strict=True,
         reason="k=1 (1,0) q=3 is unresolved at N=64: points 37-40, just past the fold "
