@@ -19,6 +19,13 @@ A fold is located as a root of the lambda component of the unit tangent; the
 tangent there is (v, 0) with J v = 0, so the kernel direction comes with the
 fold, and the Moore-Spence residual of {F = 0, J v = 0, ||v||_w = 1}
 certifies it a posteriori.
+
+For alpha == beta, P_i(-t) = (-1)^i P_i(t) on symmetric Gauss nodes, so an
+even state keeps the even and odd modes apart.  A state whose odd
+coefficients are all exactly 0.0, as on the branch from an even k, is solved
+on the even modes only, with nodal sums over the t >= 0 half of the nodes
+(Discretization.even).  The public objects keep spec.N coefficients, the odd
+ones exact zeros, and sigma_min is still that of the full J (_sigma_range).
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .errors import (
 )
 from .jacobi import (
     JacobiParams,
+    QuadratureRule,
     _count,
     chebyshev_series,
     derivative_series,
@@ -244,6 +252,28 @@ class ContinuationSettings:
 # discretization
 
 
+def _projection(basis: np.ndarray, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """proj[i, m] = P_i(t_m) w_m / h_i: weighted Gauss sums of the nodal
+    values give Galerkin coefficients."""
+    return (basis * weights[:, None]).T / h[:, None]
+
+
+def _upper_half(
+    rule: QuadratureRule, basis: np.ndarray, h: np.ndarray
+) -> tuple[QuadratureRule, np.ndarray, np.ndarray]:
+    """The nodes t >= 0 of a rule symmetric about 0, the rows of ``basis``
+    there and their projection (_projection).  Every weight is doubled, each
+    node standing for its mirror too, except that of t = 0 when the rule has
+    odd size."""
+    m = rule.nodes.size
+    half = m // 2
+    weights = 2.0 * rule.weights[half:]
+    if m % 2:
+        weights[0] = rule.weights[half]
+    basis = np.ascontiguousarray(basis[half:])
+    return QuadratureRule(rule.nodes[half:], weights), basis, _projection(basis, weights, h)
+
+
 def _projection_is_exact(spec: ProblemSpec) -> bool:
     """True when the M-point Gauss rule integrates every product that
     residual_coeffs and jacobian project, so the projection is the exact
@@ -255,28 +285,68 @@ def _projection_is_exact(spec: ProblemSpec) -> bool:
 
 class Discretization:
     """Precomputed quadrature rule, basis tables and projection operators for
-    one ProblemSpec.  Immutable after construction and shared freely.
+    one ProblemSpec.  Immutable after construction, apart from the even view
+    built on first use, and shared freely.
 
     ``exact`` is _projection_is_exact(spec).  Where it is False, so the
     M-point projection can be inexact (fractional q, or integer q above what
     M covers), the discretization also holds the 2M-point rule, basis table
     and projection of the quad_gap check, as ``rule2``, ``basis2`` and
-    ``proj2``."""
+    ``proj2``.
+
+    ``modes`` selects the Jacobi modes whose coefficients the discretization
+    solves for: all spec.N of them (x[modes] is x), or in the even view
+    (``even``) those of even index; pad maps back to spec.N coefficients.  ``odd`` is None, or in
+    the even view the odd view on the same nodes."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         p = spec.params
+        self.modes = slice(None)
+        self.odd = None
         self.rule = gauss_jacobi_rule(p, spec.M)
         self.basis = jacobi_table(p, spec.N - 1, self.rule.nodes)
         self.h = _h_vector(p, spec.N)
         i = np.arange(spec.N, dtype=float)
         self.lin = -i * (i + p.a)
-        self.proj = (self.basis * self.rule.weights[:, None]).T / self.h[:, None]
+        self.proj = _projection(self.basis, self.rule.weights, self.h)
         self.exact = _projection_is_exact(spec)
         if not self.exact:
             self.rule2 = gauss_jacobi_rule(p, 2 * spec.M)
             self.basis2 = jacobi_table(p, spec.N - 1, self.rule2.nodes)
-            self.proj2 = (self.basis2 * self.rule2.weights[:, None]).T / self.h[:, None]
+            self.proj2 = _projection(self.basis2, self.rule2.weights, self.h)
+
+    @cached_property
+    def even(self) -> Discretization:
+        """The even view, for alpha == beta (see the module docstring): the
+        even modes at the t >= 0 half of the nodes, sliced from this
+        discretization's arrays, the 2M-point ones included where they
+        exist, with the odd view as ``odd``."""
+        if not self.spec.params.is_symmetric:
+            raise ParameterError(f"no even view: {self.spec.params} has alpha != beta")
+        even = self._parity_view(0)
+        if not self.exact:
+            even.rule2, even.basis2, even.proj2 = _upper_half(
+                self.rule2, self.basis2[:, even.modes], even.h
+            )
+        even.odd = self._parity_view(1)
+        return even
+
+    def _parity_view(self, parity: int) -> Discretization:
+        """The modes of index parity (mod 2) at the t >= 0 half of the M nodes."""
+        view = object.__new__(Discretization)
+        view.spec, view.exact, view.odd = self.spec, self.exact, None
+        view.modes = slice(parity, None, 2)
+        view.h = np.ascontiguousarray(self.h[view.modes])
+        view.lin = np.ascontiguousarray(self.lin[view.modes])
+        view.rule, view.basis, view.proj = _upper_half(self.rule, self.basis[:, view.modes], view.h)
+        return view
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """x on this discretization's modes as spec.N coefficients, 0.0 elsewhere."""
+        out = np.zeros(self.spec.N)
+        out[self.modes] = x
+        return out
 
     def w_norm(self, c: np.ndarray) -> float:
         return math.sqrt(float(self.h @ (c * c)))
@@ -301,11 +371,11 @@ class Discretization:
         at most that degree), doubling M changes it by roundoff only, so the
         gap is 0.0 and no 2M-point rule exists; u > 0 is then checked on the
         8N+2 scan grid (_scan_values), which holds t = +-1.  Otherwise u > 0 is
-        checked at the 2M nodes."""
+        checked at the 2M nodes (the t >= 0 half of them in the even view)."""
         if ev.disc is not self:
             raise ParameterError("quad_gap: the evaluation belongs to another discretization")
         if self.exact:
-            scan = _scan_values(self.spec.params, ev.c, self.spec.N)
+            scan = _scan_values(self.spec.params, self.pad(ev.c), self.spec.N)
             if not scan.min() > 0.0:
                 raise NonpositiveStateError("state nonpositive on the scan grid")
             return 0.0
@@ -343,17 +413,33 @@ class _StateEvaluation:
         return -self.projection
 
     def jacobian(self, lam: float) -> np.ndarray:
-        """diag(lin) - lambda * proj @ diag(1 - q u^(q-1)) @ basis."""
-        disc, q = self.disc, self.disc.spec.q
-        phi = 1.0 - q * self.vals ** (q - 1.0)
-        mat = -lam * (disc.proj @ (disc.basis * phi[:, None]))
-        mat[np.diag_indices_from(mat)] += disc.lin
-        return mat
+        return _jacobian(self.disc, self.vals, lam)
+
+
+def _jacobian(disc: Discretization, vals: np.ndarray, lam: float) -> np.ndarray:
+    """diag(lin) - lambda * proj @ diag(1 - q u^(q-1)) @ basis, where u takes
+    the values ``vals`` at the nodes of ``disc``."""
+    q = disc.spec.q
+    phi = 1.0 - q * vals ** (q - 1.0)
+    mat = -lam * (disc.proj @ (disc.basis * phi[:, None]))
+    mat[np.diag_indices_from(mat)] += disc.lin
+    return mat
 
 
 @lru_cache(maxsize=None)
 def discretization(spec: ProblemSpec) -> Discretization:
     return Discretization(spec)
+
+
+def _state_discretization(spec: ProblemSpec, c: np.ndarray) -> Discretization:
+    """The discretization that solves from the state c (spec.N coefficients):
+    the even view of discretization(spec) (Discretization.even) where alpha ==
+    beta and every odd coefficient of c is 0.0, as on the branch from an even
+    k, else discretization(spec) itself."""
+    disc = discretization(spec)
+    if spec.params.is_symmetric and not c[1::2].any():
+        return disc.even
+    return disc
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +651,22 @@ def endpoint_label(u: SpectralFunction, side: int) -> str:
 # branch construction
 
 
-def _sigma_range(disc: Discretization, jac: np.ndarray) -> tuple[float, float]:
-    """(sigma_min, sigma_max) of J as an operator on L2_w.  J is self-adjoint
-    there (H J is symmetric, H = diag(h)), so these are min and max |eigenvalue|
-    of J, read from one eigvalsh of the symmetric S = H^(1/2) J H^(-1/2)."""
-    sqh = np.sqrt(disc.h)
-    eig = np.abs(np.linalg.eigvalsh(jac * (sqh[:, None] / sqh[None, :])))
+def _sigma_range(ev: _StateEvaluation, jac: np.ndarray, lam: float) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of the full J at the state of ``ev`` and lambda,
+    where ``jac`` is J on the modes of ev.disc, as an operator on L2_w.  J is
+    self-adjoint there (H J is symmetric, H = diag(h)), so these are min and
+    max |eigenvalue| of J, read from eigvalsh of the symmetric S = H^(1/2) J
+    H^(-1/2).  In the even view ``jac`` is the even block of J, whose even-odd
+    blocks vanish; the odd block is formed from the same nodal values on the
+    odd view, and the range is taken over the eigenvalues of both blocks."""
+    blocks = [(ev.disc, jac)]
+    if ev.disc.odd is not None:
+        blocks.append((ev.disc.odd, _jacobian(ev.disc.odd, ev.vals, lam)))
+    eig = []
+    for disc, mat in blocks:
+        sqh = np.sqrt(disc.h)
+        eig.append(np.abs(np.linalg.eigvalsh(mat * (sqh[:, None] / sqh[None, :]))))
+    eig = np.concatenate(eig)
     return float(eig.min()), float(eig.max())
 
 
@@ -579,9 +675,10 @@ def _make_point(
 ) -> BranchPoint:
     """The point (c, lam) of the evaluation ``ev`` with its diagnostics;
     ``smin`` is sigma_min of J there (_sigma_range) and ``tangent`` its unit
-    tangent (tau_c, tau_lam)."""
+    tangent (tau_c, tau_lam) on the modes of ev.disc.  The point holds c and
+    tau_c padded to spec.N coefficients (Discretization.pad)."""
     disc = ev.disc
-    u = SpectralFunction(ev.c, disc.spec.params)
+    u = SpectralFunction(disc.pad(ev.c), disc.spec.params)
     return BranchPoint(
         u=u,
         lam=float(lam),
@@ -590,7 +687,7 @@ def _make_point(
         sigma_min=smin,
         crossings=count_crossings(u),
         critical=critical_point_list(u),
-        tangent=tangent,
+        tangent=(disc.pad(tangent[0]), tangent[1]),
     )
 
 
@@ -660,8 +757,7 @@ def solve_at_phase(
         raise ParameterError(f"k={k} must lie in [1, N) = [1, {spec.N})")
     if not math.isfinite(sigma):
         raise ParameterError(f"sigma={sigma} must be finite")
-    disc = discretization(spec)
-    sqh = math.sqrt(disc.h[k])
+    sqh = math.sqrt(discretization(spec).h[k])
     ck = sigma / sqh
     if guess is not None:
         c = np.array(guess[0], dtype=float)
@@ -677,9 +773,10 @@ def solve_at_phase(
             k, spec
         ) / sqh
     c[k] = ck
-    e_k = np.eye(spec.N)[k]
-    ev, lam, _ = _bordered_newton(disc, c, lam, e_k, 0.0, ck)
-    return ev.c, lam
+    disc = _state_discretization(spec, c)
+    e_k = np.eye(spec.N)[k][disc.modes]
+    ev, lam, _ = _bordered_newton(disc, c[disc.modes], lam, e_k, 0.0, ck)
+    return disc.pad(ev.c), lam
 
 
 def branch_switch(
@@ -700,16 +797,16 @@ def branch_switch(
         raise ParameterError(f"k={k} must lie in [1, N/2] = [1, {spec.N // 2}]")
     sigma = direction * s0
     c, lam = solve_at_phase(k, spec, sigma)
-    disc = discretization(spec)
+    disc = _state_discretization(spec, c)
     # the tangent is oriented along direction * (P_k / ||P_k||_w, lambda'(0))
-    sqh = math.sqrt(disc.h[k])
+    sqh = math.sqrt(discretization(spec).h[k])
     guess_c = np.zeros(spec.N)
     guess_c[k] = direction / sqh
     guess_lam = direction * lambda_prime_zero(k, spec) / sqh
-    ev = _StateEvaluation(disc, c)
+    ev = _StateEvaluation(disc, c[disc.modes])
     jac = ev.jacobian(lam)  # serves sigma_min and the tangent
-    tangent = _tangent(ev, jac, guess_c, guess_lam)
-    bp = _make_point(ev, lam, sigma, _sigma_range(disc, jac)[0], tangent)
+    tangent = _tangent(ev, jac, guess_c[disc.modes], guess_lam)
+    bp = _make_point(ev, lam, sigma, _sigma_range(ev, jac, lam)[0], tangent)
     if bp.crossings != k:
         raise StructureViolationError(
             f"first branch point has {bp.crossings} crossings, expected {k}; "
@@ -765,7 +862,10 @@ def continue_branch(
 
     A start that is not a state of ``spec`` (spec.N coefficients, spec.params,
     and a residual that passes the Newton test of _bordered_newton, as every
-    converged point does) is a ParameterError.
+    converged point does) is a ParameterError.  The start decides the modes
+    solved for (_state_discretization): from an even state of an alpha ==
+    beta spec the branch is traced on the even view, and its points hold odd
+    coefficients of exactly 0.0.
     """
     settings = settings or ContinuationSettings()
     c = start.u.coeffs
@@ -773,7 +873,8 @@ def continue_branch(
         raise ParameterError(f"start has {c.size} coefficients, spec wants {spec.N}")
     if start.u.params != spec.params:
         raise ParameterError(f"start has parameters {start.u.params}, spec has {spec.params}")
-    disc = discretization(spec)
+    disc = _state_discretization(spec, c)
+    c = c[disc.modes]
     res = disc.w_norm(disc.residual_coeffs(c, start.lam))
     if not res < NEWTON_TOL * (1.0 + disc.w_norm(c)):
         raise ParameterError(f"start does not solve the spec: residual {res:.2e}")
@@ -785,9 +886,10 @@ def continue_branch(
 
     while len(branch.points) < settings.max_steps:
         last = branch.points[-1]
+        tau = (last.tangent[0][disc.modes], last.tangent[1])
         while True:
             try:
-                ev, lam, iters = _correct(disc, last.u.coeffs, last.lam, *last.tangent, ds)
+                ev, lam, iters = _correct(disc, last.u.coeffs[disc.modes], last.lam, *tau, ds)
                 break
             except (NewtonDivergenceError, NonpositiveStateError, np.linalg.LinAlgError):
                 if 0.5 * ds < settings.ds_min:
@@ -811,8 +913,9 @@ def continue_branch(
         # the corrector's last evaluation and one Jacobian serve sigma_min,
         # the tangent and the residual norm
         jac = ev.jacobian(lam)
-        tangent = _tangent(ev, jac, *last.tangent)
-        point = _make_point(ev, lam, last.s + direction * ds, _sigma_range(disc, jac)[0], tangent)
+        tangent = _tangent(ev, jac, *tau)
+        smin = _sigma_range(ev, jac, lam)[0]
+        point = _make_point(ev, lam, last.s + direction * ds, smin, tangent)
         branch.points.append(point)
 
         if not (settings.lambda_floor < lam < settings.lambda_ceiling):
@@ -875,17 +978,19 @@ def detect_fold(branch: Branch) -> FoldRecord:
     fold is certified a posteriori: the Moore-Spence residual
     ||(F, J v, ||v||_w^2 - 1)|| must be below CERTIFICATE_TOL and
     min|eig|/max|eig| of J (self-adjoint in L2_w; _sigma_range) below
-    DEGENERATE_TOL.
+    DEGENERATE_TOL.  points[i] decides the modes solved for, as the start of
+    continue_branch does.
     """
     spec = branch.spec
-    disc = discretization(spec)
     pts = branch.points
     i = _fold_bracket(pts)
     if i is None:
         why = " (the branch returned to u = 1)" if branch.termination == "trivial-branch" else ""
         raise NoFoldBracketError(f"tau_lambda keeps its sign on the traced branch{why}")
     start = pts[i]
-    tau_c, tau_lam = start.tangent
+    disc = _state_discretization(spec, start.u.coeffs)
+    c0 = start.u.coeffs[disc.modes]
+    tau_c, tau_lam = start.tangent[0][disc.modes], start.tangent[1]
     # regula falsi on tau_lam(ds) with the Illinois rule: the root stays
     # between a and the latest iterate b, and the value kept at a is halved
     # whenever a survives a step
@@ -893,7 +998,7 @@ def detect_fold(branch: Branch) -> FoldRecord:
     xtol = NEWTON_TOL * b
     for _ in range(MAX_ITER):
         ds = b - fb * (b - a) / (fb - fa)
-        ev, lam, _ = _correct(disc, start.u.coeffs, start.lam, tau_c, tau_lam, ds)
+        ev, lam, _ = _correct(disc, c0, start.lam, tau_c, tau_lam, ds)
         jac = ev.jacobian(lam)  # J at the last iterate serves the certificate
         v, f = _tangent(ev, jac, tau_c, tau_lam)
         if f * fb < 0.0:
@@ -914,7 +1019,7 @@ def detect_fold(branch: Branch) -> FoldRecord:
     )
     if not ms_res < CERTIFICATE_TOL:
         raise NewtonDivergenceError(f"fold certificate failed: residual {ms_res:.2e}")
-    smin, smax = _sigma_range(disc, jac)
+    smin, smax = _sigma_range(ev, jac, lam)
     if not smin < DEGENERATE_TOL * smax:
         raise NumericalError(
             f"fold candidate is not degenerate: sigma_min/sigma_max = {smin / smax:.2e}"
@@ -927,7 +1032,7 @@ def detect_fold(branch: Branch) -> FoldRecord:
     return FoldRecord(
         point=point,
         lambda_star=float(lam),
-        null_direction=SpectralFunction(v, spec.params),
+        null_direction=SpectralFunction(disc.pad(v), spec.params),
         moore_spence_residual=float(ms_res),
         sigma_ratio=smin / smax,
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -324,3 +325,53 @@ def test_byte_identical_runs_in_separate_processes(tmp_path):
         subprocess.run(args, capture_output=True, check=True, env=env).stdout for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+# the library equivalent of `jacbif trace --k 2 --alpha 1/2 --beta 1/2 --q 3
+# --n-modes 256 --stop-on-fold`, which also writes the termination reason
+_SYMMETRIC_N256_TRACE = """
+import sys
+from fractions import Fraction
+from jacbif import ContinuationSettings, ProblemSpec, branch_switch, continue_branch, detect_fold
+from jacbif import jacobi_params
+from jacbif.output import branch_to_json
+spec = ProblemSpec(jacobi_params(Fraction(1, 2), Fraction(1, 2)), 3.0, N=256)
+start = branch_switch(2, spec, 1e-3, 1)
+branch = continue_branch(start, spec, ContinuationSettings(stop_on_fold=True))
+branch.folds.append(detect_fold(branch))
+sys.stdout.write(branch.termination + "\\n" + branch_to_json(branch))
+"""
+LAMBDA_STAR_ULPS = 16  # 2 ulps measured between 1 and 2 OpenBLAS threads
+
+
+def test_thread_count_moves_an_n256_symmetric_trace_by_ulps_only():
+    # byte-identical output holds for the same inputs, numpy and BLAS build
+    # and thread count; across thread counts the numbers agree to roundoff,
+    # and the odd coefficients of this even branch are exact zeros in both
+    def run(threads):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(jacbif.__file__).parents[1]),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        cmd = [sys.executable, "-c", _SYMMETRIC_N256_TRACE]
+        return subprocess.run(cmd, capture_output=True, check=True, env=env, text=True).stdout
+
+    one, two, one_again = run("1"), run("2"), run("1")
+    assert one == one_again
+    docs = []
+    for text in (one, two):
+        termination, body = text.split("\n", 1)
+        assert termination == "fold-bracketed"
+        docs.append(json.loads(body))
+    a, b = docs
+    assert len(a["points"]) == len(b["points"]) > 10
+    for key in ("crossings", "critical_points"):
+        assert [p[key] for p in a["points"]] == [p[key] for p in b["points"]]
+        assert a["folds"][0][key] == b["folds"][0][key]
+    lam_a, lam_b = a["folds"][0]["lambda_star"], b["folds"][0]["lambda_star"]
+    assert abs(lam_a - lam_b) <= LAMBDA_STAR_ULPS * math.ulp(lam_a)
+    for doc in docs:
+        rows = [p["coeffs"] for p in doc["points"]] + [doc["folds"][0]["coeffs"]]
+        assert all(x == 0.0 for row in rows for x in row[1::2])

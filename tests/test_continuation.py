@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -36,6 +37,8 @@ from jacbif import (
 )
 from jacbif import NumericalError, continuation, jacobi_params
 from jacbif.continuation import (
+    CERTIFICATE_TOL,
+    DEGENERATE_TOL,
     FOLD_TRAIL,
     MAX_QUADRATURE_ORDER,
     NEWTON_TOL,
@@ -62,6 +65,7 @@ from jacbif.jacobi import (
     weighted_norm_sq,
 )
 from jacbif.linearization import cube_integral, gasper_quartic, sign_classification
+from jacbif.output import branch_to_json
 from jacbif.verification import FOLD_CASES, PARAM_GRID
 
 P10 = ProblemSpec(jacobi_params(1, 0), 2.0)
@@ -1083,6 +1087,154 @@ class TestFolds:
             find_degenerate(1, PHALF)
         with pytest.raises(ParameterError):
             find_degenerate(3, PLEG)
+
+
+PARITY_PARAMS = [(F(1, 2), F(1, 2)), (0, 0), (F(3, 2), F(3, 2))]
+PARITY_Q = [2.0, 3.0, 1.5]
+
+
+@pytest.fixture(scope="module")
+def parity_folds():
+    """find_degenerate at k=2 on every alpha = beta case of the oracle test,
+    at N=64; each branch is traced on the even view."""
+    return {
+        (ab, q): find_degenerate(2, ProblemSpec(jacobi_params(*ab), q))
+        for ab in PARITY_PARAMS
+        for q in PARITY_Q
+    }
+
+
+def _full_eigenvalues(spec, jac):
+    """Every eigenvalue of the symmetric S = H^(1/2) J H^(-1/2), by one
+    eigvalsh of the full J."""
+    sqh = np.sqrt(discretization(spec).h)
+    return np.linalg.eigvalsh(jac * (sqh[:, None] / sqh[None, :]))
+
+
+class TestParityReduction:
+    """For alpha = beta the branch from an even k is traced on the even view:
+    the even modes at the t >= 0 half of the Gauss nodes.  Its results,
+    padded with odd coefficients 0.0, are checked with the full
+    discretization."""
+
+    @pytest.mark.parametrize("q", PARITY_Q, ids=["q=2", "q=3", "q=3/2"])
+    @pytest.mark.parametrize("ab", PARITY_PARAMS, ids=["(1/2,1/2)", "(0,0)", "(3/2,3/2)"])
+    def test_padded_fold_is_a_fold_of_the_full_discretization(self, parity_folds, ab, q):
+        rec = parity_folds[(ab, q)]
+        spec = rec.branch.spec
+        disc = discretization(spec)
+        c, v, lam = rec.point.u.coeffs, rec.null_direction.coeffs, rec.lambda_star
+        assert c.size == v.size == spec.N
+        assert not c[1::2].any() and not v[1::2].any()
+        # the Newton test of _bordered_newton
+        res = disc.w_norm(disc.residual_coeffs(c, lam))
+        assert res < NEWTON_TOL * (1.0 + disc.w_norm(c))
+        jac = disc.jacobian(c, lam)
+        ms_res = math.sqrt(
+            res**2 + disc.w_norm(jac @ v) ** 2 + (float(disc.h @ (v * v)) - 1.0) ** 2
+        )
+        assert ms_res < CERTIFICATE_TOL
+        eig = np.abs(_full_eigenvalues(spec, jac))
+        assert eig.min() < DEGENERATE_TOL * eig.max()
+
+    def test_two_block_sigma_min_is_the_full_eigvalsh(self, parity_folds):
+        # this branch passes the symmetry-breaking point of (3/2,3/2) q=3,
+        # where the smallest |eigenvalue| of J belongs to the odd block
+        branch = parity_folds[((F(3, 2), F(3, 2)), 3.0)].branch
+        spec = branch.spec
+        eps = np.finfo(float).eps
+        odd_smaller = 0
+        for p in branch.points:
+            jac = jacobian(p.u, p.lam, spec)
+            eig = np.abs(_full_eigenvalues(spec, jac))
+            assert abs(p.sigma_min - eig.min()) <= 1e-10 * eig.min() + 64 * eps * eig.max()
+            sqh = np.sqrt(discretization(spec).h[::2])
+            even = np.abs(np.linalg.eigvalsh(jac[::2, ::2] * (sqh[:, None] / sqh[None, :])))
+            odd_smaller += even.min() > 2.0 * p.sigma_min
+        assert odd_smaller > 0
+
+    def test_even_k_branch_json_has_exact_zero_odd_coefficients(self, parity_folds):
+        doc = json.loads(branch_to_json(parity_folds[((F(1, 2), F(1, 2)), 3.0)].branch))
+        rows = [p["coeffs"] for p in doc["points"]] + [
+            doc["folds"][0][key] for key in ("coeffs", "null_direction")
+        ]
+        for row in rows:
+            assert len(row) == 64
+            assert all(x == 0.0 for x in row[1::2])
+            assert any(x != 0.0 for x in row[2::2])
+
+    @staticmethod
+    def _modes_evaluated(monkeypatch, k, spec):
+        """The ``modes`` of every discretization that an evaluation used,
+        over branch_switch and six steps of continue_branch."""
+        seen = set()
+        orig = continuation._StateEvaluation.__init__
+
+        def recording(self, disc, c):
+            seen.add((disc.modes.start, disc.modes.step))
+            orig(self, disc, c)
+
+        monkeypatch.setattr(continuation._StateEvaluation, "__init__", recording)
+        start = branch_switch(k, spec, 1e-3, +1)
+        continue_branch(start, spec, ContinuationSettings(max_steps=6))
+        return seen
+
+    def test_even_k_symmetric_branch_runs_on_the_even_view(self, monkeypatch):
+        assert self._modes_evaluated(monkeypatch, 2, PHALF) == {(0, 2)}
+
+    @pytest.mark.parametrize(
+        "k, spec", [(1, PHALF), (2, P10), (1, PFRAC)], ids=["odd-k", "asymmetric", "q=3/2"]
+    )
+    def test_odd_k_and_asymmetric_branches_run_the_full_path(self, monkeypatch, k, spec):
+        assert self._modes_evaluated(monkeypatch, k, spec) == {(None, None)}
+
+    def test_a_state_with_an_odd_coefficient_runs_the_full_path(self):
+        c = _mode_state(PHALF, 2, 0.01).coeffs.copy()
+        assert continuation._state_discretization(PHALF, c) is discretization(PHALF).even
+        c[3] = 1e-300
+        assert continuation._state_discretization(PHALF, c) is discretization(PHALF)
+
+    def test_asymmetric_spec_has_no_even_view(self):
+        with pytest.raises(ParameterError, match="alpha != beta"):
+            discretization(P10).even
+
+    @pytest.mark.parametrize("m", [32, 33], ids=["M even", "M odd"])
+    def test_even_view_is_sliced_from_the_full_arrays(self, m, monkeypatch):
+        spec = ProblemSpec(PHALF.params, 3.0, N=16, M=m)
+        full = continuation.Discretization(spec)
+        monkeypatch.setattr(continuation, "gauss_jacobi_rule", None)  # no second rule
+        monkeypatch.setattr(continuation, "jacobi_table", None)  # no second table
+        even, odd = full.even, full.even.odd
+        half = m // 2
+        w = 2.0 * full.rule.weights[half:]
+        if m % 2:
+            assert abs(full.rule.nodes[half]) < 1e-15  # the middle node keeps its weight
+            w[0] = full.rule.weights[half]
+        assert even.rule.nodes.tobytes() == full.rule.nodes[half:].tobytes()
+        assert even.rule.weights.tobytes() == w.tobytes()
+        assert w.sum() == pytest.approx(full.rule.weights.sum(), rel=1e-13)
+        for view, parity in ((even, 0), (odd, 1)):
+            assert view.basis.tobytes() == full.basis[half:, parity::2].copy().tobytes()
+            assert view.h.tobytes() == full.h[parity::2].copy().tobytes()
+            assert view.lin.tobytes() == full.lin[parity::2].copy().tobytes()
+            proj = (view.basis * w[:, None]).T / view.h[:, None]
+            assert view.proj.tobytes() == proj.tobytes()
+        assert odd.odd is None and full.odd is None
+
+    def test_even_view_restricts_the_2m_arrays(self):
+        full = discretization(ProblemSpec(PHALF.params, 1.5, N=16, M=32))
+        even = full.even
+        assert not full.exact and not hasattr(even.odd, "basis2")
+        assert even.basis2.tobytes() == full.basis2[full.spec.M :, ::2].copy().tobytes()
+        assert even.proj2.shape == (8, full.spec.M)
+        # u = c_0 + P_2 has its minimum 0.05 at t = 0, so u^(3/2) is far from
+        # a polynomial and the gap well above roundoff
+        c = np.zeros(16)
+        c[0], c[2] = 0.05 - eval_jacobi(2, PHALF.params, 0.0), 1.0
+        gap_full = full.quad_gap(continuation._StateEvaluation(full, c))
+        gap_even = even.quad_gap(continuation._StateEvaluation(even, c[even.modes]))
+        assert gap_full > 1e-8
+        assert gap_even == pytest.approx(gap_full, rel=1e-6)
 
 
 class TestPhaseSolve:

@@ -37,6 +37,24 @@ def test_eigenvalues():
     assert sphere_eigenvalue(2, 5, 2) == -32
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sphere_eigenvalue(1.5, 4, 2),  # was -18.0, for an index that does not exist
+        lambda: sphere_eigenvalue(True, 4, 2),  # was -10
+        lambda: sphere_eigenvalue(-1, 4, 2),
+        lambda: sphere_eigenvalue(1, 4.0, 2),
+        lambda: params_from_sphere(3.5, 2, 0),  # was a TypeError from Fraction
+        lambda: params_from_sphere(5, 2.0, 0),
+        lambda: params_from_sphere(5, 2, False),
+    ],
+    ids=["i=1.5", "i=True", "i=-1", "n=4.0", "n=3.5", "d=2.0", "c=False"],
+)
+def test_sphere_integers_refuse_anything_but_an_integer(call):
+    with pytest.raises(ParameterError, match="must be"):
+        call()
+
+
 def _valid_spheres():
     for n in range(3, 9):
         for d in (1, 2, 3, 4, 6):
