@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -41,6 +42,19 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _real(text: str) -> float:
+    """What float() reads ("1.5", "inf", for ProblemSpec to check), else a
+    rational literal ("3/2", _fraction) rounded once from its exact value."""
+    try:
+        return float(text)
+    except ValueError:
+        value = _fraction(text)
+    try:
+        return float(value)
+    except OverflowError:  # beyond the float range, refused as inf is
+        return math.inf if value > 0 else -math.inf
 
 
 def _exponents_joined(argv: list[str]) -> list[str]:
@@ -195,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--n", type=int, help="sphere dimension (alternative input)")
     p_trace.add_argument("--d", type=int)
     p_trace.add_argument("--c", type=int)
-    p_trace.add_argument("--q", type=float, required=True)
+    p_trace.add_argument("--q", type=_real, required=True)
     p_trace.add_argument("--n-modes", type=int, default=ProblemSpec.N, help="Jacobi modes N")
     p_trace.add_argument("--quad-order", type=int, default=ProblemSpec.M, help="quadrature order M")
     p_trace.add_argument("--s0", type=float, default=1e-3, help="first tangent amplitude")

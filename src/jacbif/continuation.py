@@ -77,6 +77,7 @@ __all__ = [
     "branch_switch",
     "continue_branch",
     "detect_fold",
+    "point_diagnostics",
     "crossing_points",
     "count_crossings",
     "critical_point_list",
@@ -164,9 +165,10 @@ class SpectralFunction:
 class BranchPoint:
     """One accepted continuation state with its diagnostics; ``sigma_min`` is
     min |eigenvalue| of J there, its smallest singular value in L2_w, where J
-    is self-adjoint; ``critical`` is critical_point_list(u), not serialized
-    beyond its length, and ``tangent`` the unit tangent (tau_c, tau_lam)
-    oriented along the tracing, not serialized."""
+    is self-adjoint; ``crossings`` and ``critical`` come from
+    point_diagnostics(u), ``critical`` being critical_point_list(u), not
+    serialized beyond its length, and ``tangent`` the unit tangent (tau_c,
+    tau_lam) oriented along the tracing, not serialized."""
 
     u: SpectralFunction
     lam: float
@@ -544,84 +546,125 @@ def _nonconstant_or_raise(u: SpectralFunction) -> None:
         raise ParameterError("count is undefined for (numerically) constant states")
 
 
-def _series_roots(params: JacobiParams, coeffs: np.ndarray, n_modes: int, what: str) -> list[float]:
-    """Roots in (-1, 1) of f = sum_i coeffs_i P_i, in increasing order, from
-    a sign scan of f on _scan_grid(n_modes).
+def _series_roots(
+    params: JacobiParams, coeffs: np.ndarray, n_modes: int, whats: tuple[str, ...]
+) -> list[list[float]]:
+    """Roots in (-1, 1) of f = sum_i coeffs_i P_i and of its derivatives, in
+    increasing order: entry d holds the roots of the d-th derivative of f,
+    named ``whats[d]`` in errors, from a sign scan of that series on
+    _scan_grid(n_modes).
 
-    A grid node where f is exactly 0 is a root; every grid cell where f
-    changes sign brackets one.  Only when there are roots is f' formed
-    (derivative_series).  All brackets are then polished together by
-    safeguarded Newton (rtsafe, Press et al., Numerical Recipes, 9.4): each
-    round sums f and f' at every live iterate by one stacked banded solve
-    (stacked_series), starting from the bracket midpoints.  An iterate stops
-    at an exact zero of f or when |f / f'| <= 2 eps max(1, |t|), tested
-    before the bracket is updated from the sign of f, since at convergence
-    that sign is roundoff.  Otherwise the step is Newton's unless it leaves
-    the bracket or fails to halve the step before last, and bisection then;
-    a bracket narrower than 1e-14 stops at its midpoint.  A node root is a
-    bracket of width 0, so its one round reads f' there.  Each root must be
-    transversal, |f'| from its last round > TRANSVERSALITY_REL * max |f'|
-    over the grid, or TangencyError names the first offending one as ``what``.
+    A grid node where a series is exactly 0 is a root; every grid cell where
+    it changes sign brackets one.  The derivative after the last series is
+    formed (derivative_series) and scanned only when that series has roots.
+    The brackets of every series are then polished together by safeguarded
+    Newton (rtsafe, Press et al., Numerical Recipes, 9.4).  Each round sums
+    the series that the live iterates need, at all of them, by one stacked
+    banded solve (stacked_series), and each iterate reads its own series and
+    that series' derivative there.  The blocks of the solve do not couple
+    and each iterate is updated on its own, in Python floats, so every root
+    is the one a polish of its series alone gives.  Iterates start at the
+    bracket midpoints.  An iterate stops at an exact zero of f or when
+    |f / f'| <= 2 eps max(1, |t|), tested before the bracket is updated from
+    the sign of f, since at convergence that sign is roundoff.  Otherwise the
+    step is Newton's unless it leaves the bracket or fails to halve the step
+    before last, and bisection then; a bracket narrower than 1e-14 stops at
+    its midpoint.  A node root is a bracket of width 0, so its one round
+    reads f' there.  Each root must be transversal, |f'| from its last round
+    > TRANSVERSALITY_REL * max |f'| over the grid; otherwise TangencyError
+    names the first offending root of the first series that has one.
     """
     grid = _scan_grid(n_modes)
-    fvals = _scan_values(params, coeffs, n_modes)
-    a, b = fvals[:-1], fvals[1:]
-    cell = a * b < 0.0
-    j = np.flatnonzero(cell | ((a == 0.0) & (grid[:-1] > -1.0)))
-    if j.size == 0:
-        return []
-    dparams, dcoeffs = derivative_series(params, coeffs)
-    series = ((params, coeffs), (dparams, dcoeffs))
-    lo = grid[j]
-    hi = np.where(cell[j], grid[j + 1], lo)
-    positive = fvals[j] > 0.0  # the sign of f at lo
-    x = 0.5 * (lo + hi)
-    last = before_last = hi - lo  # the last two step lengths
-    roots, slopes = np.empty(j.size), np.empty(j.size)
-    live = np.arange(j.size)
+    series = [(params, coeffs)]
+    scans = [_scan_values(params, coeffs, n_modes)]
+    roots, slopes = [], []  # per series
+    live = []  # per iterate: [series, root, lo, hi, f(lo) > 0, t, last two step lengths]
+    for d in range(len(whats)):
+        if d:
+            series.append(derivative_series(*series[-1]))
+            scans.append(_scan_values(*series[-1], n_modes))
+        a, b = scans[d][:-1], scans[d][1:]
+        cell = a * b < 0.0
+        cells = np.flatnonzero(cell | ((a == 0.0) & (grid[:-1] > -1.0))).tolist()
+        for k, j in enumerate(cells):
+            lo, hi = float(grid[j]), float(grid[j + 1] if cell[j] else grid[j])
+            live.append([d, k, lo, hi, bool(a[j] > 0.0), 0.5 * (lo + hi), hi - lo, hi - lo])
+        roots.append([0.0] * len(cells))
+        slopes.append([0.0] * len(cells))
+    if roots[-1]:
+        series.append(derivative_series(*series[-1]))
+        scans.append(_scan_values(*series[-1], n_modes))
     tiny = 2.0 * np.finfo(float).eps
-    while live.size:
-        f, df = stacked_series(series, x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = f / df
-        roots[live], slopes[live] = x, np.abs(df)
-        done = (f == 0.0) | (np.abs(newton) <= tiny * np.maximum(1.0, np.abs(x)))
-        at_lo = (f > 0.0) == positive
-        lo, hi = np.where(at_lo, x, lo), np.where(at_lo, hi, x)
-        mid = 0.5 * (lo + hi)
-        guess = x - newton
-        ok = (lo < guess) & (guess < hi) & (np.abs(newton) <= 0.5 * before_last)
-        before_last, last = last, np.where(ok, np.abs(newton), 0.5 * (hi - lo))
-        x = np.where(ok, guess, mid)
-        narrow = ~done & (hi - lo < 1e-14)
-        roots[live[narrow]] = mid[narrow]
-        keep = ~done & ~narrow
-        live, lo, hi, positive, x, last, before_last = (
-            v[keep] for v in (live, lo, hi, positive, x, last, before_last)
-        )
-    d_scale = np.max(np.abs(_scan_values(dparams, dcoeffs, n_modes)))
-    bad = np.flatnonzero(slopes <= TRANSVERSALITY_REL * d_scale)
-    if bad.size:
-        i = bad[0]
-        raise TangencyError(
-            f"{what} at t={roots[i]:.6f} is nearly degenerate (|slope|={slopes[i]:.2e})",
-            t=float(roots[i]),
-            slope=float(slopes[i]),
-        )
-    return roots.tolist()
+    while live:
+        first = min(it[0] for it in live)
+        points = np.array([it[5] for it in live])
+        sums = stacked_series(series[first : max(it[0] for it in live) + 2], points)
+        still = []
+        for (d, k, lo, hi, positive, x, last, before_last), s in zip(live, sums.T.tolist()):
+            f, df = s[d - first], s[d - first + 1]
+            newton = f / df if df else math.inf  # f / 0 fails the tests below, as inf does
+            roots[d][k], slopes[d][k] = x, abs(df)
+            if f == 0.0 or abs(newton) <= tiny * max(1.0, abs(x)):
+                continue
+            lo, hi = (x, hi) if (f > 0.0) == positive else (lo, x)
+            mid = 0.5 * (lo + hi)
+            guess = x - newton
+            if lo < guess < hi and abs(newton) <= 0.5 * before_last:
+                before_last, last, x = last, abs(newton), guess
+            else:
+                before_last, last, x = last, 0.5 * (hi - lo), mid
+            if hi - lo < 1e-14:
+                roots[d][k] = mid
+            else:
+                still.append([d, k, lo, hi, positive, x, last, before_last])
+        live = still
+    for d, what in enumerate(whats):
+        if roots[d]:
+            scale = TRANSVERSALITY_REL * np.max(np.abs(scans[d + 1]))
+            bad = [k for k, slope in enumerate(slopes[d]) if slope <= scale]
+            if bad:
+                t, slope = roots[d][bad[0]], slopes[d][bad[0]]
+                raise TangencyError(
+                    f"{what} at t={t:.6f} is nearly degenerate (|slope|={slope:.2e})",
+                    t=t,
+                    slope=slope,
+                )
+    return roots
+
+
+def _minus_one(u: SpectralFunction) -> np.ndarray:
+    """The coefficients of u - 1.  P_0 = 1: 1 comes off c_0, not off the sum,
+    so a small u - 1 keeps its relative accuracy."""
+    f = u.coeffs.copy()
+    f[0] -= 1.0
+    return f
+
+
+def _labelled(u: SpectralFunction, roots: list[float]) -> list[tuple[float, str]]:
+    below = u(np.array(roots)) < 1.0
+    return [(r, "min" if b else "max") for r, b in zip(roots, below)]
+
+
+def point_diagnostics(u: SpectralFunction) -> tuple[list[float], list[tuple[float, str]]]:
+    """(crossing_points(u), critical_point_list(u)), bit for bit, from one
+    pass: u - 1, u' and u'' are formed once, u' is summed on the scan grid
+    once (the critical-point sign scan and the crossings' slope scale), and
+    one polish serves the brackets of both (_series_roots).  A crossing that
+    is not transversal raises first, as crossing_points would."""
+    _nonconstant_or_raise(u)
+    crossings, roots = _series_roots(
+        u.params, _minus_one(u), u.coeffs.size, ("crossing", "critical point")
+    )
+    return crossings, _labelled(u, roots)
 
 
 def crossing_points(u: SpectralFunction) -> list[float]:
     """Roots of u(t) = 1 in (-1, 1), in increasing order: sign scan on a
-    Chebyshev-distributed grid of 8N points, joint safeguarded Newton polish
-    of the brackets, and the transversality check |u'(root)| >
+    Chebyshev-distributed grid of 8N points, safeguarded Newton polish of the
+    brackets, and the transversality check |u'(root)| >
     TRANSVERSALITY_REL * ||u'||_inf (see _series_roots)."""
     _nonconstant_or_raise(u)
-    # P_0 = 1: subtract 1 from c_0, not from the sum, so a small u - 1 keeps
-    # its relative accuracy
-    f = u.coeffs.copy()
-    f[0] -= 1.0
-    return _series_roots(u.params, f, u.coeffs.size, "crossing")
+    return _series_roots(u.params, _minus_one(u), u.coeffs.size, ("crossing",))[0]
 
 
 def count_crossings(u: SpectralFunction) -> int:
@@ -632,9 +675,8 @@ def critical_point_list(u: SpectralFunction) -> list[tuple[float, str]]:
     """Interior roots of u' with labels: 'min' where u < 1, 'max' where u > 1
     (the only possibilities along solution branches)."""
     _nonconstant_or_raise(u)
-    roots = _series_roots(*derivative_series(u.params, u.coeffs), u.coeffs.size, "critical point")
-    below = u(np.array(roots)) < 1.0
-    return [(r, "min" if b else "max") for r, b in zip(roots, below)]
+    du = derivative_series(u.params, u.coeffs)
+    return _labelled(u, _series_roots(*du, u.coeffs.size, ("critical point",))[0])
 
 
 def count_critical_points(u: SpectralFunction) -> int:
@@ -679,14 +721,15 @@ def _make_point(
     tau_c padded to spec.N coefficients (Discretization.pad)."""
     disc = ev.disc
     u = SpectralFunction(disc.pad(ev.c), disc.spec.params)
+    crossings, critical = point_diagnostics(u)
     return BranchPoint(
         u=u,
         lam=float(lam),
         s=float(s),
         residual_norm=disc.w_norm(ev.residual(lam)),
         sigma_min=smin,
-        crossings=count_crossings(u),
-        critical=critical_point_list(u),
+        crossings=len(crossings),
+        critical=critical,
         tangent=(disc.pad(tangent[0]), tangent[1]),
     )
 
@@ -857,8 +900,10 @@ def continue_branch(
     {F(c, lambda) = 0, <x - x_prev, tau>_metric = ds} and carries the full
     diagnostic set.  Terminates on step budget, lambda leaving
     (lambda_floor, lambda_ceiling), amplitude cap, a return to the trivial
-    solution u = 1 (that state is not appended), or (optionally) FOLD_TRAIL
-    points after the first fold bracket (_fold_bracket on the point tangents).
+    solution u = 1, a corrected state that is positive at the M nodes but not
+    where quad_gap checks it (neither state is appended), or (optionally)
+    FOLD_TRAIL points after the first fold bracket (_fold_bracket on the
+    point tangents).
 
     A start that is not a state of ``spec`` (spec.N coefficients, spec.params,
     and a residual that passes the Newton test of _bordered_newton, as every
@@ -901,7 +946,13 @@ def continue_branch(
                         ds=ds,
                     ) from None
                 ds *= 0.5
-        gap = disc.quad_gap(ev)
+        try:
+            gap = disc.quad_gap(ev)
+        except NonpositiveStateError:
+            # positive at the M nodes but not where quad_gap looks: the branch
+            # has left the positive solutions
+            branch.termination = "nonpositive-state"
+            return branch
         if gap > QUAD_CHECK_TOL:
             raise NumericalBreakdownError(
                 f"quadrature convergence check failed (gap={gap:.2e}); increase M"
@@ -985,7 +1036,10 @@ def detect_fold(branch: Branch) -> FoldRecord:
     pts = branch.points
     i = _fold_bracket(pts)
     if i is None:
-        why = " (the branch returned to u = 1)" if branch.termination == "trivial-branch" else ""
+        why = {
+            "trivial-branch": " (the branch returned to u = 1)",
+            "nonpositive-state": " (the branch reached a state that is not positive)",
+        }.get(branch.termination, "")
         raise NoFoldBracketError(f"tau_lambda keeps its sign on the traced branch{why}")
     start = pts[i]
     disc = _state_discretization(spec, start.u.coeffs)

@@ -66,13 +66,22 @@ class JacobiParams:
 
     ``exact`` holds (alpha, beta) as Fractions, which the exact oracles and
     the sign checks read; the floats alpha, beta and a, which the numerics
-    read, are rounded from them.
+    read, are rounded from them.  The hash is the dataclass one, stored on
+    first use, since every lru_cache lookup keyed on the parameters asks for
+    it and hashing the Fractions dominates such a lookup.
     """
 
     alpha: float
     beta: float
     a: float
     exact: tuple[Fraction, Fraction]
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.alpha, self.beta, self.a, self.exact))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def is_symmetric(self) -> bool:
@@ -310,8 +319,8 @@ def _shaped(vals: np.ndarray, t):
 # Unknowns per banded solve, so that the work arrays of one solve stay bounded
 # for any number of points t.  A point costs n + 1 unknowns of 4 doubles (band
 # and right-hand side), about 8 kB at n = 256, so one solve over 10^5 points
-# would allocate about 0.8 GB.  The program's own calls (polish rounds of one
-# f and f' pair per open bracket, labels) are small enough that a single solve
+# would allocate about 0.8 GB.  The program's own calls (polish rounds of u - 1,
+# u' and u'' at the open brackets, labels) are small enough that a single solve
 # per call left peak RSS unchanged on fold-ref and fold-n256.
 _BAND_UNKNOWNS = 5000
 
@@ -389,8 +398,9 @@ def jacobi_series(params: JacobiParams, coeffs, t):
     and the sum is b_0 since P_0 = 1 and down_0 = 0.  All points are summed
     together by banded solves (_series_banded), and no (len(t), n) table is
     built.  The result has the shape of t, and a scalar t gives a float.
-    Several series at the same interior points, such as the f and f' of the
-    root polish in ``continuation``, share one solve through stacked_series.
+    Several series at the same interior points, such as u - 1, u' and u''
+    in the root polish of ``continuation``, share one solve through
+    stacked_series.
     """
     c = np.asarray(coeffs, dtype=float).ravel()
     if c.size == 0:
@@ -709,15 +719,24 @@ def jacobi_zeros(k: int, params: JacobiParams) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=None)
+def _shifted_params(params: JacobiParams) -> JacobiParams:
+    """(alpha+1, beta+1): one object per parameter set, so that the caches
+    keyed on the derivative's parameters match it by identity."""
+    al, be = params.exact
+    return jacobi_params(al + 1, be + 1)
+
+
 def derivative_series(params: JacobiParams, coeffs: np.ndarray):
     """Coefficients of d/dt of sum c_i P_i, in the (alpha+1, beta+1) basis, by
     the degree/parameter shift identity
 
     d/dt P_i = (i + alpha + beta + 1)/2 * P_{i-1}^{(alpha+1, beta+1)}.
+
+    Equal parameters give the same (alpha+1, beta+1) object.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    al, be = params.exact
-    sp = jacobi_params(al + 1, be + 1)
+    sp = _shifted_params(params)
     if coeffs.size <= 1:
         return sp, np.zeros(1)
     i = np.arange(1, coeffs.size, dtype=float)

@@ -50,6 +50,9 @@ def _write_json(obj, out: io.StringIO, indent: int) -> None:
             out.write("\n" + pad + "  " + json.dumps(key) + ": ")
             _write_json(val, out, indent + 2)
         out.write("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)) and all(isinstance(v, (float, np.floating)) for v in obj):
+        # the coefficient vectors: one join, the bytes of the loop below
+        out.write("[" + ", ".join(map(format_float, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         out.write("[")
         for i, val in enumerate(obj):

@@ -296,6 +296,24 @@ class TestTrace:
         assert skipped["folds"] == []
         assert skipped["points"] == doc["points"]
 
+    def test_fractional_q_writes_the_bytes_of_its_decimal(self, capsys):
+        head = ["trace", "--k", "1", "--alpha", "3/2", "--beta", "1/2", "--n-modes", "16",
+                "--max-steps", "5"]
+        fraction = run_cli([*head, "--q", "3/2"], capsys)
+        assert fraction[0] == 0 and fraction[2] == ""
+        assert fraction == run_cli([*head, "--q", "1.5"], capsys)
+
+    def test_nonpositive_state_ends_the_branch(self, capsys):
+        # after 260 points a corrected state is positive at the M nodes but
+        # not on the 8N+2 scan grid; the branch ends there and keeps its points
+        code, out, err = run_cli(
+            ["trace", "--k", "1", "--alpha", "1/2", "--beta", "1/2", "--q", "3",
+             "--no-fold-detect"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["points"]) == 261
+
 
 class TestVerify:
     def test_quadrature_suite_passes(self, capsys):

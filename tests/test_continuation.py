@@ -48,6 +48,7 @@ from jacbif.continuation import (
     _scan_grid,
     _scan_values,
     discretization,
+    point_diagnostics,
     solve_at_phase,
 )
 from jacbif.jacobi import (
@@ -736,6 +737,89 @@ def test_off_center_triple_root_raises(ab, t0, monkeypatch):
     assert abs(info.value.t - t0) < 1e-4
     assert f"t={info.value.t:.6f}" in str(info.value)
     assert len(rounds) <= 64
+
+
+def _outcome(diagnostics, u):
+    """What ``diagnostics(u)`` returns, or the type and text of its error."""
+    try:
+        return diagnostics(u)
+    except (NumericalError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+def _check_joint_pass(u):
+    # crossing_points raises first, then critical_point_list, as _make_point
+    # ran them; roots compare with float ==, labels as strings
+    crossings = _outcome(crossing_points, u)
+    expected = crossings if isinstance(crossings, tuple) else _outcome(critical_point_list, u)
+    if not isinstance(expected, tuple):
+        expected = (crossings, expected)
+    assert _outcome(point_diagnostics, u) == expected
+
+
+@pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
+def test_joint_pass_matches_the_separate_diagnostics_on_scan_states(ab):
+    for u in _scan_states(jacobi_params(*ab), np.random.default_rng(2026)):
+        _check_joint_pass(u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ab=st.sampled_from(SCAN_PAIRS),
+    n=st.sampled_from([16, 64, 256]),
+    exponent=st.floats(-3.0, 0.0),
+    decay=st.floats(0.5, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_joint_pass_matches_the_separate_diagnostics(ab, n, exponent, decay, seed):
+    rng = np.random.default_rng(seed)
+    c = 10**exponent * rng.standard_normal(n) * decay ** np.arange(n)
+    c[0] += 1.0
+    _check_joint_pass(SpectralFunction(c, jacobi_params(*ab)))
+
+
+@pytest.mark.parametrize("ab", [(0, 0), (1, 0), (F(1, 2), F(1, 2))], ids=str)
+def test_joint_pass_raises_the_crossing_first(ab):
+    # u - 1 = 0.01 int_0^t s^2 (s - 1/2)^3 ds: u - 1 has a triple root at 0
+    # and u' one at 1/2, so both polishes end in a TangencyError
+    u = _projected(
+        jacobi_params(*ab),
+        lambda t: 1.0 + 0.01 * (t**6 / 6 - 3 * t**5 / 10 + 3 * t**4 / 16 - t**3 / 24),
+    )
+    with pytest.raises(TangencyError, match=r"^critical point at t=0\.49|^critical point at t=0\.50"):
+        critical_point_list(u)
+    with pytest.raises(TangencyError, match=r"^crossing at t=-?0\.000") as info:
+        point_diagnostics(u)
+    assert str(info.value) == _outcome(crossing_points, u)[1]
+
+
+@pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
+def test_joint_polish_takes_no_more_rounds_than_the_larger_one(ab, monkeypatch):
+    rounds = _count_rounds(monkeypatch)
+    scanned = []
+    scan = continuation._scan_values
+
+    def counting_scan(params, coeffs, n_modes):
+        scanned.append(coeffs.size)
+        return scan(params, coeffs, n_modes)
+
+    monkeypatch.setattr(continuation, "_scan_values", counting_scan)
+    spec = ProblemSpec(jacobi_params(*ab), 2.0)
+    for k in range(1, 9):
+        u = _mode_state(spec, k, 0.01)
+        separate = []
+        for count in (crossing_points, critical_point_list):
+            rounds.clear()
+            count(u)
+            separate.append(len(rounds))
+        rounds.clear()
+        scanned.clear()
+        crossings, critical = point_diagnostics(u)
+        assert (len(crossings), len(critical)) == (k, k - 1)
+        assert len(rounds) <= max(separate)
+        # u - 1 and u' once each; u'' only where u' has a root, so not for k = 1
+        n = spec.N
+        assert scanned == ([n, n - 1, n - 2] if k > 1 else [n, n - 1])
 
 
 class TestBranchSwitch:

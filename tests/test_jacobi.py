@@ -109,6 +109,31 @@ class TestParams:
         assert all(type(c.numerator) is int for c in rep.table.exact)
         assert rep.table.coeffs.tobytes() == rep_ref.table.coeffs.tobytes()
 
+    def test_equal_parameters_hash_and_compare_equal(self):
+        # two separate builds: equal, the dataclass hash, stored on first use
+        p, q = jacobi_params(F(3, 2), F(1, 2)), jacobi_params(1.5, 0.5)
+        assert p is not q and p == q and hash(p) == hash(q)
+        assert hash(p) == hash((p.alpha, p.beta, p.a, p.exact)) == vars(p)["_hash"]
+        assert p != jacobi_params(F(3, 2), F(1, 3))
+        assert {p: 1}[q] == 1
+
+    def test_typed_caches_keep_a_float_from_its_int_twin(self):
+        # the int entry is made from one params object and looked up from an
+        # equal one, so the lookup goes through the stored hash and __eq__
+        gauss_jacobi_rule(jacobi_params(F(1, 2), 0), 4)
+        chebyshev_connection(jacobi_params(F(1, 2), 0), 4)
+        twin = jacobi_params(0.5, 0)
+        for call in (gauss_jacobi_rule, chebyshev_connection):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                call(twin, 4.0)
+
+    def test_derivative_series_shares_its_shifted_parameters(self):
+        p = jacobi_params(F(1, 2), F(-1, 2))
+        sp = derivative_series(p, np.ones(4))[0]
+        assert sp is derivative_series(p, np.zeros(7))[0]
+        assert sp is derivative_series(jacobi_params(0.5, -0.5), np.ones(1))[0]
+        assert sp == jacobi_params(F(3, 2), F(1, 2))
+
     @pytest.mark.parametrize("al,be", [(-1, 0), (0, -1), (-1.5, 0.0)])
     def test_nonintegrable_weight_rejected(self, al, be):
         with pytest.raises(ParameterError):

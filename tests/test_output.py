@@ -45,6 +45,43 @@ def test_to_json_is_valid_json():
     assert json.loads(to_json(obj)) == obj
 
 
+def _item_by_item(obj, indent=0) -> str:
+    """The writer's format, each list written one item at a time."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        items = [
+            "\n" + pad + "  " + json.dumps(k) + ": " + _item_by_item(v, indent + 2)
+            for k, v in obj.items()
+        ]
+        return "{" + ",".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_item_by_item(v, indent) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    assert obj is None
+    return "null"
+
+
+def test_float_lists_are_written_as_item_by_item():
+    obj = {
+        "floats": [1.5, -2.75e-13, float("nan"), float("inf"), 0.1, -0.0],
+        "numpy": list(np.array([1.0, 1.0 / 3.0, -7e300])) + [np.float32(0.1)],
+        "mixed": [1.0, 2, True, None, 3.5, np.float64(0.25), np.int64(4)],
+        "bools": [True, False],
+        "empty": [],
+        "nested": {"a": [[], [0.5], [[1.0, 2.0], []]], "b": (1.5, 2.5), "c": [None]},
+        "scalars": [np.float64("nan"), 1e-320],
+    }
+    assert to_json(obj) == _item_by_item(obj) + "\n"
+    assert to_json([]) == "[]\n" and to_json([2.0]) == "[2]\n"
+
+
 def test_branch_dict_matches_json(small_branch):
     assert json.loads(branch_to_json(small_branch)) == json.loads(
         json.dumps(branch_to_dict(small_branch))
