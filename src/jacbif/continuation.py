@@ -50,6 +50,7 @@ from .jacobi import (
     JacobiParams,
     QuadratureRule,
     _count,
+    _endpoint_vector,
     chebyshev_series,
     derivative_series,
     gauss_jacobi_rule,
@@ -165,10 +166,10 @@ class SpectralFunction:
 class BranchPoint:
     """One accepted continuation state with its diagnostics; ``sigma_min`` is
     min |eigenvalue| of J there, its smallest singular value in L2_w, where J
-    is self-adjoint; ``crossings`` and ``critical`` come from
-    point_diagnostics(u), ``critical`` being critical_point_list(u), not
-    serialized beyond its length, and ``tangent`` the unit tangent (tau_c,
-    tau_lam) oriented along the tracing, not serialized."""
+    is self-adjoint; ``crossings`` is the count and ``critical`` the list
+    that point_diagnostics(u) returns, the list not serialized beyond its
+    length, and ``tangent`` the unit tangent (tau_c, tau_lam) oriented along
+    the tracing, not serialized."""
 
     u: SpectralFunction
     lam: float
@@ -364,22 +365,19 @@ class Discretization:
 
     def quad_gap(self, ev: _StateEvaluation) -> float:
         """Relative change of the nonlinear projection of ``ev``, an evaluation
-        of this discretization, when M doubles, after checking u > 0 on a grid
-        finer than the M nodes (``ev`` has checked those).  It is a method of
+        of this discretization, when M doubles.  It is a method of
         Discretization, not of the evaluation, because perfbench traces it here.
 
         Where the projection is exact (_projection_is_exact: integer q with
         (q + 1)(N - 1) <= 2M - 1, so every projected product is a polynomial of
         at most that degree), doubling M changes it by roundoff only, so the
-        gap is 0.0 and no 2M-point rule exists; u > 0 is then checked on the
-        8N+2 scan grid (_scan_values), which holds t = +-1.  Otherwise u > 0 is
-        checked at the 2M nodes (the t >= 0 half of them in the even view)."""
+        gap is 0.0 and no 2M-point rule exists.  Otherwise u > 0 is first
+        checked at the 2M nodes (the t >= 0 half of them in the even view),
+        finer than the M nodes that ``ev`` has checked.  u > 0 on the 8N+2
+        scan grid is point_diagnostics' check (_make_point runs both)."""
         if ev.disc is not self:
             raise ParameterError("quad_gap: the evaluation belongs to another discretization")
         if self.exact:
-            scan = _scan_values(self.spec.params, self.pad(ev.c), self.spec.N)
-            if not scan.min() > 0.0:
-                raise NonpositiveStateError("state nonpositive on the scan grid")
             return 0.0
         v2 = self.basis2 @ ev.c
         if not v2.min() > 0.0:
@@ -448,12 +446,19 @@ def _state_discretization(spec: ProblemSpec, c: np.ndarray) -> Discretization:
 # basic operations
 
 
+def _require_state_of(spec: ProblemSpec, u: SpectralFunction, what: str) -> None:
+    """ParameterError unless u has spec.N coefficients in the basis of spec.params."""
+    if u.coeffs.size != spec.N:
+        raise ParameterError(f"{what} has {u.coeffs.size} coefficients, spec wants {spec.N}")
+    if u.params != spec.params:
+        raise ParameterError(f"{what} has parameters {u.params}, spec has {spec.params}")
+
+
 def jacobian(u: SpectralFunction, lam: float, spec: ProblemSpec) -> np.ndarray:
-    """State Jacobian: diag(-i(i+a)) - lambda * M[1 - q u^(q-1)]."""
-    c = u.coeffs if isinstance(u, SpectralFunction) else np.asarray(u, dtype=float)
-    if c.size != spec.N:
-        raise ParameterError(f"state has {c.size} coefficients, spec wants {spec.N}")
-    return discretization(spec).jacobian(c, lam)
+    """State Jacobian: diag(-i(i+a)) - lambda * M[1 - q u^(q-1)], for a state
+    u of spec (spec.N coefficients in the basis of spec.params)."""
+    _require_state_of(spec, u, "state")
+    return discretization(spec).jacobian(u.coeffs, lam)
 
 
 def boundary_residual(u: SpectralFunction, lam: float, spec: ProblemSpec) -> tuple[float, float]:
@@ -462,8 +467,10 @@ def boundary_residual(u: SpectralFunction, lam: float, spec: ProblemSpec) -> tup
         (2 beta + 2) u'(-1) - lambda (u(-1) - u(-1)^q)
        -(2 alpha + 2) u'(+1) - lambda (u(+1) - u(+1)^q)
 
-    Small for converged smooth solutions; not imposed by the solver.
+    Small for converged smooth solutions; not imposed by the solver.  u must
+    be a state of spec (spec.N coefficients in the basis of spec.params).
     """
+    _require_state_of(spec, u, "state")
     p = spec.params
     ends = np.array([-1.0, 1.0])
     uv = u(ends)
@@ -522,15 +529,13 @@ def _scan_grid(n_modes: int) -> np.ndarray:
     return grid
 
 
-_ENDS = np.array([-1.0, 1.0])
-_ENDS.setflags(write=False)
-
-
 def _scan_values(params: JacobiParams, coeffs: np.ndarray, n_modes: int) -> np.ndarray:
     """f = sum_i coeffs_i P_i on _scan_grid(n_modes): the closed form at +-1
-    and one FFT at the 8N Chebyshev points between (chebyshev_series)."""
-    ends = jacobi_series(params, coeffs, _ENDS)
-    return np.concatenate((ends[:1], chebyshev_series(params, coeffs, 8 * n_modes), ends[1:]))
+    (_endpoint_vector) and one FFT at the 8N Chebyshev points between
+    (chebyshev_series)."""
+    n = coeffs.size
+    lo, hi = (_endpoint_vector(params, n, side) @ coeffs for side in (-1, 1))
+    return np.concatenate(([lo], chebyshev_series(params, coeffs, 8 * n_modes), [hi]))
 
 
 def _is_constant(c: np.ndarray) -> bool:
@@ -539,51 +544,54 @@ def _is_constant(c: np.ndarray) -> bool:
     return tail <= 1e-13 * (1.0 + abs(float(c[0])))
 
 
-def _nonconstant_or_raise(u: SpectralFunction) -> None:
-    if not np.all(np.isfinite(u.coeffs)):
-        raise ParameterError("count is undefined for states with non-finite coefficients")
-    if _is_constant(u.coeffs):
-        raise ParameterError("count is undefined for (numerically) constant states")
+def point_diagnostics(u: SpectralFunction) -> tuple[list[float], list[tuple[float, str]]]:
+    """(crossings, critical) of the state u from one pass: the roots of
+    u = 1 in (-1, 1), and the roots of u' there as (t, 'min') where u < 1,
+    (t, 'max') where u > 1, each in increasing order.  crossing_points,
+    count_crossings, critical_point_list and count_critical_points are views.
 
+    A state with non-finite coefficients, or a (numerically) constant one,
+    is a ParameterError.  u - 1 (the 1 taken off c_0, P_0 = 1, so a small
+    u - 1 keeps its relative accuracy) is summed on the 8N+2 points of
+    _scan_grid, t = +-1 among them (_scan_values); unless it is > -1 at each,
+    NonpositiveStateError.  u' is summed there once, as the critical-point
+    sign scan and the crossings' slope scale, and u'' only where u' has a
+    root, as the critical points' slope scale.
 
-def _series_roots(
-    params: JacobiParams, coeffs: np.ndarray, n_modes: int, whats: tuple[str, ...]
-) -> list[list[float]]:
-    """Roots in (-1, 1) of f = sum_i coeffs_i P_i and of its derivatives, in
-    increasing order: entry d holds the roots of the d-th derivative of f,
-    named ``whats[d]`` in errors, from a sign scan of that series on
-    _scan_grid(n_modes).
-
-    A grid node where a series is exactly 0 is a root; every grid cell where
-    it changes sign brackets one.  The derivative after the last series is
-    formed (derivative_series) and scanned only when that series has roots.
-    The brackets of every series are then polished together by safeguarded
-    Newton (rtsafe, Press et al., Numerical Recipes, 9.4).  Each round sums
-    the series that the live iterates need, at all of them, by one stacked
-    banded solve (stacked_series), and each iterate reads its own series and
-    that series' derivative there.  The blocks of the solve do not couple
-    and each iterate is updated on its own, in Python floats, so every root
-    is the one a polish of its series alone gives.  Iterates start at the
-    bracket midpoints.  An iterate stops at an exact zero of f or when
-    |f / f'| <= 2 eps max(1, |t|), tested before the bracket is updated from
-    the sign of f, since at convergence that sign is roundoff.  Otherwise the
-    step is Newton's unless it leaves the bracket or fails to halve the step
-    before last, and bisection then; a bracket narrower than 1e-14 stops at
-    its midpoint.  A node root is a bracket of width 0, so its one round
-    reads f' there.  Each root must be transversal, |f'| from its last round
-    > TRANSVERSALITY_REL * max |f'| over the grid; otherwise TangencyError
-    names the first offending root of the first series that has one.
+    A grid node where a series is exactly 0 is a root, and a grid cell where
+    it changes sign brackets one.  All brackets are polished together by
+    safeguarded Newton (rtsafe, Press et al., Numerical Recipes, 9.4), from
+    their midpoints.  Each round sums the series the live iterates need, at
+    all of them, by one stacked banded solve (stacked_series), whose blocks
+    do not couple; each iterate reads its series and that series' derivative
+    and is updated on its own, in Python floats.  It stops at an exact zero
+    of f or when |f / f'| <= 2 eps max(1, |t|), tested before the bracket is
+    updated from the sign of f, since at convergence that sign is roundoff.
+    Otherwise the step is Newton's unless it leaves the bracket or fails to
+    halve the step before last, and bisection then; a bracket narrower than
+    1e-14 stops at its midpoint.  A node root is a bracket of width 0, read
+    once.  Each root must be transversal, |f'| from its last round >
+    TRANSVERSALITY_REL * max |f'| over the grid; otherwise TangencyError
+    names the first offending crossing, or else critical point.
     """
-    grid = _scan_grid(n_modes)
-    series = [(params, coeffs)]
-    scans = [_scan_values(params, coeffs, n_modes)]
+    c = u.coeffs
+    if not np.all(np.isfinite(c)):
+        raise ParameterError("count is undefined for states with non-finite coefficients")
+    if _is_constant(c):
+        raise ParameterError("count is undefined for (numerically) constant states")
+    n = c.size
+    minus_one = c.copy()
+    minus_one[0] -= 1.0
+    scans = [_scan_values(u.params, minus_one, n)]
+    if not scans[0].min() > -1.0:
+        raise NonpositiveStateError("state nonpositive on the scan grid")
+    series = [(u.params, minus_one), derivative_series(u.params, minus_one)]  # u - 1, u'
+    scans.append(_scan_values(*series[1], n))
+    grid = _scan_grid(n)
     roots, slopes = [], []  # per series
     live = []  # per iterate: [series, root, lo, hi, f(lo) > 0, t, last two step lengths]
-    for d in range(len(whats)):
-        if d:
-            series.append(derivative_series(*series[-1]))
-            scans.append(_scan_values(*series[-1], n_modes))
-        a, b = scans[d][:-1], scans[d][1:]
+    for d, scan in enumerate(scans):
+        a, b = scan[:-1], scan[1:]
         cell = a * b < 0.0
         cells = np.flatnonzero(cell | ((a == 0.0) & (grid[:-1] > -1.0))).tolist()
         for k, j in enumerate(cells):
@@ -591,9 +599,9 @@ def _series_roots(
             live.append([d, k, lo, hi, bool(a[j] > 0.0), 0.5 * (lo + hi), hi - lo, hi - lo])
         roots.append([0.0] * len(cells))
         slopes.append([0.0] * len(cells))
-    if roots[-1]:
-        series.append(derivative_series(*series[-1]))
-        scans.append(_scan_values(*series[-1], n_modes))
+    if roots[1]:
+        series.append(derivative_series(*series[1]))  # u''
+        scans.append(_scan_values(*series[2], n))
     tiny = 2.0 * np.finfo(float).eps
     while live:
         first = min(it[0] for it in live)
@@ -618,74 +626,40 @@ def _series_roots(
             else:
                 still.append([d, k, lo, hi, positive, x, last, before_last])
         live = still
-    for d, what in enumerate(whats):
+    for d, what in enumerate(("crossing", "critical point")):
         if roots[d]:
             scale = TRANSVERSALITY_REL * np.max(np.abs(scans[d + 1]))
             bad = [k for k, slope in enumerate(slopes[d]) if slope <= scale]
             if bad:
                 t, slope = roots[d][bad[0]], slopes[d][bad[0]]
-                raise TangencyError(
-                    f"{what} at t={t:.6f} is nearly degenerate (|slope|={slope:.2e})",
-                    t=t,
-                    slope=slope,
-                )
-    return roots
-
-
-def _minus_one(u: SpectralFunction) -> np.ndarray:
-    """The coefficients of u - 1.  P_0 = 1: 1 comes off c_0, not off the sum,
-    so a small u - 1 keeps its relative accuracy."""
-    f = u.coeffs.copy()
-    f[0] -= 1.0
-    return f
-
-
-def _labelled(u: SpectralFunction, roots: list[float]) -> list[tuple[float, str]]:
-    below = u(np.array(roots)) < 1.0
-    return [(r, "min" if b else "max") for r, b in zip(roots, below)]
-
-
-def point_diagnostics(u: SpectralFunction) -> tuple[list[float], list[tuple[float, str]]]:
-    """(crossing_points(u), critical_point_list(u)), bit for bit, from one
-    pass: u - 1, u' and u'' are formed once, u' is summed on the scan grid
-    once (the critical-point sign scan and the crossings' slope scale), and
-    one polish serves the brackets of both (_series_roots).  A crossing that
-    is not transversal raises first, as crossing_points would."""
-    _nonconstant_or_raise(u)
-    crossings, roots = _series_roots(
-        u.params, _minus_one(u), u.coeffs.size, ("crossing", "critical point")
-    )
-    return crossings, _labelled(u, roots)
+                msg = f"{what} at t={t:.6f} is nearly degenerate (|slope|={slope:.2e})"
+                raise TangencyError(msg, t=t, slope=slope)
+    below = u(np.array(roots[1])) < 1.0
+    return roots[0], [(r, "min" if b else "max") for r, b in zip(roots[1], below)]
 
 
 def crossing_points(u: SpectralFunction) -> list[float]:
-    """Roots of u(t) = 1 in (-1, 1), in increasing order: sign scan on a
-    Chebyshev-distributed grid of 8N points, safeguarded Newton polish of the
-    brackets, and the transversality check |u'(root)| >
-    TRANSVERSALITY_REL * ||u'||_inf (see _series_roots)."""
-    _nonconstant_or_raise(u)
-    return _series_roots(u.params, _minus_one(u), u.coeffs.size, ("crossing",))[0]
+    return point_diagnostics(u)[0]
 
 
 def count_crossings(u: SpectralFunction) -> int:
-    return len(crossing_points(u))
+    return len(point_diagnostics(u)[0])
 
 
 def critical_point_list(u: SpectralFunction) -> list[tuple[float, str]]:
-    """Interior roots of u' with labels: 'min' where u < 1, 'max' where u > 1
-    (the only possibilities along solution branches)."""
-    _nonconstant_or_raise(u)
-    du = derivative_series(u.params, u.coeffs)
-    return _labelled(u, _series_roots(*du, u.coeffs.size, ("critical point",))[0])
+    return point_diagnostics(u)[1]
 
 
 def count_critical_points(u: SpectralFunction) -> int:
-    return len(critical_point_list(u))
+    return len(point_diagnostics(u)[1])
 
 
 def endpoint_label(u: SpectralFunction, side: int) -> str:
     """'max' when u(side) > 1 else 'min' (endpoint extremum type along the
-    interval, as forced by the natural boundary relations)."""
+    interval, as forced by the natural boundary relations), for side in
+    {-1, +1}."""
+    if side not in (-1, 1):
+        raise ParameterError("side must be -1 or +1")
     return "max" if u(float(side)) > 1.0 else "min"
 
 
@@ -715,11 +689,18 @@ def _sigma_range(ev: _StateEvaluation, jac: np.ndarray, lam: float) -> tuple[flo
 def _make_point(
     ev: _StateEvaluation, lam: float, s: float, smin: float, tangent: tuple
 ) -> BranchPoint:
-    """The point (c, lam) of the evaluation ``ev`` with its diagnostics;
-    ``smin`` is sigma_min of J there (_sigma_range) and ``tangent`` its unit
-    tangent (tau_c, tau_lam) on the modes of ev.disc.  The point holds c and
-    tau_c padded to spec.N coefficients (Discretization.pad)."""
+    """The point (c, lam) of ``ev`` with its diagnostics, the one acceptance
+    step of every reported state: quad_gap (NumericalBreakdownError above
+    QUAD_CHECK_TOL), then point_diagnostics.  ``smin`` is sigma_min of J there
+    (_sigma_range) and ``tangent`` its unit tangent (tau_c, tau_lam) on the
+    modes of ev.disc.  The point holds c and tau_c padded to spec.N
+    coefficients (Discretization.pad)."""
     disc = ev.disc
+    gap = disc.quad_gap(ev)
+    if gap > QUAD_CHECK_TOL:
+        raise NumericalBreakdownError(
+            f"quadrature convergence check failed (gap={gap:.2e}); increase M"
+        )
     u = SpectralFunction(disc.pad(ev.c), disc.spec.params)
     crossings, critical = point_diagnostics(u)
     return BranchPoint(
@@ -829,7 +810,7 @@ def branch_switch(
     direction: int,
 ) -> BranchPoint:
     """First nontrivial point on the branch through (1, lambda_k), at signed
-    tangent amplitude sigma = direction * s0."""
+    tangent amplitude sigma = direction * s0, accepted by _make_point."""
     require_theorem_scope(spec.params)
     if direction not in (-1, 1):
         raise ParameterError("direction must be +1 or -1")
@@ -901,7 +882,7 @@ def continue_branch(
     diagnostic set.  Terminates on step budget, lambda leaving
     (lambda_floor, lambda_ceiling), amplitude cap, a return to the trivial
     solution u = 1, a corrected state that is positive at the M nodes but not
-    where quad_gap checks it (neither state is appended), or (optionally)
+    where _make_point checks it (neither state is appended), or (optionally)
     FOLD_TRAIL points after the first fold bracket (_fold_bracket on the
     point tangents).
 
@@ -913,11 +894,8 @@ def continue_branch(
     coefficients of exactly 0.0.
     """
     settings = settings or ContinuationSettings()
+    _require_state_of(spec, start.u, "start")
     c = start.u.coeffs
-    if c.size != spec.N:
-        raise ParameterError(f"start has {c.size} coefficients, spec wants {spec.N}")
-    if start.u.params != spec.params:
-        raise ParameterError(f"start has parameters {start.u.params}, spec has {spec.params}")
     disc = _state_discretization(spec, c)
     c = c[disc.modes]
     res = disc.w_norm(disc.residual_coeffs(c, start.lam))
@@ -946,17 +924,6 @@ def continue_branch(
                         ds=ds,
                     ) from None
                 ds *= 0.5
-        try:
-            gap = disc.quad_gap(ev)
-        except NonpositiveStateError:
-            # positive at the M nodes but not where quad_gap looks: the branch
-            # has left the positive solutions
-            branch.termination = "nonpositive-state"
-            return branch
-        if gap > QUAD_CHECK_TOL:
-            raise NumericalBreakdownError(
-                f"quadrature convergence check failed (gap={gap:.2e}); increase M"
-            )
         if _is_constant(ev.c):
             # the branch has come back to u = 1, where no count is defined
             branch.termination = "trivial-branch"
@@ -966,7 +933,13 @@ def continue_branch(
         jac = ev.jacobian(lam)
         tangent = _tangent(ev, jac, *tau)
         smin = _sigma_range(ev, jac, lam)[0]
-        point = _make_point(ev, lam, last.s + direction * ds, smin, tangent)
+        try:
+            point = _make_point(ev, lam, last.s + direction * ds, smin, tangent)
+        except NonpositiveStateError:
+            # positive at the M nodes but not where _make_point looks: the
+            # branch has left the positive solutions
+            branch.termination = "nonpositive-state"
+            return branch
         branch.points.append(point)
 
         if not (settings.lambda_floor < lam < settings.lambda_ceiling):
@@ -1029,7 +1002,8 @@ def detect_fold(branch: Branch) -> FoldRecord:
     fold is certified a posteriori: the Moore-Spence residual
     ||(F, J v, ||v||_w^2 - 1)|| must be below CERTIFICATE_TOL and
     min|eig|/max|eig| of J (self-adjoint in L2_w; _sigma_range) below
-    DEGENERATE_TOL.  points[i] decides the modes solved for, as the start of
+    DEGENERATE_TOL.  The fold point then passes _make_point, as each traced
+    point does.  points[i] decides the modes solved for, as the start of
     continue_branch does.
     """
     spec = branch.spec

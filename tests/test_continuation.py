@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -174,9 +174,11 @@ class TestResidual:
         with pytest.raises(NonpositiveStateError, match="refined grid"):
             disc.quad_gap(ev)
 
-    def test_integer_q_checks_positivity_on_the_scan_grid(self):
+    def test_integer_q_checks_positivity_on_the_scan_grid(self, monkeypatch):
         # u = 1 + (1 + 1e-6) P_1 with P_1(t) = (3t + 1) / 2 for (alpha, beta) =
-        # (1, 0): u(-1) = -1e-6, but u is positive at every Gauss node
+        # (1, 0): u(-1) = -1e-6, but u is positive at every Gauss node.  The
+        # projection is exact, so quad_gap is 0.0 and sums no scan; the u - 1
+        # scan of point_diagnostics finds the state nonpositive
         disc = discretization(P10)
         assert disc.exact
         c = _mode_state(P10, 1, 1.0 + 1e-6).coeffs
@@ -184,8 +186,11 @@ class TestResidual:
         assert ev.vals.min() > 0.0
         disc.residual_coeffs(c, 1.0)
         assert _scan_values(P10.params, c, P10.N)[0] < 0.0
-        with pytest.raises(NonpositiveStateError, match="scan grid"):
-            disc.quad_gap(ev)
+        with monkeypatch.context() as m:
+            m.setattr(continuation, "_scan_values", None)
+            assert disc.quad_gap(ev) == 0.0
+        with pytest.raises(NonpositiveStateError, match="^state nonpositive on the scan grid$"):
+            point_diagnostics(SpectralFunction(c, P10.params))
 
     def test_nonpositive_state_rejected(self):
         c = np.zeros(P10.N)
@@ -246,6 +251,23 @@ class TestJacobian:
         weighted = disc.h[:, None] * mat
         scale = np.max(np.abs(weighted))
         assert np.max(np.abs(weighted - weighted.T)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("diagnostic", [jacobian, boundary_residual])
+@pytest.mark.parametrize(
+    "u, expected",
+    [
+        (SpectralFunction.constant_one(ProblemSpec(jacobi_params(0, 0), 2.0, N=16)),
+         r"^state has parameters .*, spec has "),
+        (SpectralFunction.constant_one(ProblemSpec(jacobi_params(1, 0), 2.0, N=18)),
+         r"^state has 18 coefficients, spec wants 16$"),
+    ],
+    ids=["(0,0)-state", "18-coefficient-state"],
+)
+def test_state_of_another_spec_is_refused(diagnostic, u, expected):
+    # neither reads the state in the basis of the (1,0), N=16 spec
+    with pytest.raises(ParameterError, match=expected):
+        diagnostic(u, 2.0, ProblemSpec(jacobi_params(1, 0), 2.0, N=16))
 
 
 class TestSharedEvaluation:
@@ -510,6 +532,12 @@ class TestCounting:
         assert endpoint_label(u, +1) == "max"
         assert endpoint_label(u, -1) == "max"  # P_2(-1) > 0
 
+    @pytest.mark.parametrize("side", [0, 5])
+    def test_endpoint_label_refuses_a_side_other_than_an_endpoint(self, side):
+        # u(0) and the sum at t = 5 are no endpoint values
+        with pytest.raises(ParameterError, match=r"^side must be -1 or \+1$"):
+            endpoint_label(_mode_state(PHALF, 2, 0.01), side)
+
     def test_tangent_crossing_raises(self):
         # Legendre: u - 1 = 0.01 t^3 = 0.006 P_1 + 0.004 P_3 crosses 0 with zero slope
         c = np.zeros(16)
@@ -680,20 +708,19 @@ def test_fft_scan_matches_clenshaw_scan(ab, monkeypatch):
 
 
 def test_derivative_is_scanned_only_for_a_sign_change(monkeypatch):
-    # u = 1 + 0.01 P_1: u - 1 has one root, so its slope scan runs; u' has
-    # none, so u'' is never scanned
+    # u = 1 + 0.01 P_1: u - 1 and u' are scanned once each; u' has no root,
+    # so u'' is never scanned
     calls = []
 
-    def counting_scan(*args):
-        calls.append(args)
-        return scan(*args)
+    def counting_scan(params, coeffs, n_modes):
+        calls.append(coeffs.size)
+        return scan(params, coeffs, n_modes)
 
     scan = continuation._scan_values
     monkeypatch.setattr(continuation, "_scan_values", counting_scan)
-    u = _mode_state(P10, 1, 0.01)
-    assert critical_point_list(u) == [] and len(calls) == 1
-    calls.clear()
-    assert len(crossing_points(u)) == 1 and len(calls) == 2
+    crossings, critical = point_diagnostics(_mode_state(P10, 1, 0.01))
+    assert len(crossings) == 1 and critical == []
+    assert calls == [P10.N, P10.N - 1]
 
 
 def _count_rounds(monkeypatch):
@@ -711,16 +738,16 @@ def _count_rounds(monkeypatch):
 
 @pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
 def test_simple_roots_polish_in_few_rounds(ab, monkeypatch):
-    # u = 1 + 0.01 P_k: every bracket of u - 1 and of u' holds a simple root
+    # u = 1 + 0.01 P_k: every bracket of u - 1 and of u' holds a simple root,
+    # and one stacked solve takes the k + (k - 1) iterates together
     rounds = _count_rounds(monkeypatch)
     spec = ProblemSpec(jacobi_params(*ab), 2.0)
     for k in range(1, 9):
-        u = _mode_state(spec, k, 0.01)
-        for count, expected in ((crossing_points, k), (critical_point_list, k - 1)):
-            rounds.clear()
-            assert len(count(u)) == expected
-            assert len(rounds) <= 5
-            assert all(size <= expected for size in rounds)
+        rounds.clear()
+        crossings, critical = point_diagnostics(_mode_state(spec, k, 0.01))
+        assert (len(crossings), len(critical)) == (k, k - 1)
+        assert 1 <= len(rounds) <= 5
+        assert all(size <= 2 * k - 1 for size in rounds)
 
 
 @pytest.mark.parametrize("t0", [0.3, -0.55])
@@ -747,50 +774,20 @@ def _outcome(diagnostics, u):
         return type(exc), str(exc)
 
 
-def _check_joint_pass(u):
-    # crossing_points raises first, then critical_point_list, as _make_point
-    # ran them; roots compare with float ==, labels as strings
-    crossings = _outcome(crossing_points, u)
-    expected = crossings if isinstance(crossings, tuple) else _outcome(critical_point_list, u)
-    if not isinstance(expected, tuple):
-        expected = (crossings, expected)
-    assert _outcome(point_diagnostics, u) == expected
-
-
-@pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
-def test_joint_pass_matches_the_separate_diagnostics_on_scan_states(ab):
-    for u in _scan_states(jacobi_params(*ab), np.random.default_rng(2026)):
-        _check_joint_pass(u)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    ab=st.sampled_from(SCAN_PAIRS),
-    n=st.sampled_from([16, 64, 256]),
-    exponent=st.floats(-3.0, 0.0),
-    decay=st.floats(0.5, 0.95),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_joint_pass_matches_the_separate_diagnostics(ab, n, exponent, decay, seed):
-    rng = np.random.default_rng(seed)
-    c = 10**exponent * rng.standard_normal(n) * decay ** np.arange(n)
-    c[0] += 1.0
-    _check_joint_pass(SpectralFunction(c, jacobi_params(*ab)))
-
-
 @pytest.mark.parametrize("ab", [(0, 0), (1, 0), (F(1, 2), F(1, 2))], ids=str)
 def test_joint_pass_raises_the_crossing_first(ab):
     # u - 1 = 0.01 int_0^t s^2 (s - 1/2)^3 ds: u - 1 has a triple root at 0
-    # and u' one at 1/2, so both polishes end in a TangencyError
+    # and u' one at 1/2, so both kinds of root are tangencies; the crossing's
+    # error comes first, and every view raises it
     u = _projected(
         jacobi_params(*ab),
         lambda t: 1.0 + 0.01 * (t**6 / 6 - 3 * t**5 / 10 + 3 * t**4 / 16 - t**3 / 24),
     )
-    with pytest.raises(TangencyError, match=r"^critical point at t=0\.49|^critical point at t=0\.50"):
-        critical_point_list(u)
     with pytest.raises(TangencyError, match=r"^crossing at t=-?0\.000") as info:
         point_diagnostics(u)
-    assert str(info.value) == _outcome(crossing_points, u)[1]
+    views = (crossing_points, count_crossings, critical_point_list, count_critical_points)
+    for view in views:
+        assert _outcome(view, u) == (TangencyError, str(info.value))
 
 
 @pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
@@ -806,20 +803,47 @@ def test_joint_polish_takes_no_more_rounds_than_the_larger_one(ab, monkeypatch):
     monkeypatch.setattr(continuation, "_scan_values", counting_scan)
     spec = ProblemSpec(jacobi_params(*ab), 2.0)
     for k in range(1, 9):
-        u = _mode_state(spec, k, 0.01)
-        separate = []
-        for count in (crossing_points, critical_point_list):
-            rounds.clear()
-            count(u)
-            separate.append(len(rounds))
         rounds.clear()
         scanned.clear()
-        crossings, critical = point_diagnostics(u)
+        crossings, critical = point_diagnostics(_mode_state(spec, k, 0.01))
         assert (len(crossings), len(critical)) == (k, k - 1)
-        assert len(rounds) <= max(separate)
+        assert len(rounds) <= 5
         # u - 1 and u' once each; u'' only where u' has a root, so not for k = 1
         n = spec.N
         assert scanned == ([n, n - 1, n - 2] if k > 1 else [n, n - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ab=st.sampled_from(SCAN_PAIRS),
+    n=st.sampled_from([16, 64]),
+    exponent=st.floats(-3.0, 0.0),
+    decay=st.floats(0.5, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counts_match_the_colleague_matrix(ab, n, exponent, decay, seed):
+    # an oracle for counts, not tangencies, independent of the scan: the real
+    # eigenvalues in (-1, 1) of the colleague matrix (Good 1961) of u - 1 in
+    # the Chebyshev basis, and of its derivative
+    params = jacobi_params(*ab)
+    rng = np.random.default_rng(seed)
+    c = 10**exponent * rng.standard_normal(n) * decay ** np.arange(n)
+    c[0] += 1.0
+    try:
+        crossings, critical = point_diagnostics(SpectralFunction(c, params))
+    except (NumericalError, ParameterError):
+        assume(False)
+    c[0] -= 1.0
+    cheb = chebyshev_connection(params, n) @ c
+    counts = []
+    for series in (cheb, np.polynomial.chebyshev.chebder(cheb)):
+        roots = np.polynomial.chebyshev.chebroots(series)
+        imag = np.abs(roots.imag)
+        real = roots.real[imag <= 1e-12]
+        assume(not np.any((1e-12 < imag) & (imag < 1e-6)))
+        assume(not np.any(np.abs(np.abs(real) - 1.0) < 1e-8))
+        counts.append(int(np.sum(np.abs(real) < 1.0)))
+    assert counts == [len(crossings), len(critical)]
 
 
 class TestBranchSwitch:
@@ -931,6 +955,28 @@ class TestContinueBranch:
         # the spec it was built for takes it
         branch = continue_branch(start, self.P32, ContinuationSettings(max_steps=2))
         assert branch.points[0] is start and len(branch.points) == 2
+
+    def test_state_nonpositive_on_the_scan_grid_ends_the_branch(self, monkeypatch):
+        # k=1 (1/2,1/2) q=3: after 260 points a corrected state is positive at
+        # the M nodes but not on the 8N+2 scan grid; _make_point refuses it,
+        # and the branch ends there without it
+        refused = []
+        make_point = continuation._make_point
+
+        def spy(ev, *args):
+            try:
+                return make_point(ev, *args)
+            except NonpositiveStateError as exc:
+                refused.append((ev, str(exc)))
+                raise
+
+        monkeypatch.setattr(continuation, "_make_point", spy)
+        branch = continue_branch(branch_switch(1, PHALF, 1e-3, +1), PHALF)
+        assert branch.termination == "nonpositive-state" and len(branch.points) == 261
+        [(ev, text)] = refused
+        assert text == "state nonpositive on the scan grid"
+        assert ev.vals.min() > 0.0
+        assert not any(np.array_equal(ev.disc.pad(ev.c), p.u.coeffs) for p in branch.points)
 
     def test_step_failure_below_ds_min_carries_its_numbers(self, monkeypatch):
         def failing_corrector(*args):
@@ -1123,6 +1169,25 @@ class TestFolds:
         monkeypatch.setattr(continuation, "linearization_coeffs", counting)
         find_degenerate(1, spec)
         assert calls == [(1, spec.params)]
+
+    def test_first_and_fold_points_pass_quad_gap(self, monkeypatch):
+        # q = 3/2: the projection is inexact, so quad_gap checks the 2M nodes
+        # and the gap at every reported state, the first branch point and the
+        # fold point included
+        spec = ProblemSpec(jacobi_params(1, 0), 1.5, N=32)
+        checked = []
+        quad_gap = continuation.Discretization.quad_gap
+
+        def counting_gap(disc, ev):
+            checked.append(disc.pad(ev.c))
+            return quad_gap(disc, ev)
+
+        monkeypatch.setattr(continuation.Discretization, "quad_gap", counting_gap)
+        record = find_degenerate(1, spec)
+        points = record.branch.points
+        assert len(checked) == len(points) + 1
+        assert all(np.array_equal(c, p.u.coeffs) for c, p in zip(checked, points))
+        assert np.array_equal(checked[-1], record.point.u.coeffs)
 
     def test_fold_is_localized_on_the_branch_spec(self):
         spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=32)
