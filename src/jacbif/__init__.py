@@ -21,7 +21,6 @@ from .continuation import (
     count_critical_points,
     count_crossings,
     critical_point_list,
-    crossing_points,
     detect_fold,
     endpoint_label,
     find_degenerate,

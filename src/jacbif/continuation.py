@@ -79,7 +79,6 @@ __all__ = [
     "continue_branch",
     "detect_fold",
     "point_diagnostics",
-    "crossing_points",
     "count_crossings",
     "critical_point_list",
     "count_critical_points",
@@ -128,13 +127,6 @@ class ProblemSpec:
             )
 
 
-@lru_cache(maxsize=None)
-def _h_vector(params: JacobiParams, n: int) -> np.ndarray:
-    h = np.array([norm_sq_closed_form(i, params) for i in range(n)])
-    h.setflags(write=False)
-    return h
-
-
 @dataclass(frozen=True)
 class SpectralFunction:
     """Function on [-1, 1] stored as coefficients in the Jacobi basis."""
@@ -149,11 +141,6 @@ class SpectralFunction:
 
     def __call__(self, t):
         return jacobi_series(self.params, self.coeffs, t)
-
-    def w_norm(self) -> float:
-        """Weighted L2 norm, exact in the coefficients by orthogonality."""
-        h = _h_vector(self.params, self.coeffs.size)
-        return math.sqrt(float(h @ (self.coeffs * self.coeffs)))
 
     @staticmethod
     def constant_one(spec: "ProblemSpec") -> "SpectralFunction":
@@ -309,7 +296,8 @@ class Discretization:
         self.odd = None
         self.rule = gauss_jacobi_rule(p, spec.M)
         self.basis = jacobi_table(p, spec.N - 1, self.rule.nodes)
-        self.h = _h_vector(p, spec.N)
+        self.h = np.array([norm_sq_closed_form(i, p) for i in range(spec.N)])
+        self.h.setflags(write=False)
         i = np.arange(spec.N, dtype=float)
         self.lin = -i * (i + p.a)
         self.proj = _projection(self.basis, self.rule.weights, self.h)
@@ -352,6 +340,7 @@ class Discretization:
         return out
 
     def w_norm(self, c: np.ndarray) -> float:
+        """Weighted L2 norm of the coefficients c, exact by orthogonality."""
         return math.sqrt(float(self.h @ (c * c)))
 
     def residual_coeffs(self, c: np.ndarray, lam: float) -> np.ndarray:
@@ -422,7 +411,7 @@ def _jacobian(disc: Discretization, vals: np.ndarray, lam: float) -> np.ndarray:
     q = disc.spec.q
     phi = 1.0 - q * vals ** (q - 1.0)
     mat = -lam * (disc.proj @ (disc.basis * phi[:, None]))
-    mat[np.diag_indices_from(mat)] += disc.lin
+    mat.flat[:: mat.shape[0] + 1] += disc.lin
     return mat
 
 
@@ -547,8 +536,8 @@ def _is_constant(c: np.ndarray) -> bool:
 def point_diagnostics(u: SpectralFunction) -> tuple[list[float], list[tuple[float, str]]]:
     """(crossings, critical) of the state u from one pass: the roots of
     u = 1 in (-1, 1), and the roots of u' there as (t, 'min') where u < 1,
-    (t, 'max') where u > 1, each in increasing order.  crossing_points,
-    count_crossings, critical_point_list and count_critical_points are views.
+    (t, 'max') where u > 1, each in increasing order.  count_crossings,
+    critical_point_list and count_critical_points are views.
 
     A state with non-finite coefficients, or a (numerically) constant one,
     is a ParameterError.  u - 1 (the 1 taken off c_0, P_0 = 1, so a small
@@ -636,10 +625,6 @@ def point_diagnostics(u: SpectralFunction) -> tuple[list[float], list[tuple[floa
                 raise TangencyError(msg, t=t, slope=slope)
     below = u(np.array(roots[1])) < 1.0
     return roots[0], [(r, "min" if b else "max") for r, b in zip(roots[1], below)]
-
-
-def crossing_points(u: SpectralFunction) -> list[float]:
-    return point_diagnostics(u)[0]
 
 
 def count_crossings(u: SpectralFunction) -> int:

@@ -350,7 +350,7 @@ def stacked_series(series, x: np.ndarray) -> np.ndarray:
     block per series, in the order of ``series``, one after another.  Rows 0
     and 1 of each block hold zeros where they would reach into the block
     before, so the blocks do not couple and every row equals the sum of its
-    series alone (_series_banded) bit for bit.  The band is built point-major
+    series alone, bit for bit.  The band is built point-major
     in a C-order (unknowns, 3) array, whose transpose is the Fortran layout
     dtbtrs reads without a copy.  One solve takes as many points as fit in
     _BAND_UNKNOWNS unknowns; the split does not change the result.  The
@@ -380,12 +380,6 @@ def stacked_series(series, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_banded(params: JacobiParams, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i c_i P_i at the points of the 1-d x: Clenshaw's recurrence by
-    banded LAPACK solves, one block per point (stacked_series)."""
-    return stacked_series(((params, c),), x)[0]
-
-
 def jacobi_series(params: JacobiParams, coeffs, t):
     """sum_i coeffs_i P_i at the points t.
 
@@ -396,11 +390,11 @@ def jacobi_series(params: JacobiParams, coeffs, t):
     jacobi_operator, b_j = c_j + (t - mid_j) b_{j+1} / up_j
     - (down_{j+1} / up_{j+1}) b_{j+2} runs down from b_{n+1} = b_{n+2} = 0,
     and the sum is b_0 since P_0 = 1 and down_0 = 0.  All points are summed
-    together by banded solves (_series_banded), and no (len(t), n) table is
+    together by banded solves (stacked_series), and no (len(t), n) table is
     built.  The result has the shape of t, and a scalar t gives a float.
     Several series at the same interior points, such as u - 1, u' and u''
-    in the root polish of ``continuation``, share one solve through
-    stacked_series.
+    in the root polish of ``continuation``, share one such solve when passed
+    to stacked_series together.
     """
     c = np.asarray(coeffs, dtype=float).ravel()
     if c.size == 0:
@@ -410,7 +404,7 @@ def jacobi_series(params: JacobiParams, coeffs, t):
     inner = np.abs(x) != 1.0
     vals = np.empty(x.size)
     if inner.any():
-        vals[inner] = _series_banded(params, c, x[inner])
+        vals[inner] = stacked_series(((params, c),), x[inner])[0]
     for side in (-1, 1):
         at = x == side
         if at.any():

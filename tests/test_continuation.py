@@ -25,7 +25,6 @@ from jacbif import (
     count_critical_points,
     count_crossings,
     critical_point_list,
-    crossing_points,
     detect_fold,
     endpoint_label,
     eval_jacobi,
@@ -52,7 +51,6 @@ from jacbif.continuation import (
     solve_at_phase,
 )
 from jacbif.jacobi import (
-    _series_banded,
     chebyshev_connection,
     chebyshev_series,
     endpoint_value,
@@ -63,6 +61,7 @@ from jacbif.jacobi import (
     jacobi_table,
     derivative_series,
     norm_sq_closed_form,
+    stacked_series,
     weighted_norm_sq,
 )
 from jacbif.linearization import cube_integral, gasper_quartic, sign_classification
@@ -509,7 +508,7 @@ class TestCounting:
     def test_mode_perturbation_crossings(self):
         u = _mode_state(PLEG, 3, 0.01)
         assert count_crossings(u) == 3
-        roots = crossing_points(u)
+        roots = point_diagnostics(u)[0]
         expected = sorted(
             float(t) for t in np.polynomial.legendre.legroots([0, 0, 0, 1])
         )
@@ -545,7 +544,7 @@ class TestCounting:
         with pytest.raises(
             TangencyError, match=r"^crossing at t=-?0\.000000 is nearly degenerate"
         ) as info:
-            crossing_points(SpectralFunction(c, PLEG.params))
+            point_diagnostics(SpectralFunction(c, PLEG.params))
         assert abs(info.value.t) < 1e-6 and 0.0 <= info.value.slope < 1e-8
         assert f"|slope|={info.value.slope:.2e})" in str(info.value)
 
@@ -559,7 +558,10 @@ class TestCounting:
             critical_point_list(SpectralFunction(c, PLEG.params))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
-    @pytest.mark.parametrize("count", [crossing_points, critical_point_list])
+    @pytest.mark.parametrize(
+        "count",
+        [pytest.param(lambda u: point_diagnostics(u)[0], id="crossing_points"), critical_point_list],
+    )
     def test_nonfinite_coefficients_rejected(self, count, bad):
         # no sign change is seen through a NaN, so it would count 0 roots
         u = _mode_state(PLEG, 3, 0.01)
@@ -584,7 +586,7 @@ def test_roots_match_zeros_oracle(alpha, beta, k):
     # are the zeros of P_k' ~ P_{k-1}^(alpha+1, beta+1)
     params = jacobi_params(alpha, beta)
     u = _mode_state(ProblemSpec(params, 2.0), k, 0.01)
-    assert np.allclose(crossing_points(u), jacobi_zeros(k, params), rtol=0, atol=1e-12)
+    assert np.allclose(point_diagnostics(u)[0], jacobi_zeros(k, params), rtol=0, atol=1e-12)
     critical = [t for t, _ in critical_point_list(u)]
     expected = jacobi_zeros(k - 1, derivative_series(params, u.coeffs)[0]) if k > 1 else []
     assert len(critical) == len(expected)
@@ -611,7 +613,7 @@ def test_crossings_match_zeros_up_to_degree_20(alpha, beta, k, n, amp):
     params = jacobi_params(alpha, beta)
     c = np.zeros(n)
     c[0], c[k] = 1.0, amp
-    roots = crossing_points(SpectralFunction(c, params))
+    roots = point_diagnostics(SpectralFunction(c, params))[0]
     assert np.allclose(roots, jacobi_zeros(k, params), rtol=0, atol=1e-12)
 
 
@@ -652,7 +654,7 @@ SCAN_PAIRS += [(F(-999, 1000), F(-9, 10))]
 def _clenshaw_scan(params, coeffs, n_modes):
     # the reference scan: Clenshaw's recurrence by banded solves at every
     # point of the 8N+2 grid, +-1 included
-    return _series_banded(params, np.asarray(coeffs, dtype=float), _scan_grid(n_modes))
+    return stacked_series(((params, np.asarray(coeffs, dtype=float)),), _scan_grid(n_modes))[0]
 
 
 def _diagnostics(u):
@@ -660,7 +662,7 @@ def _diagnostics(u):
     the name of the error each one raises."""
     out = []
     for diag in (
-        crossing_points,
+        lambda v: point_diagnostics(v)[0],
         critical_point_list,
         lambda v: endpoint_label(v, -1),
         lambda v: endpoint_label(v, +1),
@@ -741,13 +743,25 @@ def test_simple_roots_polish_in_few_rounds(ab, monkeypatch):
     # u = 1 + 0.01 P_k: every bracket of u - 1 and of u' holds a simple root,
     # and one stacked solve takes the k + (k - 1) iterates together
     rounds = _count_rounds(monkeypatch)
+    scanned = []
+    scan = continuation._scan_values
+
+    def counting_scan(params, coeffs, n_modes):
+        scanned.append(coeffs.size)
+        return scan(params, coeffs, n_modes)
+
+    monkeypatch.setattr(continuation, "_scan_values", counting_scan)
     spec = ProblemSpec(jacobi_params(*ab), 2.0)
+    n = spec.N
     for k in range(1, 9):
         rounds.clear()
+        scanned.clear()
         crossings, critical = point_diagnostics(_mode_state(spec, k, 0.01))
         assert (len(crossings), len(critical)) == (k, k - 1)
         assert 1 <= len(rounds) <= 5
         assert all(size <= 2 * k - 1 for size in rounds)
+        # u - 1 and u' once each; u'' only where u' has a root, so not for k = 1
+        assert scanned == ([n, n - 1, n - 2] if k > 1 else [n, n - 1])
 
 
 @pytest.mark.parametrize("t0", [0.3, -0.55])
@@ -760,7 +774,7 @@ def test_off_center_triple_root_raises(ab, t0, monkeypatch):
     with pytest.raises(
         TangencyError, match=r"^crossing at t=-?0\.\d{6} is nearly degenerate"
     ) as info:
-        crossing_points(u)
+        point_diagnostics(u)
     assert abs(info.value.t - t0) < 1e-4
     assert f"t={info.value.t:.6f}" in str(info.value)
     assert len(rounds) <= 64
@@ -785,32 +799,8 @@ def test_joint_pass_raises_the_crossing_first(ab):
     )
     with pytest.raises(TangencyError, match=r"^crossing at t=-?0\.000") as info:
         point_diagnostics(u)
-    views = (crossing_points, count_crossings, critical_point_list, count_critical_points)
-    for view in views:
+    for view in (count_crossings, critical_point_list, count_critical_points):
         assert _outcome(view, u) == (TangencyError, str(info.value))
-
-
-@pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
-def test_joint_polish_takes_no_more_rounds_than_the_larger_one(ab, monkeypatch):
-    rounds = _count_rounds(monkeypatch)
-    scanned = []
-    scan = continuation._scan_values
-
-    def counting_scan(params, coeffs, n_modes):
-        scanned.append(coeffs.size)
-        return scan(params, coeffs, n_modes)
-
-    monkeypatch.setattr(continuation, "_scan_values", counting_scan)
-    spec = ProblemSpec(jacobi_params(*ab), 2.0)
-    for k in range(1, 9):
-        rounds.clear()
-        scanned.clear()
-        crossings, critical = point_diagnostics(_mode_state(spec, k, 0.01))
-        assert (len(crossings), len(critical)) == (k, k - 1)
-        assert len(rounds) <= 5
-        # u - 1 and u' once each; u'' only where u' has a root, so not for k = 1
-        n = spec.N
-        assert scanned == ([n, n - 1, n - 2] if k > 1 else [n, n - 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -853,7 +843,7 @@ class TestBranchSwitch:
         assert bp.lam == pytest.approx(3.0 - 1.2e-3, rel=1e-4)
         assert bp.crossings == 1
         assert bp.critical_points == 0
-        assert bp.residual_norm < 1e-11 * (1.0 + bp.u.w_norm())
+        assert bp.residual_norm < 1e-11 * (1.0 + discretization(P10).w_norm(bp.u.coeffs))
 
     def test_two_mode_case(self):
         bp = branch_switch(2, PHALF, 1e-3, +1)
@@ -1018,8 +1008,9 @@ class TestContinueBranch:
         settings = ContinuationSettings(max_steps=10, ds_max=0.01)
         start = branch_switch(2, PHALF, 1e-3, +1)
         branch = continue_branch(start, PHALF, settings)
+        disc = discretization(PHALF)
         for p in branch.points:
-            assert p.residual_norm < NEWTON_TOL * (1.0 + p.u.w_norm())
+            assert p.residual_norm < NEWTON_TOL * (1.0 + disc.w_norm(p.u.coeffs))
         s = [p.s for p in branch.points]
         assert all(b > a for a, b in zip(s, s[1:]))
 
@@ -1037,7 +1028,7 @@ class TestContinueBranch:
         branch = continue_branch(start, P10, settings)
         assert branch.termination == "amplitude-cap"
         assert len(branch.points) == 2
-        assert branch.points[-1].u.w_norm() > 1.0
+        assert discretization(P10).w_norm(branch.points[-1].u.coeffs) > 1.0
 
     def test_minus_direction_mirrors_slope(self):
         bp = branch_switch(1, P10, 1e-3, -1)
@@ -1057,7 +1048,7 @@ class TestContinueBranch:
         branch = continue_branch(start, P10, settings)
         p = branch.points[-1]
         bm, bp_ = boundary_residual(p.u, p.lam, P10)
-        bound = 1e-6 * (1.0 + p.u.w_norm())
+        bound = 1e-6 * (1.0 + discretization(P10).w_norm(p.u.coeffs))
         assert abs(bm) < bound and abs(bp_) < bound
 
 
@@ -1209,7 +1200,8 @@ class TestFolds:
         disc = discretization(P10)
         jv = disc.jacobian(rec.point.u.coeffs, rec.lambda_star) @ rec.null_direction.coeffs
         assert disc.w_norm(jv) < 1e-9
-        assert rec.null_direction.w_norm() == pytest.approx(1.0, rel=1e-10)
+        norm = disc.w_norm(rec.null_direction.coeffs)
+        assert norm == pytest.approx(1.0, rel=1e-10)
 
     def test_branch_back_to_trivial_solution(self):
         # this k = 4 branch returns to u = 1, where no count is defined; that
@@ -1513,10 +1505,10 @@ class TestSpectralFunction:
     def test_w_norm_matches_quadrature(self):
         rng = np.random.default_rng(11)
         c = rng.standard_normal(12)
-        u = SpectralFunction(c, P10.params)
+        disc = discretization(ProblemSpec(P10.params, 2.0, N=12))
         rule = gauss_jacobi_rule(P10.params, 16)
         vals = jacobi_table(P10.params, 11, rule.nodes) @ c
-        assert u.w_norm() == pytest.approx(math.sqrt(rule.weights @ vals**2), rel=1e-12)
+        assert disc.w_norm(c) == pytest.approx(math.sqrt(rule.weights @ vals**2), rel=1e-12)
 
     def test_coefficients_are_frozen(self):
         u = SpectralFunction.constant_one(P10)

@@ -28,7 +28,6 @@ from jacbif import (
 from jacbif import jacobi
 from jacbif.continuation import _scan_grid
 from jacbif.jacobi import (
-    _series_banded,
     chebyshev_connection,
     chebyshev_series,
     derivative_series,
@@ -259,7 +258,8 @@ class TestSeries:
         params = jacobi_params(F(3, 2), F(1, 2))
         pts = np.cos(np.linspace(0.0, np.pi, count + 2))[1:-1]
         c = np.random.default_rng(count).standard_normal(64) * 0.95 ** np.arange(64)
-        assert np.array_equal(jacobi_series(params, c, pts), _series_banded(params, c, pts))
+        banded = stacked_series(((params, c),), pts)[0]
+        assert np.array_equal(jacobi_series(params, c, pts), banded)
         self.check_table_product(params, 64, pts)
 
     @staticmethod
@@ -290,7 +290,7 @@ class TestSeries:
         pts = [-1.0, -0.9999, -0.6, -0.25, 0.0, 0.3, 0.75, 0.9999, 1.0]
         params = jacobi_params(*ab)
         # the banded solve at every point, and jacobi_series (closed form at +-1)
-        banded = _series_banded(params, c, np.array(pts))
+        banded = stacked_series(((params, c),), np.array(pts))[0]
         summed = jacobi_series(params, c, pts)
         with mp.workdps(30):
             al, be = (mp.mpf(x.numerator) / x.denominator for x in ab)
@@ -328,8 +328,8 @@ class TestSeries:
         params = jacobi_params(F(-999, 1000), F(-9, 10))
         c = np.random.default_rng(n).standard_normal(n)
         pts = self.points(93, n)
-        one_by_one = [_series_banded(params, c, pts[i : i + 1])[0] for i in range(pts.size)]
-        assert np.array_equal(_series_banded(params, c, pts), one_by_one)
+        one_by_one = [stacked_series(((params, c),), pts[[i]])[0, 0] for i in range(pts.size)]
+        assert np.array_equal(stacked_series(((params, c),), pts)[0], one_by_one)
 
     @pytest.mark.parametrize("count", [1, 3, 93], ids=str)
     @pytest.mark.parametrize("n", [2, 16, 64, 256])
@@ -342,8 +342,8 @@ class TestSeries:
         dparams, dc = derivative_series(params, c)
         pts = self.points(count + 2, n)[1:-1]
         f, df = stacked_series(((params, c), (dparams, dc)), pts)
-        assert np.array_equal(f, _series_banded(params, c, pts))
-        assert np.array_equal(df, _series_banded(dparams, dc, pts))
+        assert np.array_equal(f, stacked_series(((params, c),), pts)[0])
+        assert np.array_equal(df, stacked_series(((dparams, dc),), pts)[0])
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
     def test_empty_points_keep_their_shape(self, shape):
@@ -385,7 +385,7 @@ def _series_gap(alpha, beta, n, seed, pts=None):
     c = rng.standard_normal(n) * rng.uniform(0.5, 1.0) ** np.arange(n)
     pts = rng.uniform(-1.0, 1.0, 40) if pts is None else np.asarray(pts)
     table = jacobi_table(params, n - 1, pts)
-    return np.abs(_series_banded(params, c, pts) - table @ c) / (np.abs(table) @ np.abs(c))
+    return np.abs(stacked_series(((params, c),), pts)[0] - table @ c) / (np.abs(table) @ np.abs(c))
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,7 +434,7 @@ class TestChebyshev:
         scale = np.max(np.abs(table) @ np.abs(c))
         vals = chebyshev_series(params, c, m)
         assert np.max(np.abs(vals - table @ c)) <= 2e-12 * scale
-        assert np.max(np.abs(vals - _series_banded(params, c, pts))) <= 2e-12 * scale
+        assert np.max(np.abs(vals - stacked_series(((params, c),), pts)[0])) <= 2e-12 * scale
 
     @pytest.mark.parametrize("n", [8, 16, 64, 256])
     @pytest.mark.parametrize("ab", TestSeries.PAIRS, ids=str)
