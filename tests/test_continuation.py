@@ -743,25 +743,13 @@ def test_simple_roots_polish_in_few_rounds(ab, monkeypatch):
     # u = 1 + 0.01 P_k: every bracket of u - 1 and of u' holds a simple root,
     # and one stacked solve takes the k + (k - 1) iterates together
     rounds = _count_rounds(monkeypatch)
-    scanned = []
-    scan = continuation._scan_values
-
-    def counting_scan(params, coeffs, n_modes):
-        scanned.append(coeffs.size)
-        return scan(params, coeffs, n_modes)
-
-    monkeypatch.setattr(continuation, "_scan_values", counting_scan)
     spec = ProblemSpec(jacobi_params(*ab), 2.0)
-    n = spec.N
     for k in range(1, 9):
         rounds.clear()
-        scanned.clear()
         crossings, critical = point_diagnostics(_mode_state(spec, k, 0.01))
         assert (len(crossings), len(critical)) == (k, k - 1)
         assert 1 <= len(rounds) <= 5
         assert all(size <= 2 * k - 1 for size in rounds)
-        # u - 1 and u' once each; u'' only where u' has a root, so not for k = 1
-        assert scanned == ([n, n - 1, n - 2] if k > 1 else [n, n - 1])
 
 
 @pytest.mark.parametrize("t0", [0.3, -0.55])
@@ -801,6 +789,42 @@ def test_joint_pass_raises_the_crossing_first(ab):
         point_diagnostics(u)
     for view in (count_crossings, critical_point_list, count_critical_points):
         assert _outcome(view, u) == (TangencyError, str(info.value))
+
+
+@pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
+def test_joint_polish_takes_no_more_rounds_than_the_larger_one(ab, monkeypatch):
+    # each round sums series[first : last + 2], first and last the least and
+    # greatest series index among the live iterates (0: u - 1, 1: u')
+    spans = []
+    solve = continuation.stacked_series
+
+    def recording_solve(series, x):
+        first = 0 if series[0][1].size == n else 1
+        spans.append((first, len(series) + first - 2))
+        return solve(series, x)
+
+    scanned = []
+    scan = continuation._scan_values
+
+    def counting_scan(params, coeffs, n_modes):
+        scanned.append(coeffs.size)
+        return scan(params, coeffs, n_modes)
+
+    monkeypatch.setattr(continuation, "stacked_series", recording_solve)
+    monkeypatch.setattr(continuation, "_scan_values", counting_scan)
+    spec = ProblemSpec(jacobi_params(*ab), 2.0)
+    n = spec.N
+    for k in range(1, 9):
+        spans.clear()
+        scanned.clear()
+        crossings, critical = point_diagnostics(_mode_state(spec, k, 0.01))
+        assert (len(crossings), len(critical)) == (k, k - 1)
+        crossing_rounds = sum(first == 0 for first, _ in spans)
+        critical_rounds = sum(last == 1 for _, last in spans)
+        assert crossing_rounds >= 1 and (critical_rounds >= 1) == (k > 1)
+        assert len(spans) == max(crossing_rounds, critical_rounds)
+        # u - 1 and u' once each; u'' only where u' has a root, so not for k = 1
+        assert scanned == ([n, n - 1, n - 2] if k > 1 else [n, n - 1])
 
 
 @settings(max_examples=60, deadline=None)
