@@ -49,9 +49,10 @@ from .errors import (
 from .jacobi import (
     JacobiParams,
     QuadratureRule,
+    _chebyshev_values,
     _count,
     _endpoint_vector,
-    chebyshev_series,
+    chebyshev_connection,
     derivative_series,
     gauss_jacobi_rule,
     jacobi_series,
@@ -518,13 +519,46 @@ def _scan_grid(n_modes: int) -> np.ndarray:
     return grid
 
 
-def _scan_values(params: JacobiParams, coeffs: np.ndarray, n_modes: int) -> np.ndarray:
-    """f = sum_i coeffs_i P_i on _scan_grid(n_modes): the closed form at +-1
-    (_endpoint_vector) and one FFT at the 8N Chebyshev points between
-    (chebyshev_series)."""
-    n = coeffs.size
-    lo, hi = (_endpoint_vector(params, n, side) @ coeffs for side in (-1, 1))
-    return np.concatenate(([lo], chebyshev_series(params, coeffs, 8 * n_modes), [hi]))
+def _chebyshev_derivative(a: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of d/dt sum_k a[..., k] T_k, row by row, as
+    many as a has (the last 0): b_(k-1) = b_(k+1) + 2k a_k from the top, and
+    b_0 halved.  Each parity class of k is one cumulative sum over the row."""
+    n = a.shape[-1]
+    w = 2.0 * np.arange(n) * a
+    tail = np.empty_like(w)  # tail_k = w_k + w_(k+2) + ...
+    for top in range(max(n - 2, 0), n):
+        tail[..., top::-2] = np.cumsum(w[..., top::-2], axis=-1)
+    b = np.zeros_like(a)
+    b[..., :-1] = tail[..., 1:]
+    b[..., 0] *= 0.5
+    return b
+
+
+def _scans(params: JacobiParams, minus_one: np.ndarray) -> tuple[list, np.ndarray]:
+    """(series, scans) for the states whose u - 1 has the Jacobi coefficients
+    ``minus_one``, a row per state.  ``series`` holds u - 1, u' and u'' as
+    (params, coefficient rows) in their own Jacobi bases (derivative_series),
+    and ``scans`` their values on _scan_grid(n) (shape (3, states, 8n + 2)):
+    at +-1 the closed forms (_endpoint_vector), and between, one real
+    inverse FFT of all 3 x states rows (_chebyshev_values) of the Chebyshev
+    coefficients, u - 1 by one product with chebyshev_connection per state
+    and u' and u'' by Chebyshev differentiation."""
+    n = minus_one.shape[1]
+    conn = chebyshev_connection(params, n)
+    cheb = np.empty((3,) + minus_one.shape)
+    for i, c in enumerate(minus_one):
+        cheb[0, i] = conn @ c  # row by row: a matrix product would round by block size
+    cheb[1] = _chebyshev_derivative(cheb[0])
+    cheb[2] = _chebyshev_derivative(cheb[1])
+    scans = np.empty((3, len(minus_one), 8 * n + 2))
+    scans[:, :, 1:-1] = _chebyshev_values(cheb, 8 * n)
+    series = [(params, minus_one)]
+    series += [derivative_series(*series[0])]
+    series += [derivative_series(*series[1])]
+    for scan, (basis, rows) in zip(scans, series):
+        for col, side in ((0, -1), (-1, 1)):
+            scan[:, col] = (rows * _endpoint_vector(basis, rows.shape[1], side)).sum(1)
+    return series, scans
 
 
 def _is_constant(c: np.ndarray) -> bool:
@@ -533,77 +567,59 @@ def _is_constant(c: np.ndarray) -> bool:
     return tail <= 1e-13 * (1.0 + abs(float(c[0])))
 
 
-def point_diagnostics(u: SpectralFunction) -> tuple[list[float], list[tuple[float, str]]]:
-    """(crossings, critical) of the state u from one pass: the roots of
-    u = 1 in (-1, 1), and the roots of u' there as (t, 'min') where u < 1,
-    (t, 'max') where u > 1, each in increasing order.  count_crossings,
-    critical_point_list and count_critical_points are views.
-
-    A state with non-finite coefficients, or a (numerically) constant one,
-    is a ParameterError.  u - 1 (the 1 taken off c_0, P_0 = 1, so a small
-    u - 1 keeps its relative accuracy) is summed on the 8N+2 points of
-    _scan_grid, t = +-1 among them (_scan_values); unless it is > -1 at each,
-    NonpositiveStateError.  u' is summed there once, as the critical-point
-    sign scan and the crossings' slope scale, and u'' only where u' has a
-    root, as the critical points' slope scale.
-
-    A grid node where a series is exactly 0 is a root, and a grid cell where
-    it changes sign brackets one.  All brackets are polished together by
-    safeguarded Newton (rtsafe, Press et al., Numerical Recipes, 9.4), from
-    their midpoints.  Each round sums the series the live iterates need, at
-    all of them, by one stacked banded solve (stacked_series), whose blocks
-    do not couple; each iterate reads its series and that series' derivative
-    and is updated on its own, in Python floats.  It stops at an exact zero
-    of f or when |f / f'| <= 2 eps max(1, |t|), tested before the bracket is
-    updated from the sign of f, since at convergence that sign is roundoff.
-    Otherwise the step is Newton's unless it leaves the bracket or fails to
-    halve the step before last, and bisection then; a bracket narrower than
-    1e-14 stops at its midpoint.  A node root is a bracket of width 0, read
-    once.  Each root must be transversal, |f'| from its last round >
-    TRANSVERSALITY_REL * max |f'| over the grid; otherwise TangencyError
-    names the first offending crossing, or else critical point.
-    """
-    c = u.coeffs
-    if not np.all(np.isfinite(c)):
-        raise ParameterError("count is undefined for states with non-finite coefficients")
-    if _is_constant(c):
-        raise ParameterError("count is undefined for (numerically) constant states")
-    n = c.size
-    minus_one = c.copy()
-    minus_one[0] -= 1.0
-    scans = [_scan_values(u.params, minus_one, n)]
-    if not scans[0].min() > -1.0:
-        raise NonpositiveStateError("state nonpositive on the scan grid")
-    series = [(u.params, minus_one), derivative_series(u.params, minus_one)]  # u - 1, u'
-    scans.append(_scan_values(*series[1], n))
-    grid = _scan_grid(n)
-    roots, slopes = [], []  # per series
-    live = []  # per iterate: [series, root, lo, hi, f(lo) > 0, t, last two step lengths]
-    for d, scan in enumerate(scans):
-        a, b = scan[:-1], scan[1:]
-        cell = a * b < 0.0
-        cells = np.flatnonzero(cell | ((a == 0.0) & (grid[:-1] > -1.0))).tolist()
-        for k, j in enumerate(cells):
-            lo, hi = float(grid[j]), float(grid[j + 1] if cell[j] else grid[j])
-            live.append([d, k, lo, hi, bool(a[j] > 0.0), 0.5 * (lo + hi), hi - lo, hi - lo])
-        roots.append([0.0] * len(cells))
-        slopes.append([0.0] * len(cells))
-    if roots[1]:
-        series.append(derivative_series(*series[1]))  # u''
-        scans.append(_scan_values(*series[2], n))
+def _diagnose(params: JacobiParams, rows: np.ndarray) -> list:
+    """point_diagnostics of each state sum_i rows[b, i] P_i of a block, from
+    numpy calls the block shares.  For each state it gives (crossings,
+    critical, slopes), slopes the |f'| of each root in the lists
+    [crossings, critical points], or the error the state raises.  A state's
+    outcome is the same, bit for bit, alone or in any block."""
+    out: list = [None] * len(rows)
+    live = []  # indices of the states that are scanned
+    for state, c in enumerate(rows):
+        if not np.all(np.isfinite(c)):
+            why = "states with non-finite coefficients"
+        elif _is_constant(c):
+            why = "(numerically) constant states"
+        else:
+            live.append(state)
+            continue
+        out[state] = ParameterError(f"count is undefined for {why}")
+    if not live:
+        return out
+    minus_one = rows[live]
+    minus_one[:, 0] -= 1.0
+    series, scans = _scans(params, minus_one)  # u - 1, u', u''
+    positive = scans[0].min(axis=1) > -1.0
+    grid = _scan_grid(minus_one.shape[1])
+    a, b = scans[:2, :, :-1], scans[:2, :, 1:]
+    cell = a * b < 0.0
+    bracketed = (cell | ((a == 0.0) & (grid[:-1] > -1.0))) & positive[:, None]
+    roots = [([], []) for _ in live]  # per state and series
+    slopes = [([], []) for _ in live]
+    iterates = []  # [state, series, root, lo, hi, f(lo) > 0, t, last two step lengths]
+    for d, i, j in zip(*(ax.tolist() for ax in np.nonzero(bracketed))):
+        lo, hi = float(grid[j]), float(grid[j + 1] if cell[d, i, j] else grid[j])
+        k = len(roots[i][d])
+        positive_lo = bool(a[d, i, j] > 0.0)
+        iterates.append([i, d, k, lo, hi, positive_lo, 0.5 * (lo + hi), hi - lo, hi - lo])
+        roots[i][d].append(0.0)
+        slopes[i][d].append(0.0)
     tiny = 2.0 * np.finfo(float).eps
-    while live:
-        first = min(it[0] for it in live)
-        points = np.array([it[5] for it in live])
-        sums = stacked_series(series[first : max(it[0] for it in live) + 2], points)
+    while iterates:
+        first = min(it[1] for it in iterates)
+        owners = [it[0] for it in iterates]
+        points = np.array([it[6] for it in iterates])
+        span = range(first, max(it[1] for it in iterates) + 2)
+        sums = stacked_series([(series[e][0], series[e][1][owners]) for e in span], points)
         still = []
-        for (d, k, lo, hi, positive, x, last, before_last), s in zip(live, sums.T.tolist()):
+        for it, s in zip(iterates, sums.T.tolist()):
+            i, d, k, lo, hi, positive_lo, x, last, before_last = it
             f, df = s[d - first], s[d - first + 1]
             newton = f / df if df else math.inf  # f / 0 fails the tests below, as inf does
-            roots[d][k], slopes[d][k] = x, abs(df)
+            roots[i][d][k], slopes[i][d][k] = x, abs(df)
             if f == 0.0 or abs(newton) <= tiny * max(1.0, abs(x)):
                 continue
-            lo, hi = (x, hi) if (f > 0.0) == positive else (lo, x)
+            lo, hi = (x, hi) if (f > 0.0) == positive_lo else (lo, x)
             mid = 0.5 * (lo + hi)
             guess = x - newton
             if lo < guess < hi and abs(newton) <= 0.5 * before_last:
@@ -611,20 +627,77 @@ def point_diagnostics(u: SpectralFunction) -> tuple[list[float], list[tuple[floa
             else:
                 before_last, last, x = last, 0.5 * (hi - lo), mid
             if hi - lo < 1e-14:
-                roots[d][k] = mid
+                roots[i][d][k] = mid
             else:
-                still.append([d, k, lo, hi, positive, x, last, before_last])
-        live = still
-    for d, what in enumerate(("crossing", "critical point")):
-        if roots[d]:
-            scale = TRANSVERSALITY_REL * np.max(np.abs(scans[d + 1]))
-            bad = [k for k, slope in enumerate(slopes[d]) if slope <= scale]
+                still.append([i, d, k, lo, hi, positive_lo, x, last, before_last])
+        iterates = still
+    scale = TRANSVERSALITY_REL * np.abs(scans[1:]).max(axis=2)  # per series and state
+    labelled = []
+    for i, state in enumerate(live):
+        if not positive[i]:
+            out[state] = NonpositiveStateError("state nonpositive on the scan grid")
+            continue
+        for d, what in enumerate(("crossing", "critical point")):
+            bad = [k for k, slope in enumerate(slopes[i][d]) if slope <= scale[d, i]]
             if bad:
-                t, slope = roots[d][bad[0]], slopes[d][bad[0]]
+                t, slope = roots[i][d][bad[0]], slopes[i][d][bad[0]]
                 msg = f"{what} at t={t:.6f} is nearly degenerate (|slope|={slope:.2e})"
-                raise TangencyError(msg, t=t, slope=slope)
-    below = u(np.array(roots[1])) < 1.0
-    return roots[0], [(r, "min" if b else "max") for r, b in zip(roots[1], below)]
+                out[state] = TangencyError(msg, t=t, slope=slope)
+                break
+        else:
+            labelled.append(i)
+    at = [(i, t) for i in labelled for t in roots[i][1]]
+    below = iter([])
+    if at:  # the sign of u - 1 at every critical point, from one more solve
+        owners, points = zip(*at)
+        below = iter(stacked_series([(params, minus_one[list(owners)])], np.array(points))[0] < 0.0)
+    for i in labelled:
+        critical = [(t, "min" if next(below) else "max") for t in roots[i][1]]
+        out[live[i]] = (roots[i][0], critical, slopes[i])
+    return out
+
+
+def point_diagnostics(u: SpectralFunction) -> tuple[list[float], list[tuple[float, str]]]:
+    """(crossings, critical) of the state u from one pass: the roots of
+    u = 1 in (-1, 1), and the roots of u' there as (t, 'min') where u < 1,
+    (t, 'max') where u > 1, each in increasing order.  count_crossings,
+    critical_point_list and count_critical_points are views.  It is the
+    one-state view of _diagnose, which continue_branch runs on blocks of
+    states, with the same outcome for each.
+
+    A state with non-finite coefficients, or a (numerically) constant one,
+    is a ParameterError.  u - 1 (the 1 taken off c_0, P_0 = 1, so a small
+    u - 1 keeps its relative accuracy) goes to Chebyshev coefficients by one
+    product with chebyshev_connection, and u' and u'' follow by Chebyshev
+    differentiation.  All three are summed on the 8N+2 points of
+    _scan_grid: at t = +-1 by the closed forms of the Jacobi series, between
+    by one FFT (_scans).  Unless u - 1 > -1 at each point,
+    NonpositiveStateError.  u' is the critical-point sign scan and, with u'',
+    the scale of the roots' slopes.
+
+    A grid node where a series is exactly 0 is a root, and a grid cell where
+    it changes sign brackets one.  All brackets are polished together by
+    safeguarded Newton (rtsafe, Press et al., Numerical Recipes, 9.4), from
+    their midpoints.  Each round sums the series the live iterates need, at
+    all of them, by one stacked banded solve of their Jacobi series
+    (stacked_series, every point with the coefficients of its own state),
+    whose blocks do not couple; each iterate reads its series and that
+    series' derivative and is updated on its own, in Python floats.  It
+    stops at an exact zero of f or when |f / f'| <= 2 eps max(1, |t|),
+    tested before the bracket is updated from the sign of f, since at
+    convergence that sign is roundoff.  Otherwise the step is Newton's
+    unless it leaves the bracket or fails to halve the step before last, and
+    bisection then; a bracket narrower than 1e-14 stops at its midpoint.  A
+    node root is a bracket of width 0, read once.  Each root must be
+    transversal, |f'| from its last round > TRANSVERSALITY_REL * max |f'|
+    over the grid; otherwise TangencyError names the first offending
+    crossing, or else critical point.  A critical point is labelled 'min'
+    where (u - 1)(t) < 0, from one more stacked solve.
+    """
+    found = _diagnose(u.params, u.coeffs[None, :])[0]
+    if isinstance(found, Exception):
+        raise found
+    return found[0], found[1]
 
 
 def count_crossings(u: SpectralFunction) -> int:
@@ -671,33 +744,69 @@ def _sigma_range(ev: _StateEvaluation, jac: np.ndarray, lam: float) -> tuple[flo
     return float(eig.min()), float(eig.max())
 
 
+def _make_points(states: list) -> tuple[list[BranchPoint], Exception | None]:
+    """The acceptance step of every reported state, for a block of states
+    (ev, lam, s, smin, tangent) of one discretization, in order: quad_gap
+    (NumericalBreakdownError above QUAD_CHECK_TOL) for each state until one
+    fails, then point_diagnostics of the states before it, as one block
+    (_diagnose).  ``smin`` is sigma_min of J at the state (_sigma_range) and
+    ``tangent`` its unit tangent (tau_c, tau_lam) on the modes of ev.disc.
+
+    Returns the points of the states before the first refused one and that
+    state's error, or all the points and None: what _make_point on each
+    state in turn would return before it raised.  A point holds c and tau_c
+    padded to spec.N coefficients (Discretization.pad)."""
+    error = None
+    for j, (ev, *_) in enumerate(states):
+        try:
+            gap = ev.disc.quad_gap(ev)
+        except NonpositiveStateError as exc:
+            error = exc
+        else:
+            if gap > QUAD_CHECK_TOL:
+                error = NumericalBreakdownError(
+                    f"quadrature convergence check failed (gap={gap:.2e}); increase M"
+                )
+        if error is not None:
+            states = states[:j]
+            break
+    if not states:
+        return [], error
+    disc = states[0][0].disc
+    params = disc.spec.params
+    # the arrays that the points keep are made before the block's scans, not
+    # among the temporaries those free (it keeps fold-n256's peak RSS down)
+    us = [SpectralFunction(disc.pad(ev.c), params) for ev, *_ in states]
+    taus = [disc.pad(tangent[0]) for *_, tangent in states]
+    found = _diagnose(params, np.array([u.coeffs for u in us]))
+    points = []
+    for (ev, lam, s, smin, tangent), u, tau_c, diagnosed in zip(states, us, taus, found):
+        if isinstance(diagnosed, Exception):
+            return points, diagnosed
+        points.append(
+            BranchPoint(
+                u=u,
+                lam=float(lam),
+                s=float(s),
+                residual_norm=disc.w_norm(ev.residual(lam)),
+                sigma_min=smin,
+                crossings=len(diagnosed[0]),
+                critical=diagnosed[1],
+                tangent=(tau_c, tangent[1]),
+            )
+        )
+    return points, error
+
+
 def _make_point(
     ev: _StateEvaluation, lam: float, s: float, smin: float, tangent: tuple
 ) -> BranchPoint:
-    """The point (c, lam) of ``ev`` with its diagnostics, the one acceptance
-    step of every reported state: quad_gap (NumericalBreakdownError above
-    QUAD_CHECK_TOL), then point_diagnostics.  ``smin`` is sigma_min of J there
-    (_sigma_range) and ``tangent`` its unit tangent (tau_c, tau_lam) on the
-    modes of ev.disc.  The point holds c and tau_c padded to spec.N
-    coefficients (Discretization.pad)."""
-    disc = ev.disc
-    gap = disc.quad_gap(ev)
-    if gap > QUAD_CHECK_TOL:
-        raise NumericalBreakdownError(
-            f"quadrature convergence check failed (gap={gap:.2e}); increase M"
-        )
-    u = SpectralFunction(disc.pad(ev.c), disc.spec.params)
-    crossings, critical = point_diagnostics(u)
-    return BranchPoint(
-        u=u,
-        lam=float(lam),
-        s=float(s),
-        residual_norm=disc.w_norm(ev.residual(lam)),
-        sigma_min=smin,
-        crossings=len(crossings),
-        critical=critical,
-        tangent=(disc.pad(tangent[0]), tangent[1]),
-    )
+    """The point (c, lam) of ``ev`` with its diagnostics: _make_points on a
+    block of one, raising the error of a refused state."""
+    points, error = _make_points([(ev, lam, s, smin, tangent)])
+    if error is not None:
+        raise error
+    return points[0]
 
 
 def _bordered_matrix(
@@ -855,6 +964,9 @@ def _fold_bracket(points: list[BranchPoint]) -> int | None:
     return None
 
 
+ACCEPT_BLOCK = 8  # traced states that continue_branch accepts together (_make_points)
+
+
 def continue_branch(
     start: BranchPoint,
     spec: ProblemSpec,
@@ -870,6 +982,12 @@ def continue_branch(
     where _make_point checks it (neither state is appended), or (optionally)
     FOLD_TRAIL points after the first fold bracket (_fold_bracket on the
     point tangents).
+
+    The traced states (_trace) wait for acceptance, and _make_points accepts
+    them in blocks: when ACCEPT_BLOCK are waiting, before a corrector retry
+    at a smaller ds, and before every return or raise.  States traced past
+    a refused one are dropped, so the branch, its termination and any error
+    are those of accepting each state as it is traced.
 
     A start that is not a state of ``spec`` (spec.N coefficients, spec.params,
     and a residual that passes the Newton test of _bordered_newton, as every
@@ -888,64 +1006,97 @@ def continue_branch(
         raise ParameterError(f"start does not solve the spec: residual {res:.2e}")
     direction = 1 if start.s >= 0.0 else -1
     branch = Branch(spec=spec, k=start.crossings, direction=direction, points=[start])
+    states = _trace(disc, start, direction, settings)
+    pending: list = []
+    error = None
+    while True:
+        try:
+            state = next(states)
+        except StopIteration as stop:
+            branch.termination = stop.value
+            break
+        except Exception as exc:  # raised below, once the states before it are accepted
+            error = exc
+            break
+        if state is not None:
+            pending.append(state)
+        if pending and (state is None or len(pending) == ACCEPT_BLOCK):
+            if not _accept(branch, pending):
+                return branch
+    if _accept(branch, pending) and error is not None:
+        raise error
+    return branch
 
+
+def _accept(branch: Branch, pending: list) -> bool:
+    """Append the pending states to the branch as points (_make_points) and
+    empty the list.  False where a state is refused as nonpositive: the
+    branch ends before it, with the termination "nonpositive-state".  Any
+    other refusal raises."""
+    points, error = _make_points(pending)
+    pending.clear()
+    branch.points += points
+    if isinstance(error, NonpositiveStateError):
+        # positive at the M nodes but not where _make_points looks: the
+        # branch has left the positive solutions
+        branch.termination = "nonpositive-state"
+        return False
+    if error is not None:
+        raise error
+    return True
+
+
+def _trace(
+    disc: Discretization, start: BranchPoint, direction: int, settings: ContinuationSettings
+):
+    """The states continue_branch traces after ``start``, before acceptance:
+    each as (ev, lam, s, smin, tangent) for _make_points, and None before a
+    corrector retry at a smaller ds.  Returns the termination, or raises
+    NewtonDivergenceError where the corrector fails below ds_min."""
+    c, lam, s = start.u.coeffs[disc.modes], start.lam, start.s
+    tau = (start.tangent[0][disc.modes], start.tangent[1])
     ds = min(max(settings.ds0, settings.ds_min), settings.ds_max)
     steps_after_bracket = 0
-
-    while len(branch.points) < settings.max_steps:
-        last = branch.points[-1]
-        tau = (last.tangent[0][disc.modes], last.tangent[1])
+    for _ in range(settings.max_steps - 1):  # the start is the first point
         while True:
             try:
-                ev, lam, iters = _correct(disc, last.u.coeffs[disc.modes], last.lam, *tau, ds)
+                ev, lam_next, iters = _correct(disc, c, lam, *tau, ds)
                 break
             except (NewtonDivergenceError, NonpositiveStateError, np.linalg.LinAlgError):
                 if 0.5 * ds < settings.ds_min:
                     raise NewtonDivergenceError(
-                        f"corrector failed below ds_min at s={abs(last.s):.4f}, "
-                        f"lambda={last.lam:.6f}",
-                        s=abs(last.s),
-                        lam=float(last.lam),
+                        f"corrector failed below ds_min at s={abs(s):.4f}, lambda={lam:.6f}",
+                        s=abs(s),
+                        lam=float(lam),
                         ds=ds,
                     ) from None
+                yield None
                 ds *= 0.5
         if _is_constant(ev.c):
             # the branch has come back to u = 1, where no count is defined
-            branch.termination = "trivial-branch"
-            return branch
+            return "trivial-branch"
         # the corrector's last evaluation and one Jacobian serve sigma_min,
         # the tangent and the residual norm
-        jac = ev.jacobian(lam)
+        jac = ev.jacobian(lam_next)
         tangent = _tangent(ev, jac, *tau)
-        smin = _sigma_range(ev, jac, lam)[0]
-        try:
-            point = _make_point(ev, lam, last.s + direction * ds, smin, tangent)
-        except NonpositiveStateError:
-            # positive at the M nodes but not where _make_point looks: the
-            # branch has left the positive solutions
-            branch.termination = "nonpositive-state"
-            return branch
-        branch.points.append(point)
-
+        smin = _sigma_range(ev, jac, lam_next)[0]
+        c, lam, s = ev.c, lam_next, s + direction * ds
+        yield ev, lam, s, smin, tangent
         if not (settings.lambda_floor < lam < settings.lambda_ceiling):
-            branch.termination = "lambda-window"
-            return branch
-        if disc.w_norm(ev.c) > settings.amplitude_cap:
-            branch.termination = "amplitude-cap"
-            return branch
-        if settings.stop_on_fold and (
-            steps_after_bracket or _fold_bracket(branch.points[-2:]) is not None
-        ):
+            return "lambda-window"
+        if disc.w_norm(c) > settings.amplitude_cap:
+            return "amplitude-cap"
+        # tau_lam changes sign from the last point: _fold_bracket of the two
+        if settings.stop_on_fold and (steps_after_bracket or tau[1] * tangent[1] <= 0.0):
             steps_after_bracket += 1
             if steps_after_bracket > FOLD_TRAIL:
-                branch.termination = "fold-bracketed"
-                return branch
+                return "fold-bracketed"
+        tau = tangent
         if iters <= 4:
             ds = min(ds * 1.4, settings.ds_max)
         elif iters >= 10:
             ds = max(ds * 0.6, settings.ds_min)
-    branch.termination = "max-steps"
-    return branch
+    return "max-steps"
 
 
 def _correct(

@@ -319,9 +319,9 @@ def _shaped(vals: np.ndarray, t):
 # Unknowns per banded solve, so that the work arrays of one solve stay bounded
 # for any number of points t.  A point costs n + 1 unknowns of 4 doubles (band
 # and right-hand side), about 8 kB at n = 256, so one solve over 10^5 points
-# would allocate about 0.8 GB.  The program's own calls (polish rounds of u - 1,
-# u' and u'' at the open brackets, labels) are small enough that a single solve
-# per call left peak RSS unchanged on fold-ref and fold-n256.
+# would allocate about 0.8 GB.  The program's own calls, the polish rounds and
+# labels of a block of up to 8 states in continuation, take a few dozen points:
+# one or two solves per call at N = 64, and several at N = 256.
 _BAND_UNKNOWNS = 5000
 
 
@@ -342,7 +342,9 @@ def _clenshaw_operator(params: JacobiParams, n: int) -> tuple[np.ndarray, ...]:
 
 def stacked_series(series, x: np.ndarray) -> np.ndarray:
     """Row s holds sum_i c_i P_i at the interior points of the 1-d x, for
-    (params, c) = series[s], all rows from the same banded LAPACK solves.
+    (params, c) = series[s], all rows from the same banded LAPACK solves.  A
+    2-d c holds one row of coefficients per point of x, so that each point
+    sums its own series.
 
     Clenshaw's recurrence b_j - ((t - mid_j) / up_j) b_{j+1} + ratio_j b_{j+2}
     = c_j of one series at one point is a unit upper-triangular system of
@@ -357,11 +359,10 @@ def stacked_series(series, x: np.ndarray) -> np.ndarray:
     recurrences lose digits at t = +-1 when an exponent is near -1, so
     jacobi_series takes those points from the closed form instead.
     """
-    ops = [_clenshaw_operator(params, c.size - 1) for params, c in series]
-    starts = np.cumsum([0] + [c.size for _, c in series])
+    ops = [_clenshaw_operator(params, c.shape[-1] - 1) for params, c in series]
+    starts = np.cumsum([0] + [c.shape[-1] for _, c in series])
     width = int(starts[-1])
     template = np.concatenate([band for _, _, band in ops])
-    coeffs = np.concatenate([c for _, c in series])
     step = max(1, _BAND_UNKNOWNS // width)
     out = np.empty((len(series), x.size))
     for lo in range(0, x.size, step):
@@ -371,7 +372,8 @@ def stacked_series(series, x: np.ndarray) -> np.ndarray:
         for (mid, up, _), s in zip(ops, starts):
             band[:, s + 1 : s + 1 + mid.size, 1] = (mid - xs[:, None]) / up
         rhs = np.empty((xs.size, width))  # its own buffer: dtbtrs overwrites it
-        rhs[:] = coeffs
+        for (_, c), s, e in zip(series, starts[:-1], starts[1:]):
+            rhs[:, s:e] = c if c.ndim == 1 else c[lo : lo + xs.size]
         ab = band.reshape(-1, 3).T
         b, info = dtbtrs(ab, rhs.reshape(-1, 1), uplo="U", diag="U", overwrite_b=1)
         if info != 0:
@@ -412,10 +414,11 @@ def jacobi_series(params: JacobiParams, coeffs, t):
     return _shaped(vals, t)
 
 
-# The scans of one state use three connection matrices (u - 1, u' and u'' in
-# their own bases), 1.5 MB at N = 256.  Keeping only those bounds the memory
-# when one process traces several parameter sets: over the two fold-n256
-# cases, peak RSS read 1.8 MB higher with an unbounded cache.
+# The scans of a state use one connection matrix, that of u - 1 in its own
+# basis (continuation takes u' and u'' from its Chebyshev coefficients), 0.5 MB
+# at N = 256.  Keeping three at most bounds the memory when one process traces
+# several parameter sets: over the two fold-n256 cases, peak RSS read 1.8 MB
+# higher with an unbounded cache when each state still used three.
 @lru_cache(maxsize=3, typed=True)
 def chebyshev_connection(params: JacobiParams, n: int) -> np.ndarray:
     """The (n, n) matrix C with sum_i c_i P_i = sum_k (C c)_k T_k for n
@@ -459,12 +462,20 @@ def chebyshev_series(params: JacobiParams, coeffs, m: int) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float).ravel()
     if not 0 < c.size <= m:
         raise ParameterError(f"{c.size} coefficients cannot be summed at {m} Chebyshev points")
-    k = np.arange(c.size)
-    z = np.zeros(m + 1, dtype=complex)
-    z[: c.size] = (m * (chebyshev_connection(params, c.size) @ c)) * np.exp(0.5j * np.pi * k / m)
-    z[1 : c.size : 2] *= -1.0
-    z[0] *= 2.0
-    return np.fft.irfft(z, 2 * m)[:m]
+    return _chebyshev_values(chebyshev_connection(params, c.size) @ c, m)
+
+
+def _chebyshev_values(a: np.ndarray, m: int) -> np.ndarray:
+    """sum_k a[..., k] T_k at the m points of chebyshev_series, for every row
+    of a (at most m coefficients each), by one real inverse FFT of all rows.
+    The FFT transforms each row on its own, so a row's sums do not depend on
+    the other rows."""
+    n = a.shape[-1]
+    z = np.zeros(a.shape[:-1] + (m + 1,), dtype=complex)
+    z[..., :n] = (m * a) * np.exp(0.5j * np.pi * np.arange(n) / m)
+    z[..., 1:n:2] *= -1.0
+    z[..., 0] *= 2.0
+    return np.fft.irfft(z, 2 * m)[..., :m]
 
 
 def eval_jacobi(k: int, params: JacobiParams, t):
@@ -725,13 +736,14 @@ def derivative_series(params: JacobiParams, coeffs: np.ndarray):
     """Coefficients of d/dt of sum c_i P_i, in the (alpha+1, beta+1) basis, by
     the degree/parameter shift identity
 
-    d/dt P_i = (i + alpha + beta + 1)/2 * P_{i-1}^{(alpha+1, beta+1)}.
+    d/dt P_i = (i + alpha + beta + 1)/2 * P_{i-1}^{(alpha+1, beta+1)},
 
+    along the last axis of coeffs, so each row of a 2-d array is one series.
     Equal parameters give the same (alpha+1, beta+1) object.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     sp = _shifted_params(params)
-    if coeffs.size <= 1:
-        return sp, np.zeros(1)
-    i = np.arange(1, coeffs.size, dtype=float)
-    return sp, coeffs[1:] * (i + params.a) / 2.0
+    if coeffs.ndim == 0 or coeffs.shape[-1] <= 1:
+        return sp, np.zeros(coeffs.shape[:-1] + (1,))
+    i = np.arange(1, coeffs.shape[-1], dtype=float)
+    return sp, coeffs[..., 1:] * (i + params.a) / 2.0

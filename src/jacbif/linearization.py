@@ -135,19 +135,22 @@ class SignReport:
 
 def classify(values, band=0) -> tuple[str, ...]:
     """The sign label ("zero", "positive" or "negative") of each value; values
-    within band * max|values| of 0 count as zero.  Exact values use band = 0.
-    A NaN has no sign: the first one is a NumericalError naming its index."""
-    tol = band * max(abs(v) for v in values)
+    within band * max|values| of 0 count as zero.  Exact values use band = 0,
+    which takes no max.  A NaN or an infinity has no usable sign (an infinity
+    would also widen the band to every value): the first one is a
+    NumericalError naming its index."""
+    tol = band * max(abs(v) for v in values) if band else 0
     labels = []
     for i, v in enumerate(values):
+        if not abs(v) < math.inf:
+            what = "NaN" if v != v else float(v)
+            raise NumericalError(f"value {i} is {what} and has no sign")
         if abs(v) <= tol:
             labels.append("zero")
         elif v > 0:
             labels.append("positive")
-        elif v < 0:
+        else:
             labels.append("negative")
-        else:  # NaN; tol is NaN only when values[0] is, so no NaN is passed over
-            raise NumericalError(f"value {i} is NaN and has no sign")
     return tuple(labels)
 
 

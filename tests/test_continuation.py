@@ -45,7 +45,7 @@ from jacbif.continuation import (
     _extremum_labels,
     _fold_bracket,
     _scan_grid,
-    _scan_values,
+    _scans,
     discretization,
     point_diagnostics,
     solve_at_phase,
@@ -184,9 +184,9 @@ class TestResidual:
         ev = continuation._StateEvaluation(disc, c)  # checks u > 0 at the M nodes
         assert ev.vals.min() > 0.0
         disc.residual_coeffs(c, 1.0)
-        assert _scan_values(P10.params, c, P10.N)[0] < 0.0
+        assert _scan_of(P10.params, c)[0, 0] < -1.0  # u - 1 at t = -1
         with monkeypatch.context() as m:
-            m.setattr(continuation, "_scan_values", None)
+            m.setattr(continuation, "_scans", None)
             assert disc.quad_gap(ev) == 0.0
         with pytest.raises(NonpositiveStateError, match="^state nonpositive on the scan grid$"):
             point_diagnostics(SpectralFunction(c, P10.params))
@@ -651,10 +651,20 @@ SCAN_PAIRS = [(1, 0), (F(1, 2), F(1, 2)), (0, 0), (F(3, 2), F(1, 2)), (F(-1, 2),
 SCAN_PAIRS += [(F(-999, 1000), F(-9, 10))]
 
 
-def _clenshaw_scan(params, coeffs, n_modes):
-    # the reference scan: Clenshaw's recurrence by banded solves at every
-    # point of the 8N+2 grid, +-1 included
-    return stacked_series(((params, np.asarray(coeffs, dtype=float)),), _scan_grid(n_modes))[0]
+def _scan_of(params, coeffs):
+    """The scans of u - 1, u' and u'' (rows) of the state with coefficients coeffs."""
+    minus_one = np.array(coeffs, dtype=float)[None, :]
+    minus_one[0, 0] -= 1.0
+    return _scans(params, minus_one)[1][:, 0]
+
+
+def _clenshaw_scans(params, minus_one):
+    # the reference scans: Clenshaw's recurrence by banded solves at every
+    # point of the 8N+2 grid, +-1 included, of u - 1, u' and u''
+    series, _ = _scans(params, minus_one)
+    grid = _scan_grid(minus_one.shape[1])
+    scans = [[stacked_series(((p, c),), grid)[0] for c in rows] for p, rows in series]
+    return series, np.array(scans)
 
 
 def _diagnostics(u):
@@ -705,33 +715,38 @@ def test_fft_scan_matches_clenshaw_scan(ab, monkeypatch):
     # labels, error types and the polished roots agree exactly
     states = list(_scan_states(jacobi_params(*ab), np.random.default_rng(2026)))
     fft = [_diagnostics(u) for u in states]
-    monkeypatch.setattr(continuation, "_scan_values", _clenshaw_scan)
+    monkeypatch.setattr(continuation, "_scans", _clenshaw_scans)
     assert fft == [_diagnostics(u) for u in states]
 
 
-def test_derivative_is_scanned_only_for_a_sign_change(monkeypatch):
-    # u = 1 + 0.01 P_1: u - 1 and u' are scanned once each; u' has no root,
-    # so u'' is never scanned
+def test_a_block_takes_one_fft_scan(monkeypatch):
+    # u - 1, u' and u'' of every state of a block, u = 1 + 0.01 P_k for
+    # k = 1, 2, 3, are summed between +-1 by one FFT call
     calls = []
 
-    def counting_scan(params, coeffs, n_modes):
-        calls.append(coeffs.size)
-        return scan(params, coeffs, n_modes)
+    def counting_values(a, m):
+        calls.append((a.shape, m))
+        return values(a, m)
 
-    scan = continuation._scan_values
-    monkeypatch.setattr(continuation, "_scan_values", counting_scan)
-    crossings, critical = point_diagnostics(_mode_state(P10, 1, 0.01))
-    assert len(crossings) == 1 and critical == []
-    assert calls == [P10.N, P10.N - 1]
+    values = continuation._chebyshev_values
+    monkeypatch.setattr(continuation, "_chebyshev_values", counting_values)
+    rows = np.array([_mode_state(P10, k, 0.01).coeffs for k in (1, 2, 3)])
+    found = continuation._diagnose(P10.params, rows)
+    counts = [(len(crossings), len(critical)) for crossings, critical, _ in found]
+    assert counts == [(1, 0), (2, 1), (3, 2)]
+    assert calls == [((3, 3, P10.N), 8 * P10.N)]
 
 
 def _count_rounds(monkeypatch):
-    """A list that records one entry per stacked solve of the root polish."""
+    """A list that records one entry per stacked solve of the root polish:
+    the solves of at least two series, each iterate's and its derivative
+    (the label solve sums u - 1 alone)."""
     rounds = []
     solve = continuation.stacked_series
 
     def counting_solve(series, x):
-        rounds.append(x.size)
+        if len(series) >= 2:
+            rounds.append(x.size)
         return solve(series, x)
 
     monkeypatch.setattr(continuation, "stacked_series", counting_solve)
@@ -794,24 +809,26 @@ def test_joint_pass_raises_the_crossing_first(ab):
 @pytest.mark.parametrize("ab", SCAN_PAIRS, ids=str)
 def test_joint_polish_takes_no_more_rounds_than_the_larger_one(ab, monkeypatch):
     # each round sums series[first : last + 2], first and last the least and
-    # greatest series index among the live iterates (0: u - 1, 1: u')
+    # greatest series index among the live iterates (0: u - 1, 1: u'), with
+    # a row of coefficients per iterate; the label solve sums u - 1 alone
     spans = []
     solve = continuation.stacked_series
 
     def recording_solve(series, x):
-        first = 0 if series[0][1].size == n else 1
-        spans.append((first, len(series) + first - 2))
+        if len(series) >= 2:
+            first = 0 if series[0][1].shape[-1] == n else 1
+            spans.append((first, len(series) + first - 2))
         return solve(series, x)
 
     scanned = []
-    scan = continuation._scan_values
+    scans = continuation._scans
 
-    def counting_scan(params, coeffs, n_modes):
-        scanned.append(coeffs.size)
-        return scan(params, coeffs, n_modes)
+    def counting_scans(params, minus_one):
+        scanned.append(minus_one.shape)
+        return scans(params, minus_one)
 
     monkeypatch.setattr(continuation, "stacked_series", recording_solve)
-    monkeypatch.setattr(continuation, "_scan_values", counting_scan)
+    monkeypatch.setattr(continuation, "_scans", counting_scans)
     spec = ProblemSpec(jacobi_params(*ab), 2.0)
     n = spec.N
     for k in range(1, 9):
@@ -823,8 +840,8 @@ def test_joint_polish_takes_no_more_rounds_than_the_larger_one(ab, monkeypatch):
         critical_rounds = sum(last == 1 for _, last in spans)
         assert crossing_rounds >= 1 and (critical_rounds >= 1) == (k > 1)
         assert len(spans) == max(crossing_rounds, critical_rounds)
-        # u - 1 and u' once each; u'' only where u' has a root, so not for k = 1
-        assert scanned == ([n, n - 1, n - 2] if k > 1 else [n, n - 1])
+        # u - 1, u' and u'' from one expansion and one scan of the state
+        assert scanned == [(1, n)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -858,6 +875,73 @@ def test_counts_match_the_colleague_matrix(ab, n, exponent, decay, seed):
         assume(not np.any(np.abs(np.abs(real) - 1.0) < 1e-8))
         counts.append(int(np.sum(np.abs(real) < 1.0)))
     assert counts == [len(crossings), len(critical)]
+
+
+def _block_state(kind, params, n, rng):
+    """Coefficients of one state of a diagnosed block: a random decaying
+    state, or one that _diagnose refuses in one of its five ways."""
+    c = 10 ** rng.uniform(-3, 0) * rng.standard_normal(n) * rng.uniform(0.5, 0.95) ** np.arange(n)
+    c[0] += 1.0
+    if kind in ("nan", "inf"):
+        c[rng.integers(n)] = math.nan if kind == "nan" else -math.inf
+    elif kind == "constant":
+        c[1:] = 0.0
+    elif kind == "nonpositive":
+        c[:] = 0.0
+        c[0], c[1] = 1.0, -10.0 / (float(params.alpha) + 1.0)  # u(1) = -9, P_1(1) = alpha + 1
+    elif kind == "tangent":
+        t0, amp = rng.uniform(-0.5, 0.5), rng.choice([-0.05, 0.05])
+        c[:] = 0.0
+        c[:16] = _projected(params, lambda t: 1.0 + amp * (t - t0) ** 3).coeffs
+    return c
+
+
+def _outcome_key(found):
+    """A diagnosed outcome, floats by their bits, or the type and text of the error."""
+    if isinstance(found, Exception):
+        return type(found), str(found)
+    crossings, critical, slopes = found
+    return (
+        [t.hex() for t in crossings],
+        [(t.hex(), kind) for t, kind in critical],
+        [[v.hex() for v in series] for series in slopes],
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ab=st.sampled_from(SCAN_PAIRS),
+    n=st.sampled_from([16, 64, 256]),
+    kinds=st.lists(
+        st.sampled_from(["random"] * 4 + ["nan", "inf", "constant", "nonpositive", "tangent"]),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_state_has_the_same_outcome_alone_and_in_any_block(ab, n, kinds, seed):
+    # continue_branch diagnoses states in blocks; each state's roots, labels
+    # and slopes are the bits it gets alone, and its error the same
+    params = jacobi_params(*ab)
+    rng = np.random.default_rng(seed)
+    rows = np.array([_block_state(kind, params, n, rng) for kind in kinds])
+    block = [_outcome_key(found) for found in continuation._diagnose(params, rows)]
+    alone = [_outcome_key(continuation._diagnose(params, row[None, :])[0]) for row in rows]
+    assert block == alone
+    # the scans too, which decide the brackets and the slope scales
+    finite = rows[np.all(np.isfinite(rows), axis=1)]
+    finite[:, 0] -= 1.0
+    scans = _scans(params, finite)[1]
+    for i, row in enumerate(finite):
+        assert scans[:, i].tobytes() == _scans(params, row[None, :])[1][:, 0].tobytes()
+    # and point_diagnostics, the one-state view, agrees
+    for row, key in zip(rows, alone):
+        try:
+            crossings, critical = point_diagnostics(SpectralFunction(row, params))
+        except (NumericalError, ParameterError) as exc:
+            assert (type(exc), str(exc)) == key
+        else:
+            assert key[:2] == _outcome_key((crossings, critical, ([], [])))[:2]
 
 
 class TestBranchSwitch:
@@ -912,6 +996,25 @@ class TestBranchSwitch:
             branch_switch(40, P10, 1e-3, +1)
         with pytest.raises(ParameterError):
             branch_switch(1, P10, 1e-3, 2)
+
+
+def _traced(start, spec, settings=None):
+    """The termination and points of continue_branch, every float by its
+    bits, or the type and text of its error."""
+    try:
+        branch = continue_branch(start, spec, settings)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+    return branch.termination, [
+        (
+            p.u.coeffs.tobytes(),
+            [x.hex() for x in (p.lam, p.s, p.residual_norm, p.sigma_min, float(p.tangent[1]))],
+            p.tangent[0].tobytes(),
+            p.crossings,
+            [(t.hex(), kind) for t, kind in p.critical],
+        )
+        for p in branch.points
+    ]
 
 
 class TestContinueBranch:
@@ -972,25 +1075,100 @@ class TestContinueBranch:
 
     def test_state_nonpositive_on_the_scan_grid_ends_the_branch(self, monkeypatch):
         # k=1 (1/2,1/2) q=3: after 260 points a corrected state is positive at
-        # the M nodes but not on the 8N+2 scan grid; _make_point refuses it,
+        # the M nodes but not on the 8N+2 scan grid; _make_points refuses it,
         # and the branch ends there without it
         refused = []
-        make_point = continuation._make_point
+        make_points = continuation._make_points
 
-        def spy(ev, *args):
-            try:
-                return make_point(ev, *args)
-            except NonpositiveStateError as exc:
-                refused.append((ev, str(exc)))
-                raise
+        def spy(states):
+            points, error = make_points(states)
+            if isinstance(error, NonpositiveStateError):
+                refused.append((states[len(points)][0], str(error)))
+            return points, error
 
-        monkeypatch.setattr(continuation, "_make_point", spy)
+        monkeypatch.setattr(continuation, "_make_points", spy)
         branch = continue_branch(branch_switch(1, PHALF, 1e-3, +1), PHALF)
         assert branch.termination == "nonpositive-state" and len(branch.points) == 261
         [(ev, text)] = refused
         assert text == "state nonpositive on the scan grid"
         assert ev.vals.min() > 0.0
         assert not any(np.array_equal(ev.disc.pad(ev.c), p.u.coeffs) for p in branch.points)
+
+    @pytest.mark.parametrize("case", ["nonpositive-state", "tangency"])
+    def test_blocks_of_one_trace_the_same_branch(self, case, monkeypatch):
+        # continue_branch accepts its traced states in blocks of ACCEPT_BLOCK;
+        # with blocks of one it accepts each as it is traced, and the points,
+        # termination and error are the same.  k=1 (1/2,1/2) q=3 ends after
+        # 261 points at a state nonpositive on the scan grid; k=1 (2,-1/2)
+        # q=2 at N=256 meets a tangent critical point while tracing.  In
+        # both the refused state lies inside a block of the default size
+        if case == "nonpositive-state":
+            spec, settings = PHALF, None
+        else:
+            spec = ProblemSpec(jacobi_params(2, F(-1, 2)), 2.0, N=256)
+            settings = ContinuationSettings(stop_on_fold=True, max_steps=3000)
+        start = branch_switch(1, spec, 1e-3, +1)
+        blocks = []
+        make_points = continuation._make_points
+
+        def spy(states):
+            points, error = make_points(states)
+            blocks.append((len(states), len(points), error))
+            return points, error
+
+        monkeypatch.setattr(continuation, "_make_points", spy)
+        traced = []
+        for size in (continuation.ACCEPT_BLOCK, 1):
+            monkeypatch.setattr(continuation, "ACCEPT_BLOCK", size)
+            blocks.clear()
+            traced.append(_traced(start, spec, settings))
+            assert max(states for states, _, _ in blocks) == size
+            if size > 1:
+                states, accepted, error = blocks[-1]
+                assert error is not None and 0 < accepted < states - 1
+        assert traced[0] == traced[1]
+        if case == "nonpositive-state":
+            assert traced[0][0] == "nonpositive-state" and len(traced[0][1]) == 261
+        else:
+            assert traced[0] == (
+                TangencyError,
+                "critical point at t=-0.999896 is nearly degenerate (|slope|=4.53e+01)",
+            )
+
+    def test_a_tracing_error_waits_for_the_states_traced_before_it(self, monkeypatch):
+        # the corrector fails for good at the fourth step (ds_min allows no
+        # retry), and the second traced state is refused as nonpositive:
+        # accepted one by one, the branch ends at that state and the
+        # corrector never fails; in blocks the refusal must come first too
+        start = branch_switch(1, P10, 1e-3, +1)
+        settings = ContinuationSettings(ds0=0.01, ds_min=0.04, ds_max=0.05)
+        correct, make_points = continuation._correct, continuation._make_points
+        steps, seen = [], []
+
+        def failing_at_the_fourth(*args):
+            steps.append(args)
+            if len(steps) >= 4:
+                raise NewtonDivergenceError("no convergence")
+            return correct(*args)
+
+        def refusing_the_second(states):
+            points, error = make_points(states)
+            for j in range(len(states)):
+                seen.append(j)
+                if len(seen) == 2:
+                    return points[:j], NonpositiveStateError("refused")
+            return points, error
+
+        monkeypatch.setattr(continuation, "_correct", failing_at_the_fourth)
+        monkeypatch.setattr(continuation, "_make_points", refusing_the_second)
+        traced = []
+        for size in (continuation.ACCEPT_BLOCK, 1):
+            monkeypatch.setattr(continuation, "ACCEPT_BLOCK", size)
+            steps.clear()
+            seen.clear()
+            traced.append(_traced(start, P10, settings))
+        assert traced[0] == traced[1]
+        assert traced[0][0] == "nonpositive-state" and len(traced[0][1]) == 2
 
     def test_step_failure_below_ds_min_carries_its_numbers(self, monkeypatch):
         def failing_corrector(*args):

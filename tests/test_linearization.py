@@ -187,6 +187,29 @@ class TestSignClassification:
             classify(np.array(values), band)
         assert classify([1.0, -2.0, 1e-20], 1e-12) == ("positive", "negative", "zero")
 
+    @pytest.mark.parametrize(
+        "values, index, text",
+        [
+            ([math.inf, 0.0], 0, "inf"),
+            ([1.0, -math.inf], 1, "-inf"),
+            ([0.0, math.inf, math.nan], 1, "inf"),
+        ],
+        ids=["inf-first", "minus-inf-second", "inf-before-nan"],
+    )
+    @pytest.mark.parametrize("band", [0, 1e-12])
+    def test_infinity_has_no_sign(self, values, index, text, band):
+        # with a band, an infinity widened tol to inf and labelled every value
+        # "zero"; without one, the 0.0 after it was reported as NaN
+        with pytest.raises(NumericalError, match=f"^value {index} is {text} and has no sign$"):
+            classify(values, band)
+        with pytest.raises(NumericalError, match=f"^value {index} is {text} "):
+            classify(np.array(values), band)
+
+    def test_zero_band_takes_no_max(self):
+        # exact values, the band-0 path of every sign classification: one
+        # pass over the values, so an iterator is read once and suffices
+        assert classify(iter([F(1, 3), F(0), F(-2)])) == ("positive", "zero", "negative")
+
 
 FLOAT_EXPONENTS = st.floats(min_value=-1.0, max_value=3.0, exclude_min=True)
 
