@@ -364,7 +364,7 @@ class Discretization:
         gap is 0.0 and no 2M-point rule exists.  Otherwise u > 0 is first
         checked at the 2M nodes (the t >= 0 half of them in the even view),
         finer than the M nodes that ``ev`` has checked.  u > 0 on the 8N+2
-        scan grid is point_diagnostics' check (_make_point runs both)."""
+        scan grid is point_diagnostics' check (_make_points runs both)."""
         if ev.disc is not self:
             raise ParameterError("quad_gap: the evaluation belongs to another discretization")
         if self.exact:
@@ -964,7 +964,16 @@ def _fold_bracket(points: list[BranchPoint]) -> int | None:
     return None
 
 
-ACCEPT_BLOCK = 8  # traced states that continue_branch accepts together (_make_points)
+# Traced states that continue_branch accepts together (_make_points): ACCEPT_BLOCK
+# up to N = 64 and fewer above, so that the scan arrays of a block (3 x 16N
+# values a state) stay those of 8 states at N = 64.  Blocks of 8 at N = 256 left
+# the malloc heap so that fold-n256 read a 4 MB higher peak RSS in 7 of 12 runs;
+# blocks of 2 did so in none of 12.
+ACCEPT_BLOCK = 8
+
+
+def _block_size(n_modes: int) -> int:
+    return max(1, ACCEPT_BLOCK * 64 // max(n_modes, 64))
 
 
 def continue_branch(
@@ -984,8 +993,9 @@ def continue_branch(
     point tangents).
 
     The traced states (_trace) wait for acceptance, and _make_points accepts
-    them in blocks: when ACCEPT_BLOCK are waiting, before a corrector retry
-    at a smaller ds, and before every return or raise.  States traced past
+    them in blocks: when _block_size(spec.N) are waiting (ACCEPT_BLOCK = 8 up
+    to N = 64), before a corrector retry at a smaller ds, and before every
+    return or raise.  States traced past
     a refused one are dropped, so the branch, its termination and any error
     are those of accepting each state as it is traced.
 
@@ -1007,6 +1017,7 @@ def continue_branch(
     direction = 1 if start.s >= 0.0 else -1
     branch = Branch(spec=spec, k=start.crossings, direction=direction, points=[start])
     states = _trace(disc, start, direction, settings)
+    block = _block_size(spec.N)
     pending: list = []
     error = None
     while True:
@@ -1020,7 +1031,7 @@ def continue_branch(
             break
         if state is not None:
             pending.append(state)
-        if pending and (state is None or len(pending) == ACCEPT_BLOCK):
+        if pending and (state is None or len(pending) == block):
             if not _accept(branch, pending):
                 return branch
     if _accept(branch, pending) and error is not None:

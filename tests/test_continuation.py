@@ -1096,12 +1096,13 @@ class TestContinueBranch:
 
     @pytest.mark.parametrize("case", ["nonpositive-state", "tangency"])
     def test_blocks_of_one_trace_the_same_branch(self, case, monkeypatch):
-        # continue_branch accepts its traced states in blocks of ACCEPT_BLOCK;
-        # with blocks of one it accepts each as it is traced, and the points,
-        # termination and error are the same.  k=1 (1/2,1/2) q=3 ends after
-        # 261 points at a state nonpositive on the scan grid; k=1 (2,-1/2)
-        # q=2 at N=256 meets a tangent critical point while tracing.  In
-        # both the refused state lies inside a block of the default size
+        # continue_branch accepts its traced states in blocks of
+        # _block_size(N) (8 at N=64, 2 at N=256); with blocks of one it
+        # accepts each as it is traced, and the points, termination and
+        # error are the same.  k=1 (1/2,1/2) q=3 ends after 261 points at a
+        # state nonpositive on the scan grid; k=1 (2,-1/2) q=2 at N=256 meets
+        # a tangent critical point while tracing.  In both the refused state
+        # follows an accepted one in its block of the default size
         if case == "nonpositive-state":
             spec, settings = PHALF, None
         else:
@@ -1122,10 +1123,10 @@ class TestContinueBranch:
             monkeypatch.setattr(continuation, "ACCEPT_BLOCK", size)
             blocks.clear()
             traced.append(_traced(start, spec, settings))
-            assert max(states for states, _, _ in blocks) == size
+            assert max(states for states, _, _ in blocks) == continuation._block_size(spec.N)
             if size > 1:
                 states, accepted, error = blocks[-1]
-                assert error is not None and 0 < accepted < states - 1
+                assert error is not None and 0 < accepted < states
         assert traced[0] == traced[1]
         if case == "nonpositive-state":
             assert traced[0][0] == "nonpositive-state" and len(traced[0][1]) == 261
