@@ -965,7 +965,7 @@ def _fold_bracket(points: list[BranchPoint]) -> int | None:
 
 
 # Traced states that continue_branch accepts together (_make_points): ACCEPT_BLOCK
-# up to N = 64 and fewer above, so that the scan arrays of a block (3 x 16N
+# up to N = 64 and fewer above, so that the FFT arrays of a block (3 x 16N
 # values a state) stay those of 8 states at N = 64.  Blocks of 8 at N = 256 left
 # the malloc heap so that fold-n256 read a 4 MB higher peak RSS in 7 of 12 runs;
 # blocks of 2 did so in none of 12.
@@ -988,16 +988,16 @@ def continue_branch(
     diagnostic set.  Terminates on step budget, lambda leaving
     (lambda_floor, lambda_ceiling), amplitude cap, a return to the trivial
     solution u = 1, a corrected state that is positive at the M nodes but not
-    where _make_point checks it (neither state is appended), or (optionally)
+    where _make_points checks it (neither state is appended), or (optionally)
     FOLD_TRAIL points after the first fold bracket (_fold_bracket on the
     point tangents).
 
     The traced states (_trace) wait for acceptance, and _make_points accepts
     them in blocks: when _block_size(spec.N) are waiting (ACCEPT_BLOCK = 8 up
     to N = 64), before a corrector retry at a smaller ds, and before every
-    return or raise.  States traced past
-    a refused one are dropped, so the branch, its termination and any error
-    are those of accepting each state as it is traced.
+    return or raise.  States traced past a refused one are dropped, so the
+    branch, its termination and any error are those of accepting each state
+    as it is traced.
 
     A start that is not a state of ``spec`` (spec.N coefficients, spec.params,
     and a residual that passes the Newton test of _bordered_newton, as every
