@@ -774,8 +774,8 @@ def _make_points(states: list) -> tuple[list[BranchPoint], Exception | None]:
         return [], error
     disc = states[0][0].disc
     params = disc.spec.params
-    # the arrays that the points keep are made before the block's scans, not
-    # among the temporaries those free (it keeps fold-n256's peak RSS down)
+    # the arrays that the points keep are allocated before the block's scan
+    # temporaries, so that these leave no holes around them when freed
     us = [SpectralFunction(disc.pad(ev.c), params) for ev, *_ in states]
     taus = [disc.pad(tangent[0]) for *_, tangent in states]
     found = _diagnose(params, np.array([u.coeffs for u in us]))
