@@ -14,7 +14,7 @@ from .continuation import (
     FoldRecord,
     ProblemSpec,
     SpectralFunction,
-    bifurcation_points,
+    bifurcation_lambda,
     boundary_residual,
     branch_switch,
     continue_branch,

@@ -73,7 +73,6 @@ __all__ = [
     "boundary_residual",
     "jacobian",
     "bifurcation_lambda",
-    "bifurcation_points",
     "lambda_prime_zero",
     "solve_at_phase",
     "branch_switch",
@@ -363,8 +362,9 @@ class Discretization:
         at most that degree), doubling M changes it by roundoff only, so the
         gap is 0.0 and no 2M-point rule exists.  Otherwise u > 0 is first
         checked at the 2M nodes (the t >= 0 half of them in the even view),
-        finer than the M nodes that ``ev`` has checked.  u > 0 on the 8N+2
-        scan grid is point_diagnostics' check (_make_points runs both)."""
+        finer than the M nodes that ``ev`` has checked.  _check_quadrature
+        runs it on every reported state, before _make_points checks u > 0 on
+        the 8N+2 scan grid (point_diagnostics)."""
         if ev.disc is not self:
             raise ParameterError("quad_gap: the evaluation belongs to another discretization")
         if self.exact:
@@ -477,12 +477,6 @@ def bifurcation_lambda(k, a, q):
     """lambda_k = k(k + a) / (q - 1) with a = alpha + beta + 1; exact for
     Fraction arguments."""
     return k * (k + a) / (q - 1)
-
-
-def bifurcation_points(spec: ProblemSpec, kmax: int) -> list[tuple[int, float]]:
-    """(k, lambda_k) with lambda_k = k(k + alpha + beta + 1) / (q - 1)."""
-    kmax = _count("kmax", kmax, 1)
-    return [(k, bifurcation_lambda(k, spec.params.a, spec.q)) for k in range(1, kmax + 1)]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -744,34 +738,28 @@ def _sigma_range(ev: _StateEvaluation, jac: np.ndarray, lam: float) -> tuple[flo
     return float(eig.min()), float(eig.max())
 
 
-def _make_points(states: list) -> tuple[list[BranchPoint], Exception | None]:
-    """The acceptance step of every reported state, for a block of states
-    (ev, lam, s, smin, tangent) of one discretization, in order: quad_gap
-    (NumericalBreakdownError above QUAD_CHECK_TOL) for each state until one
-    fails, then point_diagnostics of the states before it, as one block
+def _check_quadrature(ev: _StateEvaluation) -> None:
+    """The M -> 2M check of every reported state: quad_gap, which raises
+    NonpositiveStateError where u is not positive at the 2M nodes, and a
+    NumericalBreakdownError where the gap exceeds QUAD_CHECK_TOL."""
+    gap = ev.disc.quad_gap(ev)
+    if gap > QUAD_CHECK_TOL:
+        raise NumericalBreakdownError(
+            f"quadrature convergence check failed (gap={gap:.2e}); increase M"
+        )
+
+
+def _make_points(states: list, points: list) -> None:
+    """The diagnostics of every reported state, for a block of states
+    (ev, lam, s, smin, tangent) of one discretization that have passed
+    _check_quadrature: point_diagnostics of all of them as one block
     (_diagnose).  ``smin`` is sigma_min of J at the state (_sigma_range) and
     ``tangent`` its unit tangent (tau_c, tau_lam) on the modes of ev.disc.
 
-    Returns the points of the states before the first refused one and that
-    state's error, or all the points and None: what _make_point on each
-    state in turn would return before it raised.  A point holds c and tau_c
-    padded to spec.N coefficients (Discretization.pad)."""
-    error = None
-    for j, (ev, *_) in enumerate(states):
-        try:
-            gap = ev.disc.quad_gap(ev)
-        except NonpositiveStateError as exc:
-            error = exc
-        else:
-            if gap > QUAD_CHECK_TOL:
-                error = NumericalBreakdownError(
-                    f"quadrature convergence check failed (gap={gap:.2e}); increase M"
-                )
-        if error is not None:
-            states = states[:j]
-            break
-    if not states:
-        return [], error
+    Appends to ``points`` the points of the states before the first refused
+    one, then raises that state's error: what _make_point on each state in
+    turn would do.  A point holds c and tau_c padded to spec.N coefficients
+    (Discretization.pad)."""
     disc = states[0][0].disc
     params = disc.spec.params
     # the arrays that the points keep are allocated before the block's scan
@@ -779,10 +767,9 @@ def _make_points(states: list) -> tuple[list[BranchPoint], Exception | None]:
     us = [SpectralFunction(disc.pad(ev.c), params) for ev, *_ in states]
     taus = [disc.pad(tangent[0]) for *_, tangent in states]
     found = _diagnose(params, np.array([u.coeffs for u in us]))
-    points = []
     for (ev, lam, s, smin, tangent), u, tau_c, diagnosed in zip(states, us, taus, found):
         if isinstance(diagnosed, Exception):
-            return points, diagnosed
+            raise diagnosed
         points.append(
             BranchPoint(
                 u=u,
@@ -795,17 +782,16 @@ def _make_points(states: list) -> tuple[list[BranchPoint], Exception | None]:
                 tangent=(tau_c, tangent[1]),
             )
         )
-    return points, error
 
 
 def _make_point(
     ev: _StateEvaluation, lam: float, s: float, smin: float, tangent: tuple
 ) -> BranchPoint:
-    """The point (c, lam) of ``ev`` with its diagnostics: _make_points on a
-    block of one, raising the error of a refused state."""
-    points, error = _make_points([(ev, lam, s, smin, tangent)])
-    if error is not None:
-        raise error
+    """The point (c, lam) of ``ev`` with its diagnostics: _check_quadrature,
+    then _make_points on a block of one."""
+    _check_quadrature(ev)
+    points = []
+    _make_points([(ev, lam, s, smin, tangent)], points)
     return points[0]
 
 
@@ -964,7 +950,7 @@ def _fold_bracket(points: list[BranchPoint]) -> int | None:
     return None
 
 
-# Traced states that continue_branch accepts together (_make_points): ACCEPT_BLOCK
+# Traced states that continue_branch diagnoses together (_make_points): ACCEPT_BLOCK
 # up to N = 64 and fewer above, so that the FFT arrays of a block (3 x 16N
 # values a state) stay those of 8 states at N = 64.  Blocks of 8 at N = 256 left
 # the malloc heap so that fold-n256 read a 4 MB higher peak RSS in 7 of 12 runs;
@@ -988,16 +974,17 @@ def continue_branch(
     diagnostic set.  Terminates on step budget, lambda leaving
     (lambda_floor, lambda_ceiling), amplitude cap, a return to the trivial
     solution u = 1, a corrected state that is positive at the M nodes but not
-    where _make_points checks it (neither state is appended), or (optionally)
-    FOLD_TRAIL points after the first fold bracket (_fold_bracket on the
-    point tangents).
+    at the 2M nodes of quad_gap or on the scan grid of point_diagnostics
+    (neither state is appended), or (optionally) FOLD_TRAIL points after the
+    first fold bracket (_fold_bracket on the point tangents).
 
-    The traced states (_trace) wait for acceptance, and _make_points accepts
-    them in blocks: when _block_size(spec.N) are waiting (ACCEPT_BLOCK = 8 up
-    to N = 64), before a corrector retry at a smaller ds, and before every
-    return or raise.  States traced past a refused one are dropped, so the
-    branch, its termination and any error are those of accepting each state
-    as it is traced.
+    The traced states (_trace, which checks quad_gap on each) wait for their
+    diagnostics, and _make_points diagnoses them in blocks of
+    _block_size(spec.N) (ACCEPT_BLOCK = 8 up to N = 64), and in a finally
+    whatever is still pending when tracing ends or raises.  A refusal among
+    the pending states thus comes before any other exit, and states traced
+    past it are dropped, so the branch, its termination and any error are
+    those of accepting each state as it is traced.
 
     A start that is not a state of ``spec`` (spec.N coefficients, spec.params,
     and a residual that passes the Newton test of _bordered_newton, as every
@@ -1016,54 +1003,31 @@ def continue_branch(
         raise ParameterError(f"start does not solve the spec: residual {res:.2e}")
     direction = 1 if start.s >= 0.0 else -1
     branch = Branch(spec=spec, k=start.crossings, direction=direction, points=[start])
-    states = _trace(disc, start, direction, settings)
     block = _block_size(spec.N)
     pending: list = []
-    error = None
-    while True:
+    try:
         try:
-            state = next(states)
-        except StopIteration as stop:
-            branch.termination = stop.value
-            break
-        except Exception as exc:  # raised below, once the states before it are accepted
-            error = exc
-            break
-        if state is not None:
-            pending.append(state)
-        if pending and (state is None or len(pending) == block):
-            if not _accept(branch, pending):
-                return branch
-    if _accept(branch, pending) and error is not None:
-        raise error
+            for state in _trace(branch, disc, settings):
+                pending.append(state)
+                if len(pending) == block:
+                    states, pending = pending, []
+                    _make_points(states, branch.points)
+        finally:
+            if pending:
+                _make_points(pending, branch.points)
+    except NonpositiveStateError:
+        # positive at the M nodes but not where quad_gap or _make_points
+        # looks: the branch has left the positive solutions
+        branch.termination = "nonpositive-state"
     return branch
 
 
-def _accept(branch: Branch, pending: list) -> bool:
-    """Append the pending states to the branch as points (_make_points) and
-    empty the list.  False where a state is refused as nonpositive: the
-    branch ends before it, with the termination "nonpositive-state".  Any
-    other refusal raises."""
-    points, error = _make_points(pending)
-    pending.clear()
-    branch.points += points
-    if isinstance(error, NonpositiveStateError):
-        # positive at the M nodes but not where _make_points looks: the
-        # branch has left the positive solutions
-        branch.termination = "nonpositive-state"
-        return False
-    if error is not None:
-        raise error
-    return True
-
-
-def _trace(
-    disc: Discretization, start: BranchPoint, direction: int, settings: ContinuationSettings
-):
-    """The states continue_branch traces after ``start``, before acceptance:
-    each as (ev, lam, s, smin, tangent) for _make_points, and None before a
-    corrector retry at a smaller ds.  Returns the termination, or raises
-    NewtonDivergenceError where the corrector fails below ds_min."""
+def _trace(branch: Branch, disc: Discretization, settings: ContinuationSettings):
+    """The states continue_branch traces after the start of ``branch``, each
+    as (ev, lam, s, smin, tangent) for _make_points once it has passed
+    _check_quadrature.  Sets branch.termination where tracing ends, and
+    raises NewtonDivergenceError where the corrector fails below ds_min."""
+    start, direction = branch.points[0], branch.direction
     c, lam, s = start.u.coeffs[disc.modes], start.lam, start.s
     tau = (start.tangent[0][disc.modes], start.tangent[1])
     ds = min(max(settings.ds0, settings.ds_min), settings.ds_max)
@@ -1081,33 +1045,37 @@ def _trace(
                         lam=float(lam),
                         ds=ds,
                     ) from None
-                yield None
                 ds *= 0.5
         if _is_constant(ev.c):
             # the branch has come back to u = 1, where no count is defined
-            return "trivial-branch"
+            branch.termination = "trivial-branch"
+            return
         # the corrector's last evaluation and one Jacobian serve sigma_min,
         # the tangent and the residual norm
         jac = ev.jacobian(lam_next)
         tangent = _tangent(ev, jac, *tau)
         smin = _sigma_range(ev, jac, lam_next)[0]
+        _check_quadrature(ev)
         c, lam, s = ev.c, lam_next, s + direction * ds
         yield ev, lam, s, smin, tangent
         if not (settings.lambda_floor < lam < settings.lambda_ceiling):
-            return "lambda-window"
+            branch.termination = "lambda-window"
+            return
         if disc.w_norm(c) > settings.amplitude_cap:
-            return "amplitude-cap"
+            branch.termination = "amplitude-cap"
+            return
         # tau_lam changes sign from the last point: _fold_bracket of the two
         if settings.stop_on_fold and (steps_after_bracket or tau[1] * tangent[1] <= 0.0):
             steps_after_bracket += 1
             if steps_after_bracket > FOLD_TRAIL:
-                return "fold-bracketed"
+                branch.termination = "fold-bracketed"
+                return
         tau = tangent
         if iters <= 4:
             ds = min(ds * 1.4, settings.ds_max)
         elif iters >= 10:
             ds = max(ds * 0.6, settings.ds_min)
-    return "max-steps"
+    branch.termination = "max-steps"
 
 
 def _correct(

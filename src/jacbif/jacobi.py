@@ -44,7 +44,6 @@ __all__ = [
     "jacobi_series",
     "stacked_series",
     "chebyshev_connection",
-    "chebyshev_series",
     "eval_jacobi",
     "endpoint_value",
     "exact_coeffs",
@@ -448,28 +447,16 @@ def chebyshev_connection(params: JacobiParams, n: int) -> np.ndarray:
     return conn
 
 
-def chebyshev_series(params: JacobiParams, coeffs, m: int) -> np.ndarray:
-    """sum_i coeffs_i P_i at the m increasing points -cos(pi (j + 1/2) / m),
-    for at most m coefficients.
+def _chebyshev_values(a: np.ndarray, m: int) -> np.ndarray:
+    """sum_k a[..., k] T_k at the m increasing points -cos(pi (j + 1/2) / m),
+    for every row of a (at most m coefficients each); with a = C c
+    (chebyshev_connection) these are the sums of sum_i c_i P_i.
 
-    With a = C c (chebyshev_connection) and T_k(-cos theta) = (-1)^k
-    cos(k theta), the sums are the DCT-III
+    With T_k(-cos theta) = (-1)^k cos(k theta), the sums are the DCT-III
     f_j = sum_k (-1)^k a_k cos(pi k (2 j + 1) / 2m), taken as one real
     inverse FFT of length 2m of z_k = m (-1)^k a_k e^{i pi k / 2m}
-    (z_0 = 2m a_0), whose first m entries are f.
-    """
-    m = _count("m", m, 1)
-    c = np.asarray(coeffs, dtype=float).ravel()
-    if not 0 < c.size <= m:
-        raise ParameterError(f"{c.size} coefficients cannot be summed at {m} Chebyshev points")
-    return _chebyshev_values(chebyshev_connection(params, c.size) @ c, m)
-
-
-def _chebyshev_values(a: np.ndarray, m: int) -> np.ndarray:
-    """sum_k a[..., k] T_k at the m points of chebyshev_series, for every row
-    of a (at most m coefficients each), by one real inverse FFT of all rows.
-    The FFT transforms each row on its own, so a row's sums do not depend on
-    the other rows."""
+    (z_0 = 2m a_0), whose first m entries are f.  The FFT transforms each row
+    on its own, so a row's sums do not depend on the other rows."""
     n = a.shape[-1]
     z = np.zeros(a.shape[:-1] + (m + 1,), dtype=complex)
     z[..., :n] = (m * a) * np.exp(0.5j * np.pi * np.arange(n) / m)

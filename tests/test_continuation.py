@@ -14,11 +14,12 @@ from jacbif import (
     NewtonDivergenceError,
     NoFoldBracketError,
     NonpositiveStateError,
+    NumericalBreakdownError,
     ParameterError,
     ProblemSpec,
     SpectralFunction,
     TangencyError,
-    bifurcation_points,
+    bifurcation_lambda,
     boundary_residual,
     branch_switch,
     continue_branch,
@@ -52,7 +53,6 @@ from jacbif.continuation import (
 )
 from jacbif.jacobi import (
     chebyshev_connection,
-    chebyshev_series,
     endpoint_value,
     exact_coeffs,
     exact_poly,
@@ -138,7 +138,7 @@ class TestResidual:
 
     def test_quadratic_remainder_at_bifurcation_point(self):
         # u = 1 + eps P_k at lambda_k: the linear terms cancel exactly
-        lam1 = bifurcation_points(P10, 1)[0][1]
+        lam1 = bifurcation_lambda(1, P10.params.a, P10.q)
         disc = discretization(P10)
         norms = []
         for eps in (1e-4, 1e-5):
@@ -213,7 +213,8 @@ class TestJacobian:
 
     def test_mode_k_vanishes_at_lambda_k(self):
         one = SpectralFunction.constant_one(P10)
-        for k, lam_k in bifurcation_points(P10, 4):
+        for k in range(1, 5):
+            lam_k = bifurcation_lambda(k, P10.params.a, P10.q)
             mat = jacobian(one, lam_k, P10)
             assert abs(mat[k, k]) < 1e-10
 
@@ -473,11 +474,12 @@ def test_integer_q_projection_is_the_exact_galerkin_one(params, q, n, lam, seed)
 
 class TestBifurcationData:
     def test_lambda_k_values(self):
-        assert bifurcation_points(PHALF, 2) == [(1, pytest.approx(1.5)), (2, pytest.approx(4.0))]
-        assert bifurcation_points(P10, 1)[0][1] == pytest.approx(3.0)
+        lams = [bifurcation_lambda(k, PHALF.params.a, PHALF.q) for k in (1, 2)]
+        assert lams == [pytest.approx(1.5), pytest.approx(4.0)]
+        assert bifurcation_lambda(1, P10.params.a, P10.q) == pytest.approx(3.0)
 
     def test_strictly_increasing(self):
-        lams = [lam for _, lam in bifurcation_points(PLEG, 10)]
+        lams = [bifurcation_lambda(k, PLEG.params.a, PLEG.q) for k in range(1, 11)]
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
     def test_slope_closed_form(self):
@@ -975,7 +977,7 @@ class TestBranchSwitch:
         assert bp.crossings == 2
 
     def test_zero_slope_case_is_quadratic(self):
-        lam1 = bifurcation_points(PHALF, 1)[0][1]
+        lam1 = bifurcation_lambda(1, PHALF.params.a, PHALF.q)
         for direction in (+1, -1):
             bp = branch_switch(1, PHALF, 1e-3, direction)
             assert abs(bp.lam - lam1) < 1e-4  # O(s0^2), not O(s0)
@@ -1097,11 +1099,13 @@ class TestContinueBranch:
         refused = []
         make_points = continuation._make_points
 
-        def spy(states):
-            points, error = make_points(states)
-            if isinstance(error, NonpositiveStateError):
-                refused.append((states[len(points)][0], str(error)))
-            return points, error
+        def spy(states, points):
+            before = len(points)
+            try:
+                make_points(states, points)
+            except NonpositiveStateError as exc:
+                refused.append((states[len(points) - before][0], str(exc)))
+                raise
 
         monkeypatch.setattr(continuation, "_make_points", spy)
         branch = continue_branch(branch_switch(1, PHALF, 1e-3, +1), PHALF)
@@ -1129,10 +1133,14 @@ class TestContinueBranch:
         blocks = []
         make_points = continuation._make_points
 
-        def spy(states):
-            points, error = make_points(states)
-            blocks.append((len(states), len(points), error))
-            return points, error
+        def spy(states, points):
+            before = len(points)
+            try:
+                make_points(states, points)
+            except NumericalError as exc:
+                blocks.append((len(states), len(points) - before, exc))
+                raise
+            blocks.append((len(states), len(states), None))
 
         monkeypatch.setattr(continuation, "_make_points", spy)
         traced = []
@@ -1169,13 +1177,14 @@ class TestContinueBranch:
                 raise NewtonDivergenceError("no convergence")
             return correct(*args)
 
-        def refusing_the_second(states):
-            points, error = make_points(states)
-            for j in range(len(states)):
-                seen.append(j)
-                if len(seen) == 2:
-                    return points[:j], NonpositiveStateError("refused")
-            return points, error
+        def refusing_the_second(states, points):
+            j = 1 - len(seen)  # the second traced state, if it is in this block
+            seen.extend(states)
+            if 0 <= j < len(states):
+                if j:
+                    make_points(states[:j], points)
+                raise NonpositiveStateError("refused")
+            make_points(states, points)
 
         monkeypatch.setattr(continuation, "_correct", failing_at_the_fourth)
         monkeypatch.setattr(continuation, "_make_points", refusing_the_second)
@@ -1187,6 +1196,55 @@ class TestContinueBranch:
             traced.append(_traced(start, P10, settings))
         assert traced[0] == traced[1]
         assert traced[0][0] == "nonpositive-state" and len(traced[0][1]) == 2
+
+    @pytest.mark.parametrize("refusal", ["gap", "nonpositive"])
+    def test_a_state_refused_by_the_quadrature_check_ends_the_trace(self, refusal, monkeypatch):
+        # the fifth traced state fails the M -> 2M check: a gap above
+        # QUAD_CHECK_TOL raises, and a state nonpositive at the 2M nodes ends
+        # the branch before it, the same in blocks and one by one
+        start = branch_switch(1, P10, 1e-3, +1)
+        settings = ContinuationSettings(max_steps=20)
+        quad_gap, checked = continuation.Discretization.quad_gap, []
+
+        def failing_at_the_fifth(disc, ev):
+            checked.append(ev)
+            if len(checked) < 5:
+                return quad_gap(disc, ev)
+            if refusal == "gap":
+                return 1.0
+            raise NonpositiveStateError("state nonpositive on refined grid")
+
+        monkeypatch.setattr(continuation.Discretization, "quad_gap", failing_at_the_fifth)
+        traced = []
+        for size in (continuation.ACCEPT_BLOCK, 1):
+            monkeypatch.setattr(continuation, "ACCEPT_BLOCK", size)
+            checked.clear()
+            traced.append(_traced(start, P10, settings))
+        assert traced[0] == traced[1]
+        if refusal == "gap":
+            assert traced[0] == (
+                NumericalBreakdownError,
+                "quadrature convergence check failed (gap=1.00e+00); increase M",
+            )
+        else:
+            assert traced[0][0] == "nonpositive-state" and len(traced[0][1]) == 5
+
+    @pytest.mark.parametrize("max_steps, termination", [(262, "nonpositive-state"), (261, "max-steps")])
+    def test_the_states_pending_when_tracing_stops_are_accepted(
+        self, max_steps, termination, monkeypatch
+    ):
+        # k=1 (1/2,1/2) q=3: the 261st traced state is nonpositive on the
+        # scan grid.  At max_steps=262 it is the last state traced, and at 261
+        # tracing stops just before it; in blocks of 8 both leave a part block
+        # pending, which is accepted (or refused) before continue_branch returns
+        start = branch_switch(1, PHALF, 1e-3, +1)
+        settings = ContinuationSettings(max_steps=max_steps)
+        traced = []
+        for size in (continuation.ACCEPT_BLOCK, 1):
+            monkeypatch.setattr(continuation, "ACCEPT_BLOCK", size)
+            traced.append(_traced(start, PHALF, settings))
+        assert traced[0] == traced[1]
+        assert traced[0][0] == termination and len(traced[0][1]) == 261
 
     def test_step_failure_below_ds_min_carries_its_numbers(self, monkeypatch):
         def failing_corrector(*args):
@@ -1662,7 +1720,6 @@ INTEGER_ARGUMENTS = {
     "branch_switch": lambda k: branch_switch(k, P10, 1e-3, +1),
     "solve_at_phase": lambda k: solve_at_phase(k, P10, 1e-3),
     "lambda_prime_zero": lambda k: lambda_prime_zero(k, P10),
-    "bifurcation_points": lambda k: bifurcation_points(P10, k),
     "sign_classification": lambda k: sign_classification(k, _P),
     "linearization_coeffs": lambda k: linearization_coeffs(k, _P),
     "cube_integral": lambda k: cube_integral(k, _P),
@@ -1676,7 +1733,6 @@ INTEGER_ARGUMENTS = {
     "norm_sq_closed_form": lambda k: norm_sq_closed_form(k, _P),
     "gauss_jacobi_rule": lambda m: gauss_jacobi_rule(_P, m),
     "chebyshev_connection": lambda n: chebyshev_connection(_P, n),
-    "chebyshev_series": lambda m: chebyshev_series(_P, np.ones(2), m),
 }
 
 
@@ -1704,7 +1760,6 @@ COMPARED_BY = {
     "exact_coeffs": lambda r: r.coeffs,
     "jacobi_table": lambda r: r.tobytes(),
     "gauss_jacobi_rule": lambda r: (r.nodes.tobytes(), r.weights.tobytes()),
-    "bifurcation_points": list,
 }
 
 
