@@ -1760,6 +1760,17 @@ COMPARED_BY = {
     "exact_coeffs": lambda r: r.coeffs,
     "jacobi_table": lambda r: r.tobytes(),
     "gauss_jacobi_rule": lambda r: (r.nodes.tobytes(), r.weights.tobytes()),
+    "chebyshev_connection": lambda r: r.tobytes(),
+    "jacobi_zeros": lambda r: r.tobytes(),
+    "eval_jacobi": float,
+    "endpoint_value": lambda r: r,
+    "cube_integral": float,
+    "weighted_norm_sq": float,
+    "norm_sq_closed_form": float,
+    "linearization_coeffs": lambda r: (r.k, r.exact, r.coeffs.tobytes()),
+    "solve_at_phase": lambda r: (r[0].tobytes(), r[1]),
+    "branch_switch": lambda r: (r.u.coeffs.tobytes(), r.lam, r.s),
+    "find_degenerate": lambda r: (r.point.u.coeffs.tobytes(), r.point.lam, r.lambda_star),
 }
 
 
