@@ -91,9 +91,9 @@ def default_quadrature_order(n_modes: int) -> int:
     return max(2 * n_modes + 16, 3 * n_modes)
 
 
-# The largest quadrature order M.  A discretization builds the M-point Gauss
-# rule, and also a 2M-point one where the M-point projection can be inexact
-# (_projection_is_exact); Golub-Welsch holds every eigenvector of that rule: a
+# The largest quadrature order M, for every spec: where the M-point projection
+# can be inexact (_projection_is_exact), quad_gap builds a 2M-point rule on first
+# use (Discretization.refined), and Golub-Welsch holds its every eigenvector: a
 # 2M x 2M float matrix, 512 MiB at this bound (and 2.9 TB at N = 100000, M = 3N).
 MAX_QUADRATURE_ORDER = 4096
 
@@ -120,10 +120,10 @@ class ProblemSpec:
             raise ParameterError(f"M={self.M} must be >= 2N={2 * self.N}")
         if self.M > MAX_QUADRATURE_ORDER:
             raise ParameterError(
-                f"N={self.N}, M={self.M}: where the M-point projection can be inexact "
-                f"a 2M-point rule is built, and its {2 * self.M} x {2 * self.M} "
-                f"Golub-Welsch eigenvector matrix would take {8 * (2 * self.M) ** 2:,} "
-                f"bytes; M must be <= {MAX_QUADRATURE_ORDER}"
+                f"N={self.N}, M={self.M}: M must be <= {MAX_QUADRATURE_ORDER}, so that "
+                f"the 2M-point rule of the M -> 2M check, built where the M-point "
+                f"projection can be inexact, keeps its Golub-Welsch eigenvector matrix "
+                f"within {8 * (2 * MAX_QUADRATURE_ORDER) ** 2:,} bytes"
             )
 
 
@@ -264,74 +264,72 @@ def _upper_half(
     return QuadratureRule(rule.nodes[half:], weights), basis, _projection(basis, weights, h)
 
 
-def _projection_is_exact(spec: ProblemSpec) -> bool:
-    """True when the M-point Gauss rule integrates every product that
+def _projection_is_exact(spec: ProblemSpec, m: int) -> bool:
+    """True when the m-point Gauss rule integrates every product that
     residual_coeffs and jacobian project, so the projection is the exact
     Galerkin one.  For integer q, P_i (u - u^q) and P_i (1 - q u^(q-1)) P_j
     are polynomials of degree at most (q + 1)(N - 1), and the rule is exact
-    up to degree 2M - 1.  The default M covers every integer q <= 5."""
-    return spec.q.is_integer() and (spec.q + 1.0) * (spec.N - 1) <= 2 * spec.M - 1
+    up to degree 2m - 1.  The default M covers every integer q <= 5."""
+    return spec.q.is_integer() and (spec.q + 1.0) * (spec.N - 1) <= 2 * m - 1
 
 
 class Discretization:
     """Precomputed quadrature rule, basis tables and projection operators for
-    one ProblemSpec.  Immutable after construction, apart from the even view
-    built on first use, and shared freely.
+    one ProblemSpec at ``_m`` nodes: spec.M, or 2M for the refined level of
+    the quad_gap check.  Immutable after construction, apart from the even
+    view and the refined level, each built on first use, and shared freely.
 
-    ``exact`` is _projection_is_exact(spec).  Where it is False, so the
-    M-point projection can be inexact (fractional q, or integer q above what
-    M covers), the discretization also holds the 2M-point rule, basis table
-    and projection of the quad_gap check, as ``rule2``, ``basis2`` and
-    ``proj2``.
+    ``exact`` is _projection_is_exact at the node count.  Where it is False,
+    so the projection can be inexact (fractional q, or integer q above what
+    the nodes cover), ``refined`` is the same discretization at twice the
+    nodes, against which quad_gap compares the projection of a state.
 
     ``modes`` selects the Jacobi modes whose coefficients the discretization
     solves for: all spec.N of them (x[modes] is x), or in the even view
     (``even``) those of even index; pad maps back to spec.N coefficients.  ``odd`` is None, or in
     the even view the odd view on the same nodes."""
 
-    def __init__(self, spec: ProblemSpec):
+    def __init__(self, spec: ProblemSpec, _m: int | None = None):
         self.spec = spec
+        self._m = spec.M if _m is None else _m
         p = spec.params
         self.modes = slice(None)
         self.odd = None
-        self.rule = gauss_jacobi_rule(p, spec.M)
+        self.rule = gauss_jacobi_rule(p, self._m)
         self.basis = jacobi_table(p, spec.N - 1, self.rule.nodes)
         self.h = np.array([norm_sq_closed_form(i, p) for i in range(spec.N)])
         self.h.setflags(write=False)
         i = np.arange(spec.N, dtype=float)
         self.lin = -i * (i + p.a)
         self.proj = _projection(self.basis, self.rule.weights, self.h)
-        self.exact = _projection_is_exact(spec)
-        if not self.exact:
-            self.rule2 = gauss_jacobi_rule(p, 2 * spec.M)
-            self.basis2 = jacobi_table(p, spec.N - 1, self.rule2.nodes)
-            self.proj2 = _projection(self.basis2, self.rule2.weights, self.h)
+        self.exact = _projection_is_exact(spec, self._m)
 
     @cached_property
     def even(self) -> Discretization:
         """The even view, for alpha == beta (see the module docstring): the
         even modes at the t >= 0 half of the nodes, sliced from this
-        discretization's arrays, the 2M-point ones included where they
-        exist, with the odd view as ``odd``."""
+        discretization's arrays, with the odd view as ``odd``."""
         if not self.spec.params.is_symmetric:
             raise ParameterError(f"no even view: {self.spec.params} has alpha != beta")
         even = self._parity_view(0)
-        if not self.exact:
-            even.rule2, even.basis2, even.proj2 = _upper_half(
-                self.rule2, self.basis2[:, even.modes], even.h
-            )
         even.odd = self._parity_view(1)
         return even
 
     def _parity_view(self, parity: int) -> Discretization:
-        """The modes of index parity (mod 2) at the t >= 0 half of the M nodes."""
+        """The modes of index parity (mod 2) at the t >= 0 half of the nodes."""
         view = object.__new__(Discretization)
-        view.spec, view.exact, view.odd = self.spec, self.exact, None
+        view.spec, view._m, view.exact, view.odd = self.spec, self._m, self.exact, None
         view.modes = slice(parity, None, 2)
         view.h = np.ascontiguousarray(self.h[view.modes])
         view.lin = np.ascontiguousarray(self.lin[view.modes])
         view.rule, view.basis, view.proj = _upper_half(self.rule, self.basis[:, view.modes], view.h)
         return view
+
+    @cached_property
+    def refined(self) -> Discretization:
+        """This discretization at twice the nodes (a parity view: that view of it)."""
+        refined = Discretization(self.spec, 2 * self._m)
+        return refined if self.modes == slice(None) else refined._parity_view(self.modes.start)
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """x on this discretization's modes as spec.N coefficients, 0.0 elsewhere."""
@@ -354,25 +352,23 @@ class Discretization:
 
     def quad_gap(self, ev: _StateEvaluation) -> float:
         """Relative change of the nonlinear projection of ``ev``, an evaluation
-        of this discretization, when M doubles.  It is a method of
+        of this discretization, when the nodes double.  It is a method of
         Discretization, not of the evaluation, because perfbench traces it here.
 
         Where the projection is exact (_projection_is_exact: integer q with
         (q + 1)(N - 1) <= 2M - 1, so every projected product is a polynomial of
         at most that degree), doubling M changes it by roundoff only, so the
-        gap is 0.0 and no 2M-point rule exists.  Otherwise u > 0 is first
-        checked at the 2M nodes (the t >= 0 half of them in the even view),
-        finer than the M nodes that ``ev`` has checked.  _check_quadrature
-        runs it on every reported state, before _make_points checks u > 0 on
-        the 8N+2 scan grid (point_diagnostics)."""
+        gap is 0.0 and ``refined`` is not built.  Otherwise it is taken against
+        the evaluation of ev.c on ``refined``, which checks u > 0 at the 2M
+        nodes (the t >= 0 half of them in the even view), finer than the M
+        nodes that ``ev`` has checked.  _check_quadrature runs it on every
+        reported state, before _make_points checks u > 0 on the 8N+2 scan grid
+        (point_diagnostics)."""
         if ev.disc is not self:
             raise ParameterError("quad_gap: the evaluation belongs to another discretization")
         if self.exact:
             return 0.0
-        v2 = self.basis2 @ ev.c
-        if not v2.min() > 0.0:
-            raise NonpositiveStateError("state nonpositive on refined grid")
-        p2 = self.proj2 @ (v2 - v2**self.spec.q)
+        p2 = _StateEvaluation(self.refined, ev.c).projection
         return self.w_norm(ev.projection - p2) / (1.0 + self.w_norm(p2))
 
 

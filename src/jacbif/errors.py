@@ -32,8 +32,10 @@ class NewtonDivergenceError(NumericalError):
 
 
 class NonpositiveStateError(NumericalError):
-    """The state is not strictly positive at the quadrature nodes, so u^q
-    cannot be evaluated for non-integer q."""
+    """The state is not strictly positive where it is checked: at the M
+    quadrature nodes, on the 8N+2 scan grid of the diagnostics and at the
+    endpoints in boundary_residual, for every q, and at the 2M nodes of
+    quad_gap where the M-point projection can be inexact."""
 
 
 class NoFoldBracketError(NumericalError):

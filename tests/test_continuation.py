@@ -100,12 +100,13 @@ class TestProblemSpec:
             ProblemSpec(jacobi_params(1, 0), 2.0, N=16, M=24)
 
     def test_rule_size_is_bounded_before_allocating(self):
-        # the 2M-point rule of N = 100000 would hold a 600000^2 eigenvector matrix
+        # N = 100000 is refused by the bound, which names what it covers: the
+        # 2M-point rule of the M -> 2M check, 8 (2 * 4096)^2 bytes at most
         with pytest.raises(ParameterError) as info:
             ProblemSpec(jacobi_params(1, 0), 2.0, N=100000)
         msg = str(info.value)
-        assert "N=100000, M=300000" in msg and "600000 x 600000" in msg
-        assert "2,880,000,000,000 bytes" in msg
+        assert "N=100000, M=300000: M must be <= 4096" in msg
+        assert "2M-point rule of the M -> 2M check" in msg and "536,870,912 bytes" in msg
 
     def test_largest_quadrature_order(self):
         # a spec allocates nothing; its discretization is built on first use
@@ -165,12 +166,13 @@ class TestResidual:
 
     def test_nan_on_refined_grid_is_not_positive(self):
         # a private fractional-q discretization whose refined table yields NaN
-        # at one node
+        # at one node; the evaluation on the refined level refuses it
         disc = continuation.Discretization(PFRAC)
-        disc.basis2 = disc.basis2.copy()
-        disc.basis2[5, 0] = math.nan
+        refined = disc.refined
+        refined.basis = refined.basis.copy()
+        refined.basis[5, 0] = math.nan
         ev = continuation._StateEvaluation(disc, _mode_state(PFRAC, 1, 0.01).coeffs)
-        with pytest.raises(NonpositiveStateError, match="refined grid"):
+        with pytest.raises(NonpositiveStateError, match="^state reaches min nan at a quadrature node$"):
             disc.quad_gap(ev)
 
     def test_integer_q_checks_positivity_on_the_scan_grid(self, monkeypatch):
@@ -324,9 +326,9 @@ class TestSharedEvaluation:
         disc = discretization(PFRAC)
         c = _mode_state(PFRAC, 1, 0.01).coeffs
         q = PFRAC.q
-        vals, v2 = disc.basis @ c, disc.basis2 @ c
+        vals, v2 = disc.basis @ c, disc.refined.basis @ c
         p1 = disc.proj @ (vals - vals**q)
-        p2 = disc.proj2 @ (v2 - v2**q)
+        p2 = disc.refined.proj @ (v2 - v2**q)
         gap = disc.w_norm(p1 - p2) / (1.0 + disc.w_norm(p2))
         ev = continuation._StateEvaluation(disc, c)
         ev.residual(1.0)
@@ -385,9 +387,9 @@ class TestQuadratureExactness:
         spec = ProblemSpec(jacobi_params(1, 0), q)
         disc = continuation.Discretization(spec)
         assert disc.exact
-        assert not any(hasattr(disc, name) for name in ("rule2", "basis2", "proj2"))
         ev = continuation._StateEvaluation(disc, _mode_state(spec, 1, 0.01).coeffs)
         assert disc.quad_gap(ev) == 0.0
+        assert "refined" not in vars(disc)
 
     @pytest.mark.parametrize("q", [1.5, 6.0])
     def test_fractional_or_large_q_builds_the_2m_rule(self, q):
@@ -395,11 +397,46 @@ class TestQuadratureExactness:
         spec = ProblemSpec(jacobi_params(1, 0), q)
         disc = continuation.Discretization(spec)
         assert not disc.exact
-        assert disc.rule2.nodes.size == 2 * spec.M
-        assert disc.basis2.shape == (2 * spec.M, spec.N)
-        assert disc.proj2.shape == (spec.N, 2 * spec.M)
         ev = continuation._StateEvaluation(disc, _mode_state(spec, 1, 0.01).coeffs)
         assert disc.quad_gap(ev) < 1e-13
+        assert disc.refined.rule.nodes.size == 2 * spec.M
+        assert disc.refined.basis.shape == (2 * spec.M, spec.N)
+        assert disc.refined.proj.shape == (spec.N, 2 * spec.M)
+
+    def test_the_2m_level_is_built_on_the_first_quad_gap(self, monkeypatch):
+        # (1, 0) q = 3/2: solving and the Jacobian use the M nodes only; the
+        # first quad_gap builds the refined level and the second reuses it
+        spec = ProblemSpec(jacobi_params(1, 0), 1.5)
+        disc = continuation.Discretization(spec)
+        monkeypatch.setattr(continuation, "discretization", lambda s: disc)
+        c, lam = solve_at_phase(1, spec, 0.05)
+        jacobian(SpectralFunction(c, spec.params), lam, spec)
+        assert not disc.exact and "refined" not in vars(disc)
+        ev = continuation._StateEvaluation(disc, c)
+        disc.quad_gap(ev)
+        refined = vars(disc)["refined"]
+        assert refined._m == 2 * spec.M
+        disc.quad_gap(ev)
+        assert disc.refined is refined
+
+    @pytest.mark.parametrize(
+        "k, ab, q, view",
+        [(1, (1, 0), 2.0, "full"), (2, (F(1, 2), F(1, 2)), 3.0, "even")],
+        ids=["full", "even"],
+    )
+    def test_find_degenerate_on_an_exact_spec_builds_no_2m_level(self, k, ab, q, view, monkeypatch):
+        spec = ProblemSpec(jacobi_params(*ab), q)
+        made = {}
+        monkeypatch.setattr(
+            continuation,
+            "discretization",
+            lambda s: made.setdefault(s, continuation.Discretization(s)),
+        )
+        find_degenerate(k, spec)
+        disc = made[spec]
+        assert disc.exact and ("even" in vars(disc)) == (view == "even")
+        views = [disc, disc.even, disc.even.odd] if view == "even" else [disc]
+        assert not any("refined" in vars(v) for v in views)
 
     def test_exactness_boundary_is_degree_2m_minus_1(self):
         # q = 6, N = 64: degree 7 * 63 = 441 needs 2M - 1 >= 441, so M >= 221
@@ -1643,9 +1680,9 @@ class TestParityReduction:
     def test_even_view_restricts_the_2m_arrays(self):
         full = discretization(ProblemSpec(PHALF.params, 1.5, N=16, M=32))
         even = full.even
-        assert not full.exact and not hasattr(even.odd, "basis2")
-        assert even.basis2.tobytes() == full.basis2[full.spec.M :, ::2].copy().tobytes()
-        assert even.proj2.shape == (8, full.spec.M)
+        assert not full.exact and "refined" not in vars(even.odd)
+        assert even.refined.basis.tobytes() == full.refined.basis[full.spec.M :, ::2].copy().tobytes()
+        assert even.refined.proj.shape == (8, full.spec.M)
         # u = c_0 + P_2 has its minimum 0.05 at t = 0, so u^(3/2) is far from
         # a polynomial and the gap well above roundoff
         c = np.zeros(16)
