@@ -621,10 +621,14 @@ EXPONENTS = st.one_of(
 @given(alpha=EXPONENTS, beta=EXPONENTS, k=st.integers(1, 8))
 @example(alpha=F(1, 1000) - 1, beta=F(1, 1721) - 1, k=1)  # |u'| ~ 8e-6
 def test_roots_match_zeros_oracle(alpha, beta, k):
-    # u = 1 + 0.01 P_k crosses 1 at the zeros of P_k, and its critical points
-    # are the zeros of P_k' ~ P_{k-1}^(alpha+1, beta+1)
+    # u = 1 + eps P_k crosses 1 at the zeros of P_k, and its critical points
+    # are the zeros of P_k' ~ P_{k-1}^(alpha+1, beta+1).  max |P_k| on [-1, 1]
+    # is max(1, |P_k(+-1)|) at most (Szego 7.32): it reaches 165 for k = 8
+    # and an exponent 3, so eps is scaled to keep u >= 0.99 a positive state;
+    # the roots do not depend on eps
     params = jacobi_params(alpha, beta)
-    u = _mode_state(ProblemSpec(params, 2.0), k, 0.01)
+    peak = max(1.0, *np.abs(_mode_state(ProblemSpec(params, 2.0), k, 1.0)(np.array([-1.0, 1.0])) - 1))
+    u = _mode_state(ProblemSpec(params, 2.0), k, 0.01 / peak)
     assert np.allclose(point_diagnostics(u)[0], jacobi_zeros(k, params), rtol=0, atol=1e-12)
     critical = [t for t, _ in critical_point_list(u)]
     expected = jacobi_zeros(k - 1, derivative_series(params, u.coeffs)[0]) if k > 1 else []
