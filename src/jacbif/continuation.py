@@ -12,6 +12,12 @@ nodally on a Gauss-Jacobi grid and projected back; the singular boundary
 conditions are natural for this weak form and are only checked a posteriori
 (boundary_residual).
 
+The Jacobian J is self-adjoint in L2_w.  The code forms the symmetric S =
+H^(1/2) J H^(-1/2), H = diag(h), as the Gram form diag(lin - lambda) +
+lambda q G^T G (_gram_operator), which B^T W B = H makes exact
+(Discretization).  sigma_min reads eigvalsh(S) (_sigma_range); the Newton
+step, the tangent and the fold certificate use J = H^(-1/2) S H^(1/2).
+
 Branch tracing uses a Keller bordered predictor-corrector in the metric
 <(dc, dlam), (dc', dlam')> = sum h_i dc_i dc_i' + dlam dlam'.  The phase
 solve, the corrector and fold localization share one bordered Newton kernel.
@@ -242,26 +248,16 @@ class ContinuationSettings:
 # discretization
 
 
-def _projection(basis: np.ndarray, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """proj[i, m] = P_i(t_m) w_m / h_i: weighted Gauss sums of the nodal
-    values give Galerkin coefficients."""
-    return (basis * weights[:, None]).T / h[:, None]
-
-
-def _upper_half(
-    rule: QuadratureRule, basis: np.ndarray, h: np.ndarray
-) -> tuple[QuadratureRule, np.ndarray, np.ndarray]:
-    """The nodes t >= 0 of a rule symmetric about 0, the rows of ``basis``
-    there and their projection (_projection).  Every weight is doubled, each
-    node standing for its mirror too, except that of t = 0 when the rule has
-    odd size."""
+def _upper_half(rule: QuadratureRule, basis: np.ndarray) -> tuple[QuadratureRule, np.ndarray]:
+    """The nodes t >= 0 of a rule symmetric about 0 and the rows of ``basis``
+    there.  Every weight is doubled, each node standing for its mirror too,
+    except that of t = 0 when the rule has odd size."""
     m = rule.nodes.size
     half = m // 2
     weights = 2.0 * rule.weights[half:]
     if m % 2:
         weights[0] = rule.weights[half]
-    basis = np.ascontiguousarray(basis[half:])
-    return QuadratureRule(rule.nodes[half:], weights), basis, _projection(basis, weights, h)
+    return QuadratureRule(rule.nodes[half:], weights), np.ascontiguousarray(basis[half:])
 
 
 def _projection_is_exact(spec: ProblemSpec, m: int) -> bool:
@@ -274,10 +270,20 @@ def _projection_is_exact(spec: ProblemSpec, m: int) -> bool:
 
 
 class Discretization:
-    """Precomputed quadrature rule, basis tables and projection operators for
-    one ProblemSpec at ``_m`` nodes: spec.M, or 2M for the refined level of
-    the quad_gap check.  Immutable after construction, apart from the even
-    view and the refined level, each built on first use, and shared freely.
+    """Precomputed quadrature rule and basis tables for one ProblemSpec at
+    ``_m`` nodes: spec.M, or 2M for the refined level of the quad_gap check.
+    Immutable after construction, apart from the even view and the refined
+    level, each built on first use, and shared freely.
+
+    ``basis`` is B[m, i] = P_i(t_m) at the nodes t_m, and ``orth`` is Q =
+    W^(1/2) B H^(-1/2), with W = diag(w) the Gauss weights and H = diag(h);
+    ``sqrt_w`` and ``sqrt_h`` hold sqrt(w) and sqrt(h).  B^T W B = H holds in
+    exact arithmetic: each entry is a Gauss sum of P_i P_j, a polynomial of
+    degree at most 2N - 2 <= 2M - 1 (ProblemSpec enforces M >= 2N), and in a
+    parity view P_i P_j is even, so the doubled weights at t >= 0 sum it
+    exactly too.  So Q^T Q = I, the Galerkin projection of nodal values f is
+    H^(-1/2) Q^T (sqrt(w) f), and H^(1/2) J H^(-1/2) is the symmetric Gram
+    form that _gram_operator builds.
 
     ``exact`` is _projection_is_exact at the node count.  Where it is False,
     so the projection can be inexact (fractional q, or integer q above what
@@ -295,14 +301,22 @@ class Discretization:
         p = spec.params
         self.modes = slice(None)
         self.odd = None
-        self.rule = gauss_jacobi_rule(p, self._m)
-        self.basis = jacobi_table(p, spec.N - 1, self.rule.nodes)
         self.h = np.array([norm_sq_closed_form(i, p) for i in range(spec.N)])
         self.h.setflags(write=False)
         i = np.arange(spec.N, dtype=float)
         self.lin = -i * (i + p.a)
-        self.proj = _projection(self.basis, self.rule.weights, self.h)
+        rule = gauss_jacobi_rule(p, self._m)
+        self._set_nodes(rule, jacobi_table(p, spec.N - 1, rule.nodes))
         self.exact = _projection_is_exact(spec, self._m)
+
+    def _set_nodes(self, rule: QuadratureRule, basis: np.ndarray) -> None:
+        """The rule, the basis table B at its nodes, and Q with the square
+        roots that scale it (see the class docstring); h is already set."""
+        self.rule, self.basis = rule, basis
+        self.sqrt_w = np.sqrt(rule.weights)
+        self.sqrt_h = np.sqrt(self.h)
+        self.orth = basis * self.sqrt_w[:, None]
+        self.orth /= self.sqrt_h
 
     @cached_property
     def even(self) -> Discretization:
@@ -322,7 +336,7 @@ class Discretization:
         view.modes = slice(parity, None, 2)
         view.h = np.ascontiguousarray(self.h[view.modes])
         view.lin = np.ascontiguousarray(self.lin[view.modes])
-        view.rule, view.basis, view.proj = _upper_half(self.rule, self.basis[:, view.modes], view.h)
+        view._set_nodes(*_upper_half(self.rule, self.basis[:, view.modes]))
         return view
 
     @cached_property
@@ -375,9 +389,9 @@ class Discretization:
 class _StateEvaluation:
     """The nonlinear term at one state c, evaluated once and shared by the
     residual, its lambda derivative and the Jacobian there.  ``vals`` is u at
-    the M nodes, checked > 0 on construction, and ``projection`` P = proj @
-    (u - u^q), formed on first use: the residual is lin c - lambda P and
-    F_lambda is -P."""
+    the M nodes, checked > 0 on construction, and ``projection`` P =
+    H^(-1/2) Q^T (sqrt(w) (u - u^q)), formed on first use: the residual is
+    lin c - lambda P and F_lambda is -P."""
 
     def __init__(self, disc: Discretization, c: np.ndarray):
         self.disc = disc
@@ -390,7 +404,8 @@ class _StateEvaluation:
 
     @cached_property
     def projection(self) -> np.ndarray:
-        return self.disc.proj @ (self.vals - self.vals**self.disc.spec.q)
+        disc = self.disc
+        return disc.orth.T @ (disc.sqrt_w * (self.vals - self.vals**disc.spec.q)) / disc.sqrt_h
 
     def residual(self, lam: float) -> np.ndarray:
         return self.disc.lin * self.c - lam * self.projection
@@ -398,18 +413,31 @@ class _StateEvaluation:
     def dresidual_dlambda(self) -> np.ndarray:
         return -self.projection
 
+    def operator(self, lam: float) -> np.ndarray:
+        """S at lambda (_gram_operator)."""
+        return _gram_operator(self.disc, self.vals, lam)
+
     def jacobian(self, lam: float) -> np.ndarray:
-        return _jacobian(self.disc, self.vals, lam)
+        return _jacobian(self.disc, self.operator(lam))
 
 
-def _jacobian(disc: Discretization, vals: np.ndarray, lam: float) -> np.ndarray:
-    """diag(lin) - lambda * proj @ diag(1 - q u^(q-1)) @ basis, where u takes
-    the values ``vals`` at the nodes of ``disc``."""
+def _gram_operator(disc: Discretization, vals: np.ndarray, lam: float) -> np.ndarray:
+    """S = H^(1/2) J H^(-1/2) = diag(lin - lambda) + lambda q G^T G, with G =
+    diag(u^((q-1)/2)) Q, where u takes the values ``vals`` (> 0) at the nodes
+    of ``disc``.  J = diag(lin) - lambda H^(-1) B^T W diag(1 - q u^(q-1)) B,
+    and B^T W B = H (see Discretization), so S is this Gram form, formed by
+    one symmetric product (BLAS syrk) and symmetric bit for bit."""
     q = disc.spec.q
-    phi = 1.0 - q * vals ** (q - 1.0)
-    mat = -lam * (disc.proj @ (disc.basis * phi[:, None]))
-    mat.flat[:: mat.shape[0] + 1] += disc.lin
+    g = disc.orth * (vals ** (0.5 * (q - 1.0)))[:, None]
+    mat = g.T @ g
+    mat *= lam * q
+    mat.flat[:: mat.shape[0] + 1] += disc.lin - lam
     return mat
+
+
+def _jacobian(disc: Discretization, sym: np.ndarray) -> np.ndarray:
+    """J = H^(-1/2) S H^(1/2) from S = ``sym`` (_gram_operator)."""
+    return sym * (disc.sqrt_h / disc.sqrt_h[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -441,8 +469,14 @@ def _require_state_of(spec: ProblemSpec, u: SpectralFunction, what: str) -> None
 
 
 def jacobian(u: SpectralFunction, lam: float, spec: ProblemSpec) -> np.ndarray:
-    """State Jacobian: diag(-i(i+a)) - lambda * M[1 - q u^(q-1)], for a state
-    u of spec (spec.N coefficients in the basis of spec.params)."""
+    """State Jacobian J = diag(-i(i+a)) - lambda H^(-1) B^T W diag(1 - q
+    u^(q-1)) B, for a state u of spec (spec.N coefficients in the basis of
+    spec.params), with B[m, i] = P_i(t_m) at the M Gauss nodes, W their
+    weights and H = diag(h).  B^T W B = H holds exactly, since each entry is
+    a Gauss sum of P_i P_j, of degree 2N - 2 <= 2M - 1 (ProblemSpec enforces
+    M >= 2N).  So J = H^(-1/2) S H^(1/2), with S = diag(-i(i+a) - lambda) +
+    lambda q G^T G symmetric and G = diag(u^((q-1)/2)) W^(1/2) B H^(-1/2)
+    (_gram_operator), which is how it is formed."""
     _require_state_of(spec, u, "state")
     return discretization(spec).jacobian(u.coeffs, lam)
 
@@ -715,22 +749,22 @@ def endpoint_label(u: SpectralFunction, side: int) -> str:
 # branch construction
 
 
-def _sigma_range(ev: _StateEvaluation, jac: np.ndarray, lam: float) -> tuple[float, float]:
+def _sigma_range(ev: _StateEvaluation, sym: np.ndarray, lam: float) -> tuple[float, float]:
     """(sigma_min, sigma_max) of the full J at the state of ``ev`` and lambda,
-    where ``jac`` is J on the modes of ev.disc, as an operator on L2_w.  J is
-    self-adjoint there (H J is symmetric, H = diag(h)), so these are min and
-    max |eigenvalue| of J, read from eigvalsh of the symmetric S = H^(1/2) J
-    H^(-1/2).  In the even view ``jac`` is the even block of J, whose even-odd
-    blocks vanish; the odd block is formed from the same nodal values on the
-    odd view, and the range is taken over the eigenvalues of both blocks."""
-    blocks = [(ev.disc, jac)]
+    as an operator on L2_w, where ``sym`` is S = H^(1/2) J H^(-1/2) on the
+    modes of ev.disc: diag(lin - lambda) + lambda q G^T G (_gram_operator).
+    That Gram form is S because B^T W B = H holds exactly: each entry is a
+    Gauss sum of P_i P_j, of degree at most 2N - 2 <= 2M - 1, and in a parity
+    view P_i P_j is even, so the t >= 0 half sums it exactly too.  J is
+    self-adjoint in L2_w, so these are min and max |eigenvalue| of J, read
+    from eigvalsh of the symmetric S.  In the even view ``sym`` is the even
+    block, the even-odd blocks vanish, and the odd block's S is formed by the
+    same function from the same nodal values on the odd view; the range is
+    taken over the eigenvalues of both."""
+    eig = [np.linalg.eigvalsh(sym)]
     if ev.disc.odd is not None:
-        blocks.append((ev.disc.odd, _jacobian(ev.disc.odd, ev.vals, lam)))
-    eig = []
-    for disc, mat in blocks:
-        sqh = np.sqrt(disc.h)
-        eig.append(np.abs(np.linalg.eigvalsh(mat * (sqh[:, None] / sqh[None, :]))))
-    eig = np.concatenate(eig)
+        eig.append(np.linalg.eigvalsh(_gram_operator(ev.disc.odd, ev.vals, lam)))
+    eig = np.abs(np.concatenate(eig))
     return float(eig.min()), float(eig.max())
 
 
@@ -904,9 +938,9 @@ def branch_switch(
     guess_c[k] = direction / sqh
     guess_lam = direction * lambda_prime_zero(k, spec) / sqh
     ev = _StateEvaluation(disc, c[disc.modes])
-    jac = ev.jacobian(lam)  # serves sigma_min and the tangent
-    tangent = _tangent(ev, jac, guess_c[disc.modes], guess_lam)
-    bp = _make_point(ev, lam, sigma, _sigma_range(ev, jac, lam)[0], tangent)
+    sym = ev.operator(lam)  # serves sigma_min and, as J, the tangent
+    tangent = _tangent(ev, _jacobian(disc, sym), guess_c[disc.modes], guess_lam)
+    bp = _make_point(ev, lam, sigma, _sigma_range(ev, sym, lam)[0], tangent)
     if bp.crossings != k:
         raise StructureViolationError(
             f"first branch point has {bp.crossings} crossings, expected {k}; "
@@ -1046,11 +1080,11 @@ def _trace(branch: Branch, disc: Discretization, settings: ContinuationSettings)
             # the branch has come back to u = 1, where no count is defined
             branch.termination = "trivial-branch"
             return
-        # the corrector's last evaluation and one Jacobian serve sigma_min,
-        # the tangent and the residual norm
-        jac = ev.jacobian(lam_next)
-        tangent = _tangent(ev, jac, *tau)
-        smin = _sigma_range(ev, jac, lam_next)[0]
+        # the corrector's last evaluation and one S serve sigma_min, the
+        # tangent (through J) and the residual norm
+        sym = ev.operator(lam_next)
+        tangent = _tangent(ev, _jacobian(disc, sym), *tau)
+        smin = _sigma_range(ev, sym, lam_next)[0]
         _check_quadrature(ev)
         c, lam, s = ev.c, lam_next, s + direction * ds
         yield ev, lam, s, smin, tangent
@@ -1138,7 +1172,8 @@ def detect_fold(branch: Branch) -> FoldRecord:
     for _ in range(MAX_ITER):
         ds = b - fb * (b - a) / (fb - fa)
         ev, lam, _ = _correct(disc, c0, start.lam, tau_c, tau_lam, ds)
-        jac = ev.jacobian(lam)  # J at the last iterate serves the certificate
+        sym = ev.operator(lam)  # S and J at the last iterate serve the certificate
+        jac = _jacobian(disc, sym)
         v, f = _tangent(ev, jac, tau_c, tau_lam)
         if f * fb < 0.0:
             a, fa = b, fb
@@ -1158,7 +1193,7 @@ def detect_fold(branch: Branch) -> FoldRecord:
     )
     if not ms_res < CERTIFICATE_TOL:
         raise NewtonDivergenceError(f"fold certificate failed: residual {ms_res:.2e}")
-    smin, smax = _sigma_range(ev, jac, lam)
+    smin, smax = _sigma_range(ev, sym, lam)
     if not smin < DEGENERATE_TOL * smax:
         raise NumericalError(
             f"fold candidate is not degenerate: sigma_min/sigma_max = {smin / smax:.2e}"

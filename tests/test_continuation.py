@@ -274,18 +274,26 @@ def test_state_of_another_spec_is_refused(diagnostic, u, expected):
 
 class TestSharedEvaluation:
     """One evaluation of the nonlinearity per state serves the residual,
-    F_lambda and the Jacobian, with the bits of the formulas written out."""
+    F_lambda, S and the Jacobian, with the bits of the formulas written out."""
 
     @staticmethod
-    def _written_out(disc, c, lam):
+    def _projection(disc, vals):
+        """H^(-1/2) Q^T (sqrt(w) (u - u^q)) from the nodal values of u."""
+        q = disc.spec.q
+        return disc.orth.T @ (disc.sqrt_w * (vals - vals**q)) / disc.sqrt_h
+
+    @classmethod
+    def _written_out(cls, disc, c, lam):
         q = disc.spec.q
         vals = disc.basis @ c
-        residual = disc.lin * c - lam * (disc.proj @ (vals - vals**q))
-        phi = 1.0 - q * vals ** (q - 1.0)
-        jac = -lam * (disc.proj @ (disc.basis * phi[:, None]))
-        jac[np.diag_indices_from(jac)] += disc.lin
-        f_lam = -(disc.proj @ (vals - vals**q))
-        return residual, jac, f_lam
+        residual = disc.lin * c - lam * cls._projection(disc, vals)
+        g = disc.orth * (vals ** (0.5 * (q - 1.0)))[:, None]
+        sym = g.T @ g
+        sym *= lam * q
+        sym[np.diag_indices_from(sym)] += disc.lin - lam
+        jac = sym * (disc.sqrt_h / disc.sqrt_h[:, None])
+        f_lam = -cls._projection(disc, vals)
+        return residual, jac, f_lam, sym
 
     @pytest.mark.parametrize("spec", [P10, PHALF, PFRAC], ids=["q=2", "q=3", "q=3/2"])
     def test_wrappers_match_the_formulas_bit_for_bit(self, spec):
@@ -295,10 +303,11 @@ class TestSharedEvaluation:
         c[0] = 1.1
         c[1:] = 0.1 * rng.standard_normal(spec.N - 1) / (1.0 + np.arange(1, spec.N)) ** 3
         lam = 1.9
-        residual, jac, f_lam = self._written_out(disc, c, lam)
+        residual, jac, f_lam, sym = self._written_out(disc, c, lam)
         assert disc.residual_coeffs(c, lam).tobytes() == residual.tobytes()
         assert disc.jacobian(c, lam).tobytes() == jac.tobytes()
         assert disc.dresidual_dlambda(c).tobytes() == f_lam.tobytes()
+        assert continuation._StateEvaluation(disc, c).operator(lam).tobytes() == sym.tobytes()
 
     def test_traced_points_reuse_the_corrector_evaluation(self):
         spec = ProblemSpec(jacobi_params(1, 0), 1.5, N=32)
@@ -306,7 +315,7 @@ class TestSharedEvaluation:
         start = branch_switch(1, spec, 1e-3, +1)
         branch = continue_branch(start, spec, ContinuationSettings(max_steps=6))
         for p in branch.points:
-            residual, _, _ = self._written_out(disc, p.u.coeffs, p.lam)
+            residual = self._written_out(disc, p.u.coeffs, p.lam)[0]
             assert p.residual_norm == disc.w_norm(residual)
 
     def test_newton_hands_back_the_evaluation_of_its_result(self):
@@ -315,20 +324,19 @@ class TestSharedEvaluation:
         c[0], c[1] = 1.0, 1e-3
         e_1 = np.eye(P10.N)[1]
         ev, lam, _ = continuation._bordered_newton(disc, c, 3.0, e_1, 0.0, 1e-3)
-        residual, jac, f_lam = self._written_out(disc, ev.c, lam)
+        residual, jac, f_lam, sym = self._written_out(disc, ev.c, lam)
         assert ev.residual(lam).tobytes() == residual.tobytes()
         assert ev.jacobian(lam).tobytes() == jac.tobytes()
         assert ev.dresidual_dlambda().tobytes() == f_lam.tobytes()
+        assert ev.operator(lam).tobytes() == sym.tobytes()
 
     def test_quad_gap_reads_the_projection_of_the_evaluation(self):
         # the M -> 2M gap written out from c alone equals quad_gap of the
         # evaluation, whose projection the residual has already formed
         disc = discretization(PFRAC)
         c = _mode_state(PFRAC, 1, 0.01).coeffs
-        q = PFRAC.q
-        vals, v2 = disc.basis @ c, disc.refined.basis @ c
-        p1 = disc.proj @ (vals - vals**q)
-        p2 = disc.refined.proj @ (v2 - v2**q)
+        p1 = self._projection(disc, disc.basis @ c)
+        p2 = self._projection(disc.refined, disc.refined.basis @ c)
         gap = disc.w_norm(p1 - p2) / (1.0 + disc.w_norm(p2))
         ev = continuation._StateEvaluation(disc, c)
         ev.residual(1.0)
@@ -401,7 +409,7 @@ class TestQuadratureExactness:
         assert disc.quad_gap(ev) < 1e-13
         assert disc.refined.rule.nodes.size == 2 * spec.M
         assert disc.refined.basis.shape == (2 * spec.M, spec.N)
-        assert disc.refined.proj.shape == (spec.N, 2 * spec.M)
+        assert disc.refined.orth.shape == (2 * spec.M, spec.N)
 
     def test_the_2m_level_is_built_on_the_first_quad_gap(self, monkeypatch):
         # (1, 0) q = 3/2: solving and the Jacobian use the M nodes only; the
@@ -507,6 +515,73 @@ def test_integer_q_projection_is_the_exact_galerkin_one(params, q, n, lam, seed)
     jv_scale = disc.w_norm(disc.lin * v) + disc.w_norm(disc.lin * v - jv)
     assert disc.w_norm(got_res - res) <= 1e-12 * res_scale
     assert disc.w_norm(got_jv - jv) <= 1e-12 * jv_scale
+
+
+def _gemm_jacobian(disc, vals, lam):
+    """J = diag(lin) - lambda proj diag(1 - q u^(q-1)) B, proj = H^(-1) B^T W:
+    the general product the Gram form replaced, kept here as its oracle."""
+    q = disc.spec.q
+    proj = (disc.basis * disc.rule.weights[:, None]).T / disc.h[:, None]
+    phi = 1.0 - q * vals ** (q - 1.0)
+    jac = -lam * (proj @ (disc.basis * phi[:, None]))
+    jac[np.diag_indices_from(jac)] += disc.lin
+    return jac
+
+
+def _gram_view(alpha, beta, q, n, view, seed):
+    """(disc, vals): the ``view`` of a fresh discretization of the spec, and
+    the nodal values there of a random state with |u - 1| <= 1/2 at the
+    nodes, even for the parity views.  The odd view takes the values of the
+    even state at the even view's nodes, as _sigma_range does."""
+    if view in ("even", "odd"):
+        beta = alpha
+    full = continuation.Discretization(ProblemSpec(jacobi_params(alpha, beta), q, N=n))
+    rng = np.random.default_rng(seed)
+    c = np.zeros(n)
+    c[1:] = rng.standard_normal(n - 1) / np.arange(2, n + 1)
+    if view in ("even", "odd"):
+        c[1::2] = 0.0
+    c[1:] *= 0.5 / np.max(np.abs(full.basis @ c))
+    c[0] = 1.0
+    if view in ("even", "odd"):
+        even = full.even
+        return (even if view == "even" else even.odd), even.basis @ c[even.modes]
+    disc = full if view == "full" else full.refined
+    return disc, disc.basis @ c
+
+
+# B^T W B = H holds in exact arithmetic for every view (Discretization), so
+# the Gram form J = H^(-1/2) S H^(1/2) and the general product differ by
+# lambda (H^(-1) B^T W B - I) in floats, and Q^T Q - I is that float gap
+# normalized.  Exponents near -1 make it largest: the weight mass h_0 grows
+# like 1/(alpha + 1), and sqrt(h_0 / h_i) scales the gap of row i in J.  Over
+# 4000 random draws of this test and its pinned example, the largest gaps
+# were 2.4e-10 of max |J| (the example) and 5.0e-11 in Q^T Q, both at alpha =
+# beta = -999/1000 in a parity view; the bounds allow 4 and 5 times that.
+GRAM_J_REL = 1e-9
+GRAM_ORTH_ABS = 2.5e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.fractions(min_value=F(-999, 1000), max_value=3, max_denominator=1000),
+    beta=st.fractions(min_value=F(-999, 1000), max_value=3, max_denominator=1000),
+    q=st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+    n=st.integers(8, 96),
+    view=st.sampled_from(["full", "even", "odd", "refined"]),
+    lam=st.floats(0.1, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(alpha=F(-999, 1000), beta=F(-999, 1000), q=2.0, n=20, view="even", lam=50.0, seed=0)
+def test_gram_operator_matches_the_general_product(alpha, beta, q, n, view, lam, seed):
+    disc, vals = _gram_view(alpha, beta, q, n, view, seed)
+    sym = continuation._gram_operator(disc, vals, lam)
+    assert sym.tobytes() == sym.T.copy().tobytes()
+    ref = _gemm_jacobian(disc, vals, lam)
+    jac = continuation._jacobian(disc, sym)
+    assert np.max(np.abs(jac - ref)) <= GRAM_J_REL * np.max(np.abs(ref))
+    orth = disc.orth
+    assert np.max(np.abs(orth.T @ orth - np.eye(orth.shape[1]))) <= GRAM_ORTH_ABS
 
 
 class TestBifurcationData:
@@ -1502,7 +1577,7 @@ class TestFolds:
     def test_fold_is_localized_on_the_branch_spec(self):
         spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=32)
         rec = find_degenerate(1, spec)
-        assert repr(detect_fold(rec.branch).lambda_star) == "2.7319282930146076"
+        assert repr(detect_fold(rec.branch).lambda_star) == "2.731928293014607"
         with pytest.raises(TypeError):
             detect_fold(rec.branch, ProblemSpec(spec.params, 2.0, N=32, M=200))
 
@@ -1677,8 +1752,10 @@ class TestParityReduction:
             assert view.basis.tobytes() == full.basis[half:, parity::2].copy().tobytes()
             assert view.h.tobytes() == full.h[parity::2].copy().tobytes()
             assert view.lin.tobytes() == full.lin[parity::2].copy().tobytes()
-            proj = (view.basis * w[:, None]).T / view.h[:, None]
-            assert view.proj.tobytes() == proj.tobytes()
+            assert view.sqrt_w.tobytes() == np.sqrt(w).tobytes()
+            assert view.sqrt_h.tobytes() == np.sqrt(view.h).tobytes()
+            orth = view.basis * np.sqrt(w)[:, None] / np.sqrt(view.h)
+            assert view.orth.tobytes() == orth.tobytes()
         assert odd.odd is None and full.odd is None
 
     def test_even_view_restricts_the_2m_arrays(self):
@@ -1686,7 +1763,7 @@ class TestParityReduction:
         even = full.even
         assert not full.exact and "refined" not in vars(even.odd)
         assert even.refined.basis.tobytes() == full.refined.basis[full.spec.M :, ::2].copy().tobytes()
-        assert even.refined.proj.shape == (8, full.spec.M)
+        assert even.refined.orth.shape == (full.spec.M, 8)
         # u = c_0 + P_2 has its minimum 0.05 at t = 0, so u^(3/2) is far from
         # a polynomial and the gap well above roundoff
         c = np.zeros(16)

@@ -404,6 +404,16 @@ def test_banded_series_matches_table_at_endpoints():
     assert np.all(_series_gap(F(-999, 1000), F(-999, 1000), 72, 1417, [-1.0, 1.0]) <= 1e-14)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="inside the interval too, exponents near -1 cost the recurrences digits near "
+    "t = -1: this draw of test_banded_series_matches_table puts the banded sum and the "
+    "table 1.08e-14 of sum |c_i P_i| apart at t = -0.99842, above its 1e-14 bound",
+)
+def test_banded_series_matches_table_near_minus_one():
+    assert np.all(_series_gap(F(-2378, 2379), F(-2378, 2379), 50, 4766) <= 1e-14)
+
+
 # exponents within 1e-6 of -1, where the recurrences lose digits at +-1
 NEAR_ONE = [(-1 + 1e-6, -1 + 1e-6), (-1 + 1e-6, 0.5)]
 
