@@ -15,8 +15,10 @@ conditions are natural for this weak form and are only checked a posteriori
 The Jacobian J is self-adjoint in L2_w.  The code forms the symmetric S =
 H^(1/2) J H^(-1/2), H = diag(h), as the Gram form diag(lin - lambda) +
 lambda q G^T G (_gram_operator), which B^T W B = H makes exact
-(Discretization).  sigma_min reads eigvalsh(S) (_sigma_range); the Newton
-step, the tangent and the fold certificate use J = H^(-1/2) S H^(1/2).
+(Discretization).  sigma_min reads eigvalsh(S) (_sigma_range), and the
+bordered systems of the Newton step and the tangent are solved with S in the
+unknowns H^(1/2) dc (_bordered_matrix); J = H^(-1/2) S H^(1/2) itself is
+formed only for jacobian().
 
 Branch tracing uses a Keller bordered predictor-corrector in the metric
 <(dc, dlam), (dc', dlam')> = sum h_i dc_i dc_i' + dlam dlam'.  The phase
@@ -418,7 +420,9 @@ class _StateEvaluation:
         return _gram_operator(self.disc, self.vals, lam)
 
     def jacobian(self, lam: float) -> np.ndarray:
-        return _jacobian(self.disc, self.operator(lam))
+        """J = H^(-1/2) S H^(1/2) at lambda."""
+        sqh = self.disc.sqrt_h
+        return self.operator(lam) * (sqh / sqh[:, None])
 
 
 def _gram_operator(disc: Discretization, vals: np.ndarray, lam: float) -> np.ndarray:
@@ -433,11 +437,6 @@ def _gram_operator(disc: Discretization, vals: np.ndarray, lam: float) -> np.nda
     mat *= lam * q
     mat.flat[:: mat.shape[0] + 1] += disc.lin - lam
     return mat
-
-
-def _jacobian(disc: Discretization, sym: np.ndarray) -> np.ndarray:
-    """J = H^(-1/2) S H^(1/2) from S = ``sym`` (_gram_operator)."""
-    return sym * (disc.sqrt_h / disc.sqrt_h[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -476,7 +475,7 @@ def jacobian(u: SpectralFunction, lam: float, spec: ProblemSpec) -> np.ndarray:
     a Gauss sum of P_i P_j, of degree 2N - 2 <= 2M - 1 (ProblemSpec enforces
     M >= 2N).  So J = H^(-1/2) S H^(1/2), with S = diag(-i(i+a) - lambda) +
     lambda q G^T G symmetric and G = diag(u^((q-1)/2)) W^(1/2) B H^(-1/2)
-    (_gram_operator), which is how it is formed."""
+    (_gram_operator), from which it is formed."""
     _require_state_of(spec, u, "state")
     return discretization(spec).jacobian(u.coeffs, lam)
 
@@ -826,14 +825,19 @@ def _make_point(
 
 
 def _bordered_matrix(
-    jac: np.ndarray, f_lam: np.ndarray, border: np.ndarray, border_lam: float
+    ev: _StateEvaluation, sym: np.ndarray, border: np.ndarray, border_lam: float
 ) -> np.ndarray:
-    """[[J, F_lambda], [border, border_lam]] with J = ``jac``, F_lambda = ``f_lam``."""
-    n = f_lam.size
+    """[[J, F_lambda], [border, border_lam]] at the state of ``ev``, in the
+    unknowns (H^(1/2) dc, dlambda) and with its first rows scaled by H^(1/2):
+    [[S, H^(1/2) F_lambda], [border H^(-1/2), border_lam]], S = ``sym``
+    (_gram_operator).  The diagonal scaling costs O(N), where forming J from
+    S would cost O(N^2); a solve of it gives H^(1/2) dc."""
+    sqh = ev.disc.sqrt_h
+    n = sqh.size
     a_mat = np.empty((n + 1, n + 1))
-    a_mat[:n, :n] = jac
-    a_mat[:n, n] = f_lam
-    a_mat[n, :n] = border
+    a_mat[:n, :n] = sym
+    a_mat[:n, n] = sqh * ev.dresidual_dlambda()
+    a_mat[n, :n] = border / sqh
     a_mat[n, n] = border_lam
     return a_mat
 
@@ -865,9 +869,9 @@ def _bordered_newton(
         converged = disc.w_norm(r) < NEWTON_TOL * (1.0 + disc.w_norm(c))
         if converged and abs(g) < NEWTON_TOL * (1.0 + abs(target)):
             return ev, lam, it
-        a_mat = _bordered_matrix(ev.jacobian(lam), ev.dresidual_dlambda(), border, border_lam)
-        delta = np.linalg.solve(a_mat, np.append(-r, -g))
-        c = c + delta[:n]
+        a_mat = _bordered_matrix(ev, ev.operator(lam), border, border_lam)
+        delta = np.linalg.solve(a_mat, np.append(-disc.sqrt_h * r, -g))
+        c = c + delta[:n] / disc.sqrt_h
         lam = lam + delta[n]
     raise NewtonDivergenceError(f"bordered Newton did not converge in {MAX_ITER} iterations")
 
@@ -938,8 +942,8 @@ def branch_switch(
     guess_c[k] = direction / sqh
     guess_lam = direction * lambda_prime_zero(k, spec) / sqh
     ev = _StateEvaluation(disc, c[disc.modes])
-    sym = ev.operator(lam)  # serves sigma_min and, as J, the tangent
-    tangent = _tangent(ev, _jacobian(disc, sym), guess_c[disc.modes], guess_lam)
+    sym = ev.operator(lam)  # serves sigma_min and the tangent
+    tangent = _tangent(ev, sym, guess_c[disc.modes], guess_lam)
     bp = _make_point(ev, lam, sigma, _sigma_range(ev, sym, lam)[0], tangent)
     if bp.crossings != k:
         raise StructureViolationError(
@@ -951,20 +955,20 @@ def branch_switch(
 
 def _tangent(
     ev: _StateEvaluation,
-    jac: np.ndarray,
+    sym: np.ndarray,
     guess_c: np.ndarray,
     guess_lam: float,
 ) -> tuple[np.ndarray, float]:
     """Unit tangent of the solution curve at the state of ``ev`` and lambda,
-    where J = ``jac``, oriented along the guess direction; computed from a
-    bordered solve so it stays well-defined at folds."""
+    where S = ``sym`` (_gram_operator), oriented along the guess direction;
+    computed from a bordered solve so it stays well-defined at folds."""
     disc = ev.disc
     n = ev.c.size
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    a_mat = _bordered_matrix(jac, ev.dresidual_dlambda(), disc.h * guess_c, guess_lam)
+    a_mat = _bordered_matrix(ev, sym, disc.h * guess_c, guess_lam)
     sol = np.linalg.solve(a_mat, rhs)
-    tc, tl = sol[:n], sol[n]
+    tc, tl = sol[:n] / disc.sqrt_h, sol[n]
     nrm = math.sqrt(float(disc.h @ (tc * tc)) + tl * tl)
     tc, tl = tc / nrm, tl / nrm
     if float(disc.h @ (tc * guess_c)) + tl * guess_lam < 0.0:
@@ -1081,9 +1085,9 @@ def _trace(branch: Branch, disc: Discretization, settings: ContinuationSettings)
             branch.termination = "trivial-branch"
             return
         # the corrector's last evaluation and one S serve sigma_min, the
-        # tangent (through J) and the residual norm
+        # tangent and the residual norm
         sym = ev.operator(lam_next)
-        tangent = _tangent(ev, _jacobian(disc, sym), *tau)
+        tangent = _tangent(ev, sym, *tau)
         smin = _sigma_range(ev, sym, lam_next)[0]
         _check_quadrature(ev)
         c, lam, s = ev.c, lam_next, s + direction * ds
@@ -1172,9 +1176,8 @@ def detect_fold(branch: Branch) -> FoldRecord:
     for _ in range(MAX_ITER):
         ds = b - fb * (b - a) / (fb - fa)
         ev, lam, _ = _correct(disc, c0, start.lam, tau_c, tau_lam, ds)
-        sym = ev.operator(lam)  # S and J at the last iterate serve the certificate
-        jac = _jacobian(disc, sym)
-        v, f = _tangent(ev, jac, tau_c, tau_lam)
+        sym = ev.operator(lam)  # S at the last iterate serves the certificate
+        v, f = _tangent(ev, sym, tau_c, tau_lam)
         if f * fb < 0.0:
             a, fa = b, fb
         else:
@@ -1188,7 +1191,7 @@ def detect_fold(branch: Branch) -> FoldRecord:
     v = v / disc.w_norm(v)
     ms_res = math.sqrt(
         disc.w_norm(ev.residual(lam)) ** 2
-        + disc.w_norm(jac @ v) ** 2
+        + float(np.linalg.norm(sym @ (disc.sqrt_h * v))) ** 2  # ||J v||_w
         + (float(disc.h @ (v * v)) - 1.0) ** 2
     )
     if not ms_res < CERTIFICATE_TOL:
