@@ -469,13 +469,11 @@ def _require_state_of(spec: ProblemSpec, u: SpectralFunction, what: str) -> None
 
 def jacobian(u: SpectralFunction, lam: float, spec: ProblemSpec) -> np.ndarray:
     """State Jacobian J = diag(-i(i+a)) - lambda H^(-1) B^T W diag(1 - q
-    u^(q-1)) B, for a state u of spec (spec.N coefficients in the basis of
-    spec.params), with B[m, i] = P_i(t_m) at the M Gauss nodes, W their
-    weights and H = diag(h).  B^T W B = H holds exactly, since each entry is
-    a Gauss sum of P_i P_j, of degree 2N - 2 <= 2M - 1 (ProblemSpec enforces
-    M >= 2N).  So J = H^(-1/2) S H^(1/2), with S = diag(-i(i+a) - lambda) +
-    lambda q G^T G symmetric and G = diag(u^((q-1)/2)) W^(1/2) B H^(-1/2)
-    (_gram_operator), from which it is formed."""
+    u^(q-1)) B of a state u of spec (spec.N coefficients in the basis of
+    spec.params), with B the basis at the M Gauss nodes and W their weights.
+    As B^T W B = H exactly (Gauss sums of degree 2N - 2 <= 2M - 1; see
+    Discretization), it is formed as H^(-1/2) S H^(1/2) from the symmetric
+    Gram form S = diag(-i(i+a) - lambda) + lambda q G^T G of _gram_operator."""
     _require_state_of(spec, u, "state")
     return discretization(spec).jacobian(u.coeffs, lam)
 
@@ -750,16 +748,13 @@ def endpoint_label(u: SpectralFunction, side: int) -> str:
 
 def _sigma_range(ev: _StateEvaluation, sym: np.ndarray, lam: float) -> tuple[float, float]:
     """(sigma_min, sigma_max) of the full J at the state of ``ev`` and lambda,
-    as an operator on L2_w, where ``sym`` is S = H^(1/2) J H^(-1/2) on the
-    modes of ev.disc: diag(lin - lambda) + lambda q G^T G (_gram_operator).
-    That Gram form is S because B^T W B = H holds exactly: each entry is a
-    Gauss sum of P_i P_j, of degree at most 2N - 2 <= 2M - 1, and in a parity
-    view P_i P_j is even, so the t >= 0 half sums it exactly too.  J is
-    self-adjoint in L2_w, so these are min and max |eigenvalue| of J, read
-    from eigvalsh of the symmetric S.  In the even view ``sym`` is the even
-    block, the even-odd blocks vanish, and the odd block's S is formed by the
-    same function from the same nodal values on the odd view; the range is
-    taken over the eigenvalues of both."""
+    as an operator on L2_w, where it is self-adjoint: min and max |eigenvalue|
+    of J, read by eigvalsh from ``sym``, the symmetric S = H^(1/2) J H^(-1/2)
+    on the modes of ev.disc.  _gram_operator forms S as a Gram form, exact as
+    B^T W B = H (Gauss sums of degree 2N - 2 <= 2M - 1, of even polynomials in
+    a parity view; see Discretization).  In the even view ``sym`` is the even
+    block, the even-odd blocks vanish, and the odd block's S is formed from
+    the same nodal values on the odd view; the range is over both blocks."""
     eig = [np.linalg.eigvalsh(sym)]
     if ev.disc.odd is not None:
         eig.append(np.linalg.eigvalsh(_gram_operator(ev.disc.odd, ev.vals, lam)))
