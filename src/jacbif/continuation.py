@@ -293,27 +293,27 @@ class Discretization:
     nodes, against which quad_gap compares the projection of a state.
 
     ``modes`` selects the Jacobi modes whose coefficients the discretization
-    solves for: all spec.N of them (x[modes] is x), or in the even view
-    (``even``) those of even index; pad maps back to spec.N coefficients.  ``odd`` is None, or in
-    the even view the odd view on the same nodes."""
+    solves for: all spec.N of them (x[modes] is x), or in a parity view those
+    of index ``_parity`` (mod 2), at the t >= 0 half of the nodes; pad maps
+    back to spec.N coefficients.  A parity view slices the rule and basis
+    table of ``_full``, the full level at the same nodes, where given.
+    ``odd`` is None, or in the even view the odd view on the same nodes."""
 
-    def __init__(self, spec: ProblemSpec, _m: int | None = None):
+    def __init__(self, spec: ProblemSpec, _m=None, _parity=None, _full=None):
         self.spec = spec
         self._m = spec.M if _m is None else _m
-        p = spec.params
-        self.modes = slice(None)
-        self.odd = None
-        self.h = np.array([norm_sq_closed_form(i, p) for i in range(spec.N)])
-        self.h.setflags(write=False)
-        i = np.arange(spec.N, dtype=float)
-        self.lin = -i * (i + p.a)
-        rule = gauss_jacobi_rule(p, self._m)
-        self._set_nodes(rule, jacobi_table(p, spec.N - 1, rule.nodes))
         self.exact = _projection_is_exact(spec, self._m)
-
-    def _set_nodes(self, rule: QuadratureRule, basis: np.ndarray) -> None:
-        """The rule, the basis table B at its nodes, and Q with the square
-        roots that scale it (see the class docstring); h is already set."""
+        self.modes = slice(None) if _parity is None else slice(_parity, None, 2)
+        self.odd = None
+        p = spec.params
+        self.h = np.array([norm_sq_closed_form(i, p) for i in range(spec.N)])[self.modes].copy()
+        self.h.setflags(write=False)
+        i = np.arange(spec.N, dtype=float)[self.modes]
+        self.lin = -i * (i + p.a)
+        rule = _full.rule if _full else gauss_jacobi_rule(p, self._m)
+        basis = _full.basis if _full else jacobi_table(p, spec.N - 1, rule.nodes)
+        if _parity is not None:
+            rule, basis = _upper_half(rule, basis[:, self.modes])
         self.rule, self.basis = rule, basis
         self.sqrt_w = np.sqrt(rule.weights)
         self.sqrt_h = np.sqrt(self.h)
@@ -324,28 +324,17 @@ class Discretization:
     def even(self) -> Discretization:
         """The even view, for alpha == beta (see the module docstring): the
         even modes at the t >= 0 half of the nodes, sliced from this
-        discretization's arrays, with the odd view as ``odd``."""
+        discretization's rule and basis table, with the odd view as ``odd``."""
         if not self.spec.params.is_symmetric:
             raise ParameterError(f"no even view: {self.spec.params} has alpha != beta")
-        even = self._parity_view(0)
-        even.odd = self._parity_view(1)
+        even = Discretization(self.spec, self._m, 0, self)
+        even.odd = Discretization(self.spec, self._m, 1, self)
         return even
-
-    def _parity_view(self, parity: int) -> Discretization:
-        """The modes of index parity (mod 2) at the t >= 0 half of the nodes."""
-        view = object.__new__(Discretization)
-        view.spec, view._m, view.exact, view.odd = self.spec, self._m, self.exact, None
-        view.modes = slice(parity, None, 2)
-        view.h = np.ascontiguousarray(self.h[view.modes])
-        view.lin = np.ascontiguousarray(self.lin[view.modes])
-        view._set_nodes(*_upper_half(self.rule, self.basis[:, view.modes]))
-        return view
 
     @cached_property
     def refined(self) -> Discretization:
         """This discretization at twice the nodes (a parity view: that view of it)."""
-        refined = Discretization(self.spec, 2 * self._m)
-        return refined if self.modes == slice(None) else refined._parity_view(self.modes.start)
+        return Discretization(self.spec, 2 * self._m, self.modes.start)
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """x on this discretization's modes as spec.N coefficients, 0.0 elsewhere."""
@@ -361,10 +350,11 @@ class Discretization:
         return _StateEvaluation(self, c).residual(lam)
 
     def jacobian(self, c: np.ndarray, lam: float) -> np.ndarray:
-        return _StateEvaluation(self, c).jacobian(lam)
+        """J = H^(-1/2) S H^(1/2) at the state c and lambda (_gram_operator)."""
+        return _StateEvaluation(self, c).operator(lam) * (self.sqrt_h / self.sqrt_h[:, None])
 
     def dresidual_dlambda(self, c: np.ndarray) -> np.ndarray:
-        return _StateEvaluation(self, c).dresidual_dlambda()
+        return -_StateEvaluation(self, c).projection
 
     def quad_gap(self, ev: _StateEvaluation) -> float:
         """Relative change of the nonlinear projection of ``ev``, an evaluation
@@ -412,17 +402,9 @@ class _StateEvaluation:
     def residual(self, lam: float) -> np.ndarray:
         return self.disc.lin * self.c - lam * self.projection
 
-    def dresidual_dlambda(self) -> np.ndarray:
-        return -self.projection
-
     def operator(self, lam: float) -> np.ndarray:
         """S at lambda (_gram_operator)."""
         return _gram_operator(self.disc, self.vals, lam)
-
-    def jacobian(self, lam: float) -> np.ndarray:
-        """J = H^(-1/2) S H^(1/2) at lambda."""
-        sqh = self.disc.sqrt_h
-        return self.operator(lam) * (sqh / sqh[:, None])
 
 
 def _gram_operator(disc: Discretization, vals: np.ndarray, lam: float) -> np.ndarray:
@@ -831,7 +813,7 @@ def _bordered_matrix(
     n = sqh.size
     a_mat = np.empty((n + 1, n + 1))
     a_mat[:n, :n] = sym
-    a_mat[:n, n] = sqh * ev.dresidual_dlambda()
+    a_mat[:n, n] = -sqh * ev.projection
     a_mat[n, :n] = border / sqh
     a_mat[n, n] = border_lam
     return a_mat
@@ -907,7 +889,7 @@ def solve_at_phase(
         ) / sqh
     c[k] = ck
     disc = _state_discretization(spec, c)
-    e_k = np.eye(spec.N)[k][disc.modes]
+    e_k = (np.arange(spec.N)[disc.modes] == k).astype(float)
     ev, lam, _ = _bordered_newton(disc, c[disc.modes], lam, e_k, 0.0, ck)
     return disc.pad(ev.c), lam
 
@@ -979,16 +961,9 @@ def _fold_bracket(points: list[BranchPoint]) -> int | None:
     return None
 
 
-# Traced states that continue_branch diagnoses together (_make_points): ACCEPT_BLOCK
-# up to N = 64 and fewer above, so that the FFT arrays of a block (3 x 16N
-# values a state) stay those of 8 states at N = 64.  Blocks of 8 at N = 256 left
-# the malloc heap so that fold-n256 read a 4 MB higher peak RSS in 7 of 12 runs;
-# blocks of 2 did so in none of 12.
+# Traced states that continue_branch diagnoses together (_make_points), at every N;
+# the FFT arrays of a block hold 3 x 16N values a state.
 ACCEPT_BLOCK = 8
-
-
-def _block_size(n_modes: int) -> int:
-    return max(1, ACCEPT_BLOCK * 64 // max(n_modes, 64))
 
 
 def continue_branch(
@@ -1008,9 +983,9 @@ def continue_branch(
     first fold bracket (_fold_bracket on the point tangents).
 
     The traced states (_trace, which checks quad_gap on each) wait for their
-    diagnostics, and _make_points diagnoses them in blocks of
-    _block_size(spec.N) (ACCEPT_BLOCK = 8 up to N = 64), and in a finally
-    whatever is still pending when tracing ends or raises.  A refusal among
+    diagnostics, and _make_points diagnoses them in blocks of ACCEPT_BLOCK
+    at every N, and in a finally whatever is still pending when tracing ends
+    or raises.  A refusal among
     the pending states thus comes before any other exit, and states traced
     past it are dropped, so the branch, its termination and any error are
     those of accepting each state as it is traced.
@@ -1032,13 +1007,12 @@ def continue_branch(
         raise ParameterError(f"start does not solve the spec: residual {res:.2e}")
     direction = 1 if start.s >= 0.0 else -1
     branch = Branch(spec=spec, k=start.crossings, direction=direction, points=[start])
-    block = _block_size(spec.N)
     pending: list = []
     try:
         try:
             for state in _trace(branch, disc, settings):
                 pending.append(state)
-                if len(pending) == block:
+                if len(pending) == ACCEPT_BLOCK:
                     states, pending = pending, []
                     _make_points(states, branch.points)
         finally:

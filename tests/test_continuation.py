@@ -58,6 +58,7 @@ from jacbif.jacobi import (
     exact_poly,
     gauss_jacobi_rule,
     integrate_relative,
+    jacobi_series,
     jacobi_table,
     derivative_series,
     norm_sq_closed_form,
@@ -324,10 +325,8 @@ class TestSharedEvaluation:
         c[0], c[1] = 1.0, 1e-3
         e_1 = np.eye(P10.N)[1]
         ev, lam, _ = continuation._bordered_newton(disc, c, 3.0, e_1, 0.0, 1e-3)
-        residual, jac, f_lam, sym = self._written_out(disc, ev.c, lam)
+        residual, _, _, sym = self._written_out(disc, ev.c, lam)
         assert ev.residual(lam).tobytes() == residual.tobytes()
-        assert ev.jacobian(lam).tobytes() == jac.tobytes()
-        assert ev.dresidual_dlambda().tobytes() == f_lam.tobytes()
         assert ev.operator(lam).tobytes() == sym.tobytes()
 
     def test_quad_gap_reads_the_projection_of_the_evaluation(self):
@@ -1012,6 +1011,24 @@ def test_close_critical_points_in_one_scan_cell_are_counted():
     assert len(point_diagnostics(SpectralFunction(c, jacobi_params(0, 0)))[1]) == 27
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="two roots of u - 1 0.0076 apart share one scan cell of width 0.024, so no sign "
+    "change brackets them and the count misses both; certified exclusion (ROADMAP item 2) "
+    "would refuse that cell",
+)
+def test_close_crossings_in_one_scan_cell_are_counted():
+    # a counterexample of test_counts_match_the_colleague_matrix (ab=(-999/1000,
+    # -9/10), n=16, exponent=0, decay=0.8995016260436324, seed=1396): u - 1 has
+    # 2 real roots in (-1, 1), at 0.21323 and 0.22079 inside the scan cell
+    # (0.20711, 0.23106), and point_diagnostics finds none
+    rng = np.random.default_rng(1396)
+    c = rng.standard_normal(16) * 0.8995016260436324 ** np.arange(16)
+    c[0] += 1.0
+    params = jacobi_params(F(-999, 1000), F(-9, 10))
+    assert len(point_diagnostics(SpectralFunction(c, params))[0]) == 2
+
+
 def _block_state(kind, params, n, rng):
     """Coefficients of one state of a diagnosed block: a random decaying
     state, or one that _diagnose refuses in one of its five ways."""
@@ -1234,7 +1251,7 @@ class TestContinueBranch:
     @pytest.mark.parametrize("case", ["nonpositive-state", "tangency"])
     def test_blocks_of_one_trace_the_same_branch(self, case, monkeypatch):
         # continue_branch accepts its traced states in blocks of
-        # _block_size(N) (8 at N=64, 2 at N=256); with blocks of one it
+        # ACCEPT_BLOCK (8) at every N; with blocks of one it
         # accepts each as it is traced, and the points, termination and
         # error are the same.  k=1 (1/2,1/2) q=3 ends after 261 points at a
         # state nonpositive on the scan grid; k=1 (2,-1/2) q=2 at N=256 meets
@@ -1264,7 +1281,7 @@ class TestContinueBranch:
             monkeypatch.setattr(continuation, "ACCEPT_BLOCK", size)
             blocks.clear()
             traced.append(_traced(start, spec, settings))
-            assert max(states for states, _, _ in blocks) == continuation._block_size(spec.N)
+            assert max(states for states, _, _ in blocks) == continuation.ACCEPT_BLOCK
             if size > 1:
                 states, accepted, error = blocks[-1]
                 assert error is not None and 0 < accepted < states
@@ -1501,6 +1518,53 @@ class TestFolds:
         assert abs(tau_lam) < 1e-8
         cos = float(disc.h @ (v * rec.null_direction.coeffs)) / disc.w_norm(v)
         assert abs(cos) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
+    def test_certificate_jv_term_is_the_illinois_tau_lambda(self, fold_records, case):
+        # the bordered tangent (v, tau_lam) solves J v + tau_lam F_lambda = 0,
+        # so the J v term of the Moore-Spence residual is |tau_lam|
+        # ||F_lambda||_w / ||v||_w, up to the solve's roundoff, and Illinois
+        # drives tau_lam to 0: the certificate restates the Newton and Illinois
+        # stopping tests and is no independent check.  The term reads 2.0e-14,
+        # 4.2e-15 and 6.1e-14 at the three folds, and the identity holds to
+        # 5.5e-16, 3.3e-16 and 2.2e-17; the bound is 18 times the largest
+        rec = fold_records[case]
+        spec = rec.branch.spec
+        disc = continuation._state_discretization(spec, rec.point.u.coeffs)
+        ev = continuation._StateEvaluation(disc, rec.point.u.coeffs[disc.modes])
+        v, tau_lam = rec.point.tangent
+        v = v[disc.modes]
+        v_norm = disc.w_norm(v)
+        sym = ev.operator(rec.lambda_star)
+        jv = float(np.linalg.norm(sym @ (disc.sqrt_h * v / v_norm)))  # ||J v||_w / ||v||_w
+        predicted = abs(tau_lam) * disc.w_norm(ev.projection) / v_norm
+        assert abs(jv - predicted) <= 1e-14
+        residual = disc.w_norm(ev.residual(rec.lambda_star))
+        assert rec.moore_spence_residual == pytest.approx(math.hypot(residual, jv), abs=1e-15)
+
+    def test_critical_points_satisfy_the_ode_slope_relation(self, fold_records):
+        # an oracle for the polished critical points from the ODE itself: at
+        # u'(t0) = 0, (1 - t0^2) u''(t0) = lambda (u - u^q)(t0).  The Galerkin
+        # state solves the ODE only weakly, so the gap, relative to the largest
+        # right side on the state, is its strong-form residual there: over the
+        # 120 critical points of the three branches and their fold points the
+        # median is 4.7e-14 and the worst 1.6e-9 (k=3 (3/2,1/2) q=2, point 42,
+        # where the branch has steepened most).  The bounds are 20 and 6 times
+        # those
+        gaps = []
+        for rec in fold_records:
+            params, q = rec.branch.spec.params, rec.branch.spec.q
+            for p in rec.branch.points + [rec.point]:
+                if not p.critical:
+                    continue
+                t = np.array([t0 for t0, _ in p.critical])
+                u = p.u(t)
+                d2 = jacobi_series(*derivative_series(*derivative_series(params, p.u.coeffs)), t)
+                rhs = p.lam * np.abs(u - u**q)
+                gaps.extend(np.abs(np.abs(d2) * (1.0 - t * t) - rhs) / rhs.max())
+        assert len(gaps) == 120
+        assert np.median(gaps) <= 1e-12
+        assert max(gaps) <= 1e-8
 
     @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
     def test_fold_localization_builds_one_tangent_per_corrector(

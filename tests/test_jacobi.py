@@ -407,11 +407,17 @@ def test_banded_series_matches_table_at_endpoints():
 @pytest.mark.xfail(
     strict=True,
     reason="inside the interval too, exponents near -1 cost the recurrences digits near "
-    "t = -1: this draw of test_banded_series_matches_table puts the banded sum and the "
-    "table 1.08e-14 of sum |c_i P_i| apart at t = -0.99842, above its 1e-14 bound",
+    "t = -1: these draws of test_banded_series_matches_table put the banded sum and the "
+    "table 1.08e-14 (t = -0.99842) and 1.13e-14 (t = -0.99913) of sum |c_i P_i| apart, "
+    "above its 1e-14 bound",
 )
-def test_banded_series_matches_table_near_minus_one():
-    assert np.all(_series_gap(F(-2378, 2379), F(-2378, 2379), 50, 4766) <= 1e-14)
+@pytest.mark.parametrize(
+    "exponent, n, seed",
+    [(F(-2378, 2379), 50, 4766), (F(-1754, 1755), 41, 222)],
+    ids=["1/2379-1", "1/1755-1"],
+)
+def test_banded_series_matches_table_near_minus_one(exponent, n, seed):
+    assert np.all(_series_gap(exponent, exponent, n, seed) <= 1e-14)
 
 
 # exponents within 1e-6 of -1, where the recurrences lose digits at +-1
