@@ -25,8 +25,8 @@ Branch tracing uses a Keller bordered predictor-corrector in the metric
 solve, the corrector and fold localization share one bordered Newton kernel.
 A fold is located as a root of the lambda component of the unit tangent; the
 tangent there is (v, 0) with J v = 0, so the kernel direction comes with the
-fold, and the Moore-Spence residual of {F = 0, J v = 0, ||v||_w = 1}
-certifies it a posteriori.
+fold, and the Moore-Spence residual of {F = 0, J v = 0, ||v||_w = 1} checks
+a posteriori that the iterations which located it converged.
 
 For alpha == beta, P_i(-t) = (-1)^i P_i(t) on symmetric Gauss nodes, so an
 even state keeps the even and odd modes apart.  A state whose odd
@@ -198,10 +198,12 @@ class FoldRecord:
 
     ``null_direction`` is the state part v of the unit tangent at the fold,
     rescaled to ||v||_w = 1.  ``moore_spence_residual`` is the norm of
-    (F(c, lambda), J v, ||v||_w^2 - 1) there.  No iteration minimizes it, so
-    it certifies the fold point and its kernel direction independently, as
-    does ``sigma_ratio`` = min|eig|/max|eig| of J at the fold: the ratio of
-    its extreme singular values in L2_w, where J is self-adjoint.
+    (F(c, lambda), J v, ||v||_w^2 - 1) there, and ``sigma_ratio`` is
+    min|eig|/max|eig| of J, the ratio of its extreme singular values in L2_w.
+    Both restate the stopping tests that located the fold: the tangent (v,
+    tau_lam) solves J v + tau_lam F_lambda = 0, so the J v term is |tau_lam|
+    ||F_lambda||_w / ||v||_w to roundoff, Illinois drives tau_lam to 0, and
+    min|eig| of J is at most that term.
     """
 
     point: BranchPoint
@@ -961,9 +963,16 @@ def _fold_bracket(points: list[BranchPoint]) -> int | None:
     return None
 
 
-# Traced states that continue_branch diagnoses together (_make_points), at every N;
-# the FFT arrays of a block hold 3 x 16N values a state.
+# Traced states that continue_branch diagnoses together (_make_points): ACCEPT_BLOCK
+# up to N = 64 and fewer above, so that the FFT arrays of a block (3 x 16N
+# values a state) stay those of 8 states at N = 64.  Blocks of 8 at N = 256 leave
+# the malloc heap so that fold-n256 reads a median peak RSS of 81.0 MB, 5 of 10
+# runs at 82.7 to 84.1 MB, against 77.9 MB with blocks of 2 (10 alternating runs).
 ACCEPT_BLOCK = 8
+
+
+def _block_size(n_modes: int) -> int:
+    return max(1, ACCEPT_BLOCK * 64 // max(n_modes, 64))
 
 
 def continue_branch(
@@ -983,9 +992,9 @@ def continue_branch(
     first fold bracket (_fold_bracket on the point tangents).
 
     The traced states (_trace, which checks quad_gap on each) wait for their
-    diagnostics, and _make_points diagnoses them in blocks of ACCEPT_BLOCK
-    at every N, and in a finally whatever is still pending when tracing ends
-    or raises.  A refusal among
+    diagnostics, and _make_points diagnoses them in blocks of
+    _block_size(spec.N) (ACCEPT_BLOCK = 8 up to N = 64), and in a finally
+    whatever is still pending when tracing ends or raises.  A refusal among
     the pending states thus comes before any other exit, and states traced
     past it are dropped, so the branch, its termination and any error are
     those of accepting each state as it is traced.
@@ -1007,12 +1016,13 @@ def continue_branch(
         raise ParameterError(f"start does not solve the spec: residual {res:.2e}")
     direction = 1 if start.s >= 0.0 else -1
     branch = Branch(spec=spec, k=start.crossings, direction=direction, points=[start])
+    block = _block_size(spec.N)
     pending: list = []
     try:
         try:
             for state in _trace(branch, disc, settings):
                 pending.append(state)
-                if len(pending) == ACCEPT_BLOCK:
+                if len(pending) == block:
                     states, pending = pending, []
                     _make_points(states, branch.points)
         finally:
@@ -1117,12 +1127,12 @@ def detect_fold(branch: Branch) -> FoldRecord:
     one tangent.  The fold point keeps the last of these tangents.  At the
     root the tangent is (v, 0) with J v = 0, and v is the kernel direction,
     scaled to ||v||_w = 1 with its largest weighted component positive.  The
-    fold is certified a posteriori: the Moore-Spence residual
-    ||(F, J v, ||v||_w^2 - 1)|| must be below CERTIFICATE_TOL and
-    min|eig|/max|eig| of J (self-adjoint in L2_w; _sigma_range) below
-    DEGENERATE_TOL.  The fold point then passes _make_point, as each traced
-    point does.  points[i] decides the modes solved for, as the start of
-    continue_branch does.
+    Moore-Spence residual ||(F, J v, ||v||_w^2 - 1)|| must be below
+    CERTIFICATE_TOL and min|eig|/max|eig| of J (self-adjoint in L2_w;
+    _sigma_range) below DEGENERATE_TOL: checks of the stopping tests
+    (FoldRecord), not of the fold at another N.  The fold point then passes
+    _make_point, as each traced point does.  points[i] decides the modes
+    solved for, as the start of continue_branch does.
     """
     spec = branch.spec
     pts = branch.points

@@ -1251,7 +1251,7 @@ class TestContinueBranch:
     @pytest.mark.parametrize("case", ["nonpositive-state", "tangency"])
     def test_blocks_of_one_trace_the_same_branch(self, case, monkeypatch):
         # continue_branch accepts its traced states in blocks of
-        # ACCEPT_BLOCK (8) at every N; with blocks of one it
+        # _block_size(N) (8 at N=64, 2 at N=256); with blocks of one it
         # accepts each as it is traced, and the points, termination and
         # error are the same.  k=1 (1/2,1/2) q=3 ends after 261 points at a
         # state nonpositive on the scan grid; k=1 (2,-1/2) q=2 at N=256 meets
@@ -1281,7 +1281,7 @@ class TestContinueBranch:
             monkeypatch.setattr(continuation, "ACCEPT_BLOCK", size)
             blocks.clear()
             traced.append(_traced(start, spec, settings))
-            assert max(states for states, _, _ in blocks) == continuation.ACCEPT_BLOCK
+            assert max(states for states, _, _ in blocks) == continuation._block_size(spec.N)
             if size > 1:
                 states, accepted, error = blocks[-1]
                 assert error is not None and 0 < accepted < states
