@@ -22,11 +22,10 @@ formed only for jacobian().
 
 Branch tracing uses a Keller bordered predictor-corrector in the metric
 <(dc, dlam), (dc', dlam')> = sum h_i dc_i dc_i' + dlam dlam'.  The phase
-solve, the corrector and fold localization share one bordered Newton kernel.
-A fold is located as a root of the lambda component of the unit tangent; the
-tangent there is (v, 0) with J v = 0, so the kernel direction comes with the
-fold, and the Moore-Spence residual of {F = 0, J v = 0, ||v||_w = 1} checks
-a posteriori that the iterations which located it converged.
+solve and the corrector share one bordered Newton kernel.  A sign change of
+the lambda component of the unit tangent brackets a fold, and one Newton
+solve of the Moore-Spence system {F = 0, J v = 0, <v0, v>_w = 1} localizes
+it (_moore_spence), so the kernel direction v comes with the fold.
 
 For alpha == beta, P_i(-t) = (-1)^i P_i(t) on symmetric Gauss nodes, so an
 even state keeps the even and odd modes apart.  A state whose odd
@@ -196,14 +195,11 @@ class Branch:
 class FoldRecord:
     """A localized degenerate solution (turning point) with its kernel.
 
-    ``null_direction`` is the state part v of the unit tangent at the fold,
-    rescaled to ||v||_w = 1.  ``moore_spence_residual`` is the norm of
-    (F(c, lambda), J v, ||v||_w^2 - 1) there, and ``sigma_ratio`` is
-    min|eig|/max|eig| of J, the ratio of its extreme singular values in L2_w.
-    Both restate the stopping tests that located the fold: the tangent (v,
-    tau_lam) solves J v + tau_lam F_lambda = 0, so the J v term is |tau_lam|
-    ||F_lambda||_w / ||v||_w to roundoff, Illinois drives tau_lam to 0, and
-    min|eig| of J is at most that term.
+    ``null_direction`` is the kernel direction v of J at ||v||_w = 1, and
+    ``moore_spence_residual`` the norm of (F(c, lambda), J v, <v0, v>_w - 1)
+    at the root _moore_spence returns, its own stopping test.  ``sigma_ratio``
+    is min|eig|/max|eig| of J, the ratio of its extreme singular values in
+    L2_w.  Both check the solve at this N, not the fold at another.
     """
 
     point: BranchPoint
@@ -215,7 +211,7 @@ class FoldRecord:
 
 
 NEWTON_TOL = 1e-11  # bordered Newton: ||F||_w and the border equation, relative
-MAX_ITER = 25  # Newton iterations per solve, and Illinois steps per fold
+MAX_ITER = 25  # Newton iterations per solve
 DEGENERATE_TOL = 1e-8  # a fold needs min|eig|/max|eig| of J (self-adjoint in L2_w) below this
 CERTIFICATE_TOL = 1e-10  # a fold needs its Moore-Spence residual below this
 QUAD_CHECK_TOL = 1e-10  # largest relative change of an inexact projection when M doubles
@@ -1047,8 +1043,10 @@ def _trace(branch: Branch, disc: Discretization, settings: ContinuationSettings)
     steps_after_bracket = 0
     for _ in range(settings.max_steps - 1):  # the start is the first point
         while True:
-            try:
-                ev, lam_next, iters = _correct(disc, c, lam, *tau, ds)
+            try:  # predictor step ds along tau, then the corrector
+                ev, lam_next, iters = _bordered_newton(
+                    disc, c + ds * tau[0], lam + ds * tau[1], disc.h * tau[0], tau[1], ds, (c, lam)
+                )
                 break
             except (NewtonDivergenceError, NonpositiveStateError, np.linalg.LinAlgError):
                 if 0.5 * ds < settings.ds_min:
@@ -1091,95 +1089,96 @@ def _trace(branch: Branch, disc: Discretization, settings: ContinuationSettings)
     branch.termination = "max-steps"
 
 
-def _correct(
-    disc: Discretization,
-    c_prev: np.ndarray,
-    lam_prev: float,
-    tau_c: np.ndarray,
-    tau_lam: float,
-    ds: float,
-) -> tuple[_StateEvaluation, float, int]:
-    """One predictor step of arclength ds along (tau_c, tau_lam), then the
-    bordered Newton corrector on {F = 0, <x - x_prev, tau>_metric = ds}."""
-    return _bordered_newton(
-        disc,
-        c_prev + ds * tau_c,
-        lam_prev + ds * tau_lam,
-        disc.h * tau_c,
-        tau_lam,
-        ds,
-        origin=(c_prev, lam_prev),
-    )
-
-
 # ---------------------------------------------------------------------------
 # fold localization
+
+
+def _moore_spence(
+    disc: Discretization, c: np.ndarray, lam: float, v0: np.ndarray
+) -> tuple[_StateEvaluation, float, np.ndarray, float]:
+    """Newton iteration for the Moore-Spence system {F(c, lambda) = 0, J v =
+    0, <v0, v>_w = 1} of a turning point (Moore and Spence, SIAM J. Numer.
+    Anal. 17(4), 1980) from (c, lambda, v0), v0 scaled to ||v0||_w = 1.  The
+    unknowns are (H^(1/2) c, lambda, H^(1/2) v), and each step eliminates on
+    the tangent's bordered matrix A (_bordered_matrix, border v0), so no
+    (2N+1)-square matrix is formed: the (c, lambda) step is a + t phi, A a =
+    (-H^(1/2) F, 0) and A phi = (0, 1); the v step w solves A (w, mu) = (-S
+    H^(1/2) v - K (a + t phi), 1 - <v0, v>_w), K the derivative of S H^(1/2) v
+    in (H^(1/2) c, lambda), lambda q (q - 1) Q^T diag(u^(q-2) B v) Q and (S -
+    diag(lin)) H^(1/2) v / lambda; mu = 0 fixes t.  Returns (evaluation,
+    lambda, v, residual) once ||(F, J v, <v0, v>_w - 1)||, in the w-norm, is
+    below NEWTON_TOL (1 + ||c||_w).  A step to a state not positive at the
+    nodes, a singular step or MAX_ITER steps is a NewtonDivergenceError."""
+    n, q, sqh = c.size, disc.spec.q, disc.sqrt_h
+    v0 = v0 / disc.w_norm(v0)
+    z = sqh * v0  # H^(1/2) v
+    for _ in range(MAX_ITER):
+        try:
+            ev = _StateEvaluation(disc, c)
+            sym = ev.operator(lam)
+            f, jv, g = sqh * ev.residual(lam), sym @ z, float(sqh @ (v0 * z)) - 1.0
+            res = math.sqrt(float(f @ f) + float(jv @ jv) + g * g)
+            if res < NEWTON_TOL * (1.0 + disc.w_norm(c)):
+                return ev, lam, z / sqh, res
+            a_mat = _bordered_matrix(ev, sym, disc.h * v0, 0.0)
+            rhs = np.zeros((n + 1, 2))
+            rhs[:n, 0], rhs[n, 1] = -f, 1.0
+            x = np.linalg.solve(a_mat, rhs)  # the columns a and phi
+            weight = lam * q * (q - 1.0) * ev.vals ** (q - 2.0) * (disc.basis @ (z / sqh))
+            rhs[:n] = -disc.orth.T @ (weight[:, None] * (disc.orth @ x[:n]))
+            rhs[:n] -= np.outer((jv - disc.lin * z) / lam, x[n])
+            rhs[:n, 0] -= jv
+            rhs[n] = -g, 0.0
+            w = np.linalg.solve(a_mat, rhs)
+            t = -float(w[n, 0]) / float(w[n, 1])  # ZeroDivisionError: the step is singular
+        except (NonpositiveStateError, np.linalg.LinAlgError, ZeroDivisionError) as err:
+            raise NewtonDivergenceError(f"Moore-Spence solve failed: {err}") from None
+        c = c + (x[:n, 0] + t * x[:n, 1]) / sqh
+        lam = lam + float(x[n, 0] + t * x[n, 1])
+        z = z + w[:n, 0] + t * w[:n, 1]
+    raise NewtonDivergenceError(f"Moore-Spence solve did not converge in {MAX_ITER} iterations")
 
 
 def detect_fold(branch: Branch) -> FoldRecord:
     """Localize the first turning point bracketed by the branch, on branch.spec.
 
-    The fold test function is tau_lam, the lambda component of the unit
-    tangent, which changes sign at a regular fold.  Its first sign change
-    between the tangents of points i and i + 1 (_fold_bracket) brackets the
-    fold, and its root in arclength is found by the Illinois method from
-    points[i] along its tangent, each evaluation being one corrector step and
-    one tangent.  The fold point keeps the last of these tangents.  At the
-    root the tangent is (v, 0) with J v = 0, and v is the kernel direction,
-    scaled to ||v||_w = 1 with its largest weighted component positive.  The
-    Moore-Spence residual ||(F, J v, ||v||_w^2 - 1)|| must be below
-    CERTIFICATE_TOL and min|eig|/max|eig| of J (self-adjoint in L2_w;
-    _sigma_range) below DEGENERATE_TOL: checks of the stopping tests
-    (FoldRecord), not of the fold at another N.  The fold point then passes
-    _make_point, as each traced point does.  points[i] decides the modes
-    solved for, as the start of continue_branch does.
+    tau_lam, the lambda component of the unit tangent, first changes sign
+    between points i and i + 1 (_fold_bracket).  The fold is the root that
+    _moore_spence reaches from points[i + 1], on its modes, with v0 the state
+    part of its tangent.  Its arclength <tau_i, x - x_i> from points[i], in
+    the branch metric, must lie in (0, |s_(i+1) - s_i|), else
+    NewtonDivergenceError.  The kernel direction v is scaled to ||v||_w = 1,
+    largest weighted component positive, and the fold point's tangent is
+    (+-v, 0), oriented along that of points[i].  The Moore-Spence residual
+    must be below CERTIFICATE_TOL and min|eig|/max|eig| of J (_sigma_range)
+    below DEGENERATE_TOL (FoldRecord); the fold point then passes _make_point.
     """
     spec = branch.spec
-    pts = branch.points
-    i = _fold_bracket(pts)
+    i = _fold_bracket(branch.points)
     if i is None:
         why = {
             "trivial-branch": " (the branch returned to u = 1)",
             "nonpositive-state": " (the branch reached a state that is not positive)",
         }.get(branch.termination, "")
         raise NoFoldBracketError(f"tau_lambda keeps its sign on the traced branch{why}")
-    start = pts[i]
-    disc = _state_discretization(spec, start.u.coeffs)
-    c0 = start.u.coeffs[disc.modes]
-    tau_c, tau_lam = start.tangent[0][disc.modes], start.tangent[1]
-    # regula falsi on tau_lam(ds) with the Illinois rule: the root stays
-    # between a and the latest iterate b, and the value kept at a is halved
-    # whenever a survives a step
-    a, fa, b, fb = 0.0, tau_lam, abs(pts[i + 1].s - start.s), pts[i + 1].tangent[1]
-    xtol = NEWTON_TOL * b
-    for _ in range(MAX_ITER):
-        ds = b - fb * (b - a) / (fb - fa)
-        ev, lam, _ = _correct(disc, c0, start.lam, tau_c, tau_lam, ds)
-        sym = ev.operator(lam)  # S at the last iterate serves the certificate
-        v, f = _tangent(ev, sym, tau_c, tau_lam)
-        if f * fb < 0.0:
-            a, fa = b, fb
-        else:
-            fa *= 0.5
-        b, fb = ds, f
-        if f == 0.0 or abs(b - a) <= xtol:
-            break
-    else:
-        raise NewtonDivergenceError(f"fold not located to {xtol:.1e} in arclength")
-    tangent = (v, f)
-    v = v / disc.w_norm(v)
-    ms_res = math.sqrt(
-        disc.w_norm(ev.residual(lam)) ** 2
-        + float(np.linalg.norm(sym @ (disc.sqrt_h * v))) ** 2  # ||J v||_w
-        + (float(disc.h @ (v * v)) - 1.0) ** 2
-    )
+    start, end = branch.points[i : i + 2]
+    disc = _state_discretization(spec, end.u.coeffs)
+    m = disc.modes
+    ev, lam, v, ms_res = _moore_spence(disc, end.u.coeffs[m], end.lam, end.tangent[0][m])
+    tau_c, tau_lam = start.tangent[0][m], start.tangent[1]
+    ds = float(disc.h @ (tau_c * (ev.c - start.u.coeffs[m]))) + tau_lam * (lam - start.lam)
+    width = abs(end.s - start.s)
+    if not 0.0 < ds < width:
+        raise NewtonDivergenceError(f"fold root at ds={ds:.2e} outside the bracket (0, {width:.2e})")
     if not ms_res < CERTIFICATE_TOL:
         raise NewtonDivergenceError(f"fold certificate failed: residual {ms_res:.2e}")
-    smin, smax = _sigma_range(ev, sym, lam)
+    smin, smax = _sigma_range(ev, ev.operator(lam), lam)
     if not smin < DEGENERATE_TOL * smax:
         raise NumericalError(
             f"fold candidate is not degenerate: sigma_min/sigma_max = {smin / smax:.2e}"
         )
+    v = v / disc.w_norm(v)
+    tangent = (v if float(disc.h @ (tau_c * v)) >= 0.0 else -v, 0.0)
     # deterministic sign: largest weighted component positive
     idx = int(np.argmax(np.abs(v) * np.sqrt(disc.h)))
     if v[idx] < 0.0:

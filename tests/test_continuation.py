@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from mpmath import mp
 
 from jacbif import (
     ContinuationSettings,
+    JacbifError,
     NewtonDivergenceError,
     NoFoldBracketError,
     NonpositiveStateError,
@@ -1301,14 +1303,14 @@ class TestContinueBranch:
         # corrector never fails; in blocks the refusal must come first too
         start = branch_switch(1, P10, 1e-3, +1)
         settings = ContinuationSettings(ds0=0.01, ds_min=0.04, ds_max=0.05)
-        correct, make_points = continuation._correct, continuation._make_points
+        newton, make_points = continuation._bordered_newton, continuation._make_points
         steps, seen = [], []
 
-        def failing_at_the_fourth(*args):
+        def failing_at_the_fourth(*args, **kwargs):
             steps.append(args)
             if len(steps) >= 4:
                 raise NewtonDivergenceError("no convergence")
-            return correct(*args)
+            return newton(*args, **kwargs)
 
         def refusing_the_second(states, points):
             j = 1 - len(seen)  # the second traced state, if it is in this block
@@ -1319,7 +1321,7 @@ class TestContinueBranch:
                 raise NonpositiveStateError("refused")
             make_points(states, points)
 
-        monkeypatch.setattr(continuation, "_correct", failing_at_the_fourth)
+        monkeypatch.setattr(continuation, "_bordered_newton", failing_at_the_fourth)
         monkeypatch.setattr(continuation, "_make_points", refusing_the_second)
         traced = []
         for size in (continuation.ACCEPT_BLOCK, 1):
@@ -1380,11 +1382,11 @@ class TestContinueBranch:
         assert traced[0][0] == termination and len(traced[0][1]) == 261
 
     def test_step_failure_below_ds_min_carries_its_numbers(self, monkeypatch):
-        def failing_corrector(*args):
+        def failing_corrector(*args, **kwargs):
             raise NewtonDivergenceError("no convergence")
 
         start = branch_switch(1, P10, 1e-3, +1)
-        monkeypatch.setattr(continuation, "_correct", failing_corrector)
+        monkeypatch.setattr(continuation, "_bordered_newton", failing_corrector)
         # ds = 0.01 fails, then 0.005; half of that is below ds_min
         settings = ContinuationSettings(ds0=0.01, ds_min=0.004)
         with pytest.raises(NewtonDivergenceError) as info:
@@ -1513,34 +1515,27 @@ class TestFolds:
         rec = fold_records[case]
         v, tau_lam = rec.point.tangent
         disc = discretization(rec.branch.spec)
-        # the last Illinois tangent, before v is rescaled to ||v||_w = 1
+        # (+-v, 0), v the kernel direction at ||v||_w = 1
         assert disc.w_norm(v) ** 2 + tau_lam * tau_lam == pytest.approx(1.0, rel=1e-12)
         assert abs(tau_lam) < 1e-8
         cos = float(disc.h @ (v * rec.null_direction.coeffs)) / disc.w_norm(v)
         assert abs(cos) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
-    def test_certificate_jv_term_is_the_illinois_tau_lambda(self, fold_records, case):
-        # the bordered tangent (v, tau_lam) solves J v + tau_lam F_lambda = 0,
-        # so the J v term of the Moore-Spence residual is |tau_lam|
-        # ||F_lambda||_w / ||v||_w, up to the solve's roundoff, and Illinois
-        # drives tau_lam to 0: the certificate restates the Newton and Illinois
-        # stopping tests and is no independent check.  The term reads 2.0e-14,
-        # 4.2e-15 and 6.1e-14 at the three folds, and the identity holds to
-        # 5.5e-16, 3.3e-16 and 2.2e-17; the bound is 18 times the largest
+    def test_certificate_bounds_the_recomputed_residuals(self, fold_records, case):
+        # ||F||_w and ||J v||_w, recomputed at the fold point, lambda_star and
+        # null_direction, lie within the Moore-Spence residual of the solve:
+        # at the three folds ||J v||_w exceeds it by at most 1.4e-15, the
+        # roundoff of one more product with S (v rescaled to ||v||_w = 1)
         rec = fold_records[case]
         spec = rec.branch.spec
         disc = continuation._state_discretization(spec, rec.point.u.coeffs)
         ev = continuation._StateEvaluation(disc, rec.point.u.coeffs[disc.modes])
-        v, tau_lam = rec.point.tangent
-        v = v[disc.modes]
-        v_norm = disc.w_norm(v)
-        sym = ev.operator(rec.lambda_star)
-        jv = float(np.linalg.norm(sym @ (disc.sqrt_h * v / v_norm)))  # ||J v||_w / ||v||_w
-        predicted = abs(tau_lam) * disc.w_norm(ev.projection) / v_norm
-        assert abs(jv - predicted) <= 1e-14
+        v = rec.null_direction.coeffs[disc.modes]
         residual = disc.w_norm(ev.residual(rec.lambda_star))
-        assert rec.moore_spence_residual == pytest.approx(math.hypot(residual, jv), abs=1e-15)
+        jv = float(np.linalg.norm(ev.operator(rec.lambda_star) @ (disc.sqrt_h * v)))
+        assert residual <= rec.moore_spence_residual + 1e-14
+        assert jv <= rec.moore_spence_residual + 1e-14
 
     def test_critical_points_satisfy_the_ode_slope_relation(self, fold_records):
         # an oracle for the polished critical points from the ODE itself: at
@@ -1567,27 +1562,43 @@ class TestFolds:
         assert max(gaps) <= 1e-8
 
     @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
-    def test_fold_localization_builds_one_tangent_per_corrector(
+    def test_fold_localization_runs_no_corrector_and_no_tangent(
         self, fold_records, case, monkeypatch
     ):
+        # one Moore-Spence solve localizes the fold, with no corrector solve or
+        # tangent along the branch, and the same bits on a second call
         rec = fold_records[case]
-        calls = {"_tangent": 0, "_correct": 0}
 
-        def counting(name):
-            orig = getattr(continuation, name)
+        def refused(*args, **kwargs):
+            raise AssertionError("detect_fold called a tracing kernel")
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return orig(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(continuation, name, counting(name))
+        monkeypatch.setattr(continuation, "_bordered_newton", refused)
+        monkeypatch.setattr(continuation, "_tangent", refused)
         again = detect_fold(rec.branch)
-        assert calls["_correct"] >= 2
-        assert calls["_tangent"] == calls["_correct"]
-        assert again.lambda_star == rec.lambda_star
+        assert repr(again.lambda_star) == repr(rec.lambda_star)
+
+    def test_a_root_outside_the_bracket_is_refused(self, monkeypatch):
+        # k=3 (1/3,1/4) q=2: started from points[i], in place of points[i + 1],
+        # the Moore-Spence solve lands on the bifurcation point (1, 13.75),
+        # where J P_3 = 0 too, behind points[i]; detect_fold refuses that root
+        spec = ProblemSpec(jacobi_params(F(1, 3), F(1, 4)), 2.0)
+        start = branch_switch(3, spec, 1e-3, +1)
+        branch = continue_branch(start, spec, ContinuationSettings(stop_on_fold=True))
+        p = branch.points[_fold_bracket(branch.points)]
+        moore_spence, roots = continuation._moore_spence, []
+
+        def from_the_point_before(disc, c, lam, v0):
+            m = disc.modes
+            roots.append(moore_spence(disc, p.u.coeffs[m], p.lam, p.tangent[0][m]))
+            return roots[-1]
+
+        monkeypatch.setattr(continuation, "_moore_spence", from_the_point_before)
+        with pytest.raises(NewtonDivergenceError, match="outside the bracket"):
+            detect_fold(branch)
+        ev, lam, _, _ = roots[0]
+        assert lam == pytest.approx(13.75, abs=1e-5)
+        assert ev.c[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(ev.c[1:]).max() < 1e-5
 
     @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
     def test_doubling_m_moves_the_projection_by_roundoff(self, fold_records, case):
@@ -1641,7 +1652,7 @@ class TestFolds:
     def test_fold_is_localized_on_the_branch_spec(self):
         spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=32)
         rec = find_degenerate(1, spec)
-        assert repr(detect_fold(rec.branch).lambda_star) == "2.731928293014608"
+        assert repr(detect_fold(rec.branch).lambda_star) == "2.731928293015948"
         with pytest.raises(TypeError):
             detect_fold(rec.branch, ProblemSpec(spec.params, 2.0, N=32, M=200))
 
@@ -1686,6 +1697,42 @@ class TestFolds:
             find_degenerate(1, PHALF)
         with pytest.raises(ParameterError):
             find_degenerate(3, PLEG)
+
+
+# the (alpha, beta) pairs and exponents of perfbench's fold grid (cases.py)
+FOLD_GRID_PARAMS = [
+    (F(1, 2), F(1, 2)),
+    (1, 0),
+    (F(3, 2), F(1, 2)),
+    (0, 0),
+    (2, F(-1, 2)),
+    (F(3, 10), F(-7, 10)),
+    (F(3, 2), F(3, 2)),
+    (F(1, 3), F(1, 4)),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.sampled_from([1, 2]),
+    ab=st.sampled_from(FOLD_GRID_PARAMS),
+    q=st.sampled_from([1.5, 2.0, 3.0]),
+)
+def test_find_degenerate_certifies_a_fold_in_its_bracket_or_raises(k, ab, q):
+    # at N=32 every grid case either localizes a fold inside its bracket that
+    # passes both certificate tests, or raises a library error; no other
+    # exception and no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rec = find_degenerate(k, ProblemSpec(jacobi_params(*ab), q, N=32))
+        except JacbifError:
+            return
+    points = rec.branch.points
+    i = _fold_bracket(points)
+    assert points[i].s < rec.point.s < points[i + 1].s
+    assert rec.moore_spence_residual < CERTIFICATE_TOL
+    assert rec.sigma_ratio < DEGENERATE_TOL
 
 
 PARITY_PARAMS = [(F(1, 2), F(1, 2)), (0, 0), (F(3, 2), F(3, 2))]
