@@ -99,9 +99,10 @@ def default_quadrature_order(n_modes: int) -> int:
 
 
 # The largest quadrature order M, for every spec: where the M-point projection
-# can be inexact (_projection_is_exact), quad_gap builds a 2M-point rule on first
-# use (Discretization.refined), and Golub-Welsch holds its every eigenvector: a
-# 2M x 2M float matrix, 512 MiB at this bound (and 2.9 TB at N = 100000, M = 3N).
+# can be inexact (_projection_is_exact), quad_gap builds the 2M-point level on
+# first use (Discretization.refined).  Its rule takes O(M) memory, but its basis
+# table B and Q are 2M x N floats each, 32 M N bytes together, so at most
+# 16 M^2 (M >= 2N): 256 MiB at this bound (and 0.96 TB at N = 100000, M = 3N).
 MAX_QUADRATURE_ORDER = 4096
 
 
@@ -128,9 +129,9 @@ class ProblemSpec:
         if self.M > MAX_QUADRATURE_ORDER:
             raise ParameterError(
                 f"N={self.N}, M={self.M}: M must be <= {MAX_QUADRATURE_ORDER}, so that "
-                f"the 2M-point rule of the M -> 2M check, built where the M-point "
-                f"projection can be inexact, keeps its Golub-Welsch eigenvector matrix "
-                f"within {8 * (2 * MAX_QUADRATURE_ORDER) ** 2:,} bytes"
+                f"the 2M-point level of the M -> 2M check, built where the M-point "
+                f"projection can be inexact, keeps its 2M x N basis table and Q "
+                f"within {16 * MAX_QUADRATURE_ORDER ** 2:,} bytes"
             )
 
 
@@ -248,16 +249,16 @@ class ContinuationSettings:
 # discretization
 
 
-def _upper_half(rule: QuadratureRule, basis: np.ndarray) -> tuple[QuadratureRule, np.ndarray]:
-    """The nodes t >= 0 of a rule symmetric about 0 and the rows of ``basis``
-    there.  Every weight is doubled, each node standing for its mirror too,
-    except that of t = 0 when the rule has odd size."""
+def _upper_half(rule: QuadratureRule) -> QuadratureRule:
+    """The nodes t >= 0 of a rule symmetric about 0.  Every weight is doubled,
+    each node standing for its mirror too, except that of t = 0 when the rule
+    has odd size."""
     m = rule.nodes.size
     half = m // 2
     weights = 2.0 * rule.weights[half:]
     if m % 2:
         weights[0] = rule.weights[half]
-    return QuadratureRule(rule.nodes[half:], weights), np.ascontiguousarray(basis[half:])
+    return QuadratureRule(rule.nodes[half:], weights)
 
 
 def _projection_is_exact(spec: ProblemSpec, m: int) -> bool:
@@ -294,7 +295,9 @@ class Discretization:
     solves for: all spec.N of them (x[modes] is x), or in a parity view those
     of index ``_parity`` (mod 2), at the t >= 0 half of the nodes; pad maps
     back to spec.N coefficients.  A parity view slices the rule and basis
-    table of ``_full``, the full level at the same nodes, where given.
+    table of ``_full``, the full level at the same nodes, where given; the
+    refined level of a parity view has no full level, and builds its table
+    at the t >= 0 nodes alone.
     ``odd`` is None, or in the even view the odd view on the same nodes."""
 
     def __init__(self, spec: ProblemSpec, _m=None, _parity=None, _full=None):
@@ -309,13 +312,15 @@ class Discretization:
         i = np.arange(spec.N, dtype=float)[self.modes]
         self.lin = -i * (i + p.a)
         rule = _full.rule if _full else gauss_jacobi_rule(p, self._m)
-        basis = _full.basis if _full else jacobi_table(p, spec.N - 1, rule.nodes)
         if _parity is not None:
-            rule, basis = _upper_half(rule, basis[:, self.modes])
-        self.rule, self.basis = rule, basis
+            rule = _upper_half(rule)
+        # the table at the rule's nodes: _full's rows there, or built at them
+        # alone (each row is computed on its own, so the two are bit-identical)
+        rows = _full.basis[-rule.nodes.size :] if _full else jacobi_table(p, spec.N - 1, rule.nodes)
+        self.rule, self.basis = rule, np.ascontiguousarray(rows[:, self.modes])
         self.sqrt_w = np.sqrt(rule.weights)
         self.sqrt_h = np.sqrt(self.h)
-        self.orth = basis * self.sqrt_w[:, None]
+        self.orth = self.basis * self.sqrt_w[:, None]
         self.orth /= self.sqrt_h
 
     @cached_property

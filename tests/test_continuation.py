@@ -104,12 +104,12 @@ class TestProblemSpec:
 
     def test_rule_size_is_bounded_before_allocating(self):
         # N = 100000 is refused by the bound, which names what it covers: the
-        # 2M-point rule of the M -> 2M check, 8 (2 * 4096)^2 bytes at most
+        # 2M x N basis table and Q of the M -> 2M check, 16 * 4096^2 bytes at most
         with pytest.raises(ParameterError) as info:
             ProblemSpec(jacobi_params(1, 0), 2.0, N=100000)
         msg = str(info.value)
         assert "N=100000, M=300000: M must be <= 4096" in msg
-        assert "2M-point rule of the M -> 2M check" in msg and "536,870,912 bytes" in msg
+        assert "2M-point level of the M -> 2M check" in msg and "268,435,456 bytes" in msg
 
     def test_largest_quadrature_order(self):
         # a spec allocates nothing; its discretization is built on first use
@@ -556,11 +556,14 @@ def _gram_view(alpha, beta, q, n, view, seed):
 # lambda (H^(-1) B^T W B - I) in floats, and Q^T Q - I is that float gap
 # normalized.  Exponents near -1 make it largest: the weight mass h_0 grows
 # like 1/(alpha + 1), and sqrt(h_0 / h_i) scales the gap of row i in J.  Over
-# 4000 random draws of this test and its pinned example, the largest gaps
-# were 2.4e-10 of max |J| (the example) and 5.0e-11 in Q^T Q, both at alpha =
+# 8000 random draws of this test's strategy (each exponent -999/1000 in 15%
+# of them and in [-999/1000, -9/10] in 15% more) and its pinned example, the
+# largest gaps were 3.7e-11 of max |J| and 5.3e-12 in Q^T Q, both at alpha =
 # beta = -999/1000 in a parity view; the bounds allow 4 and 5 times that.
-GRAM_J_REL = 1e-9
-GRAM_ORTH_ABS = 2.5e-10
+# (With the Golub-Welsch weights of earlier versions they were 2.4e-10 and
+# 5.0e-11.)
+GRAM_J_REL = 1.5e-10
+GRAM_ORTH_ABS = 2.5e-11
 
 
 @settings(max_examples=60, deadline=None)
@@ -1652,7 +1655,7 @@ class TestFolds:
     def test_fold_is_localized_on_the_branch_spec(self):
         spec = ProblemSpec(jacobi_params(1, 0), 2.0, N=32)
         rec = find_degenerate(1, spec)
-        assert repr(detect_fold(rec.branch).lambda_star) == "2.731928293015948"
+        assert repr(detect_fold(rec.branch).lambda_star) == "2.731928293015953"
         with pytest.raises(TypeError):
             detect_fold(rec.branch, ProblemSpec(spec.params, 2.0, N=32, M=200))
 
@@ -1883,6 +1886,22 @@ class TestParityReduction:
         gap_even = even.quad_gap(continuation._StateEvaluation(even, c[even.modes]))
         assert gap_full > 1e-8
         assert gap_even == pytest.approx(gap_full, rel=1e-6)
+
+    def test_parity_refined_level_tabulates_only_the_upper_nodes(self, monkeypatch):
+        # the refined level of a parity view evaluates the basis at its M
+        # nodes t >= 0, not at all 2M nodes of the refined rule
+        spec = ProblemSpec(PHALF.params, 1.5, N=16, M=32)
+        even = continuation.Discretization(spec).even
+        sizes = []
+
+        def table(params, kmax, t):
+            sizes.append(np.size(t))
+            return jacobi_table(params, kmax, t)
+
+        monkeypatch.setattr(continuation, "jacobi_table", table)
+        refined = even.refined
+        assert sizes == [spec.M] and refined.basis.shape == (spec.M, 8)
+        assert refined.basis.flags.c_contiguous
 
 
 class TestPhaseSolve:
