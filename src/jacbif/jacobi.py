@@ -691,8 +691,8 @@ def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     one difference per degree, with the factors g_j (z - mid_j) formed a
     block of degrees at a time.  s is sum_{j<m} y_j^2 / c_j^2, summed a
     block at a time in a fixed order, and c_m cancels from dx.  The ratios
-    b_j / b_{j-1} tend to 1, so the c_j stay bounded (0.04 to 36 at
-    m = 8192 for exponents between -0.999 and 5).
+    b_j / b_{j-1} tend to 1, so the c_j stay bounded: from 0.04 to 36 at
+    m = 8192 over the exponent pairs measured, between -0.999 and 5.
 
     A LAPACK failure, or a rule whose weights are not positive or whose
     nodes are not strictly increasing inside (-1, 1), raises
@@ -737,7 +737,7 @@ def gauss_jacobi_rule(params: JacobiParams, m: int) -> QuadratureRule:
     ):
         raise NumericalBreakdownError(
             f"invalid {m}-point Gauss rule: weights not all positive, or nodes not "
-            f"strictly increasing inside (-1, 1)"
+            "strictly increasing inside (-1, 1)"
         )
     nodes.setflags(write=False)
     weights.setflags(write=False)
