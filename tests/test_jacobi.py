@@ -804,8 +804,26 @@ class TestQuadrature:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    @pytest.mark.parametrize("ab", [(F(1, 2), F(1, 2)), (F(1), F(0)), (F(-999, 1000), F(-999, 1000))], ids=str)
-    @pytest.mark.parametrize("m", [192, 768, 1536])
+    @pytest.mark.parametrize(
+        "ab, m",
+        [
+            pytest.param(ab, m, id=f"{ab[0]},{ab[1]}-{m}")
+            for ab in [(F(1, 2), F(1, 2)), (F(1), F(0)), (F(-999, 1000), F(-999, 1000))]
+            for m in (192, 768, 1536)
+        ]
+        + [
+            pytest.param(
+                (F(-9, 10), F(-9, 10)),
+                768,
+                id="-9/10,-9/10-768",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the weights sum 3.8e-13 from the mass: those of the second to "
+                    "fourth nodes from each end lie 2e-12 to 5e-12 above their 40-digit values",
+                ),
+            )
+        ],
+    )
     def test_weights_sum_to_the_mass(self, ab, m):
         params = jacobi_params(*ab)
         rule = gauss_jacobi_rule(params, m)
